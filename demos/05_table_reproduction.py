@@ -6,8 +6,8 @@ preset sample counts this is what `stokin reproduce --table 3` writes as CSV.
 
 At these population scales (n0 = 100 against a 2e-5 s generation time) the
 spread is as large as the mean, and a noticeable fraction of SDE paths
-transiently undershoots zero; the solvers run with the clamping PSD policy,
-which zeroes negative eigenvalues of the diffusion matrix instead of
+transiently undershoots zero; the solvers run with the clamp policy, which
+gives the negative event rates of the noise factor zero weight instead of
 aborting, and reports how often that happened.
 """
 

@@ -30,6 +30,7 @@ from .kinetics import (
     PiecewiseConstantReactivity,
     PiecewiseConstantSource,
     State,
+    diffusion_event_rates,
     diffusion_matrices,
     diffusion_matrix,
     drift_apply,

@@ -12,7 +12,7 @@ Per-path seeds derive deterministically from the master seed and the path
 index, making summaries reproducible run to run.  The ensemble stops once
 the relative 95% confidence half-width of every tracked component at the
 final record time falls below the target, or at the sample-count cap; the
-summary records which.  Failed paths (strict-policy PSD errors, overflow)
+summary records which.  Failed paths (strict-policy negative rates, overflow)
 are discarded and counted; more than 1% of attempts failing aborts the run.
 """
 

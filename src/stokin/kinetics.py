@@ -44,6 +44,7 @@ __all__ = [
     "drift_apply",
     "diffusion_matrix",
     "diffusion_matrices",
+    "diffusion_event_rates",
     "event_vectors",
     "event_rates",
     "equilibrium_state",
@@ -430,6 +431,30 @@ def diffusion_matrices(p: KineticsParameters, states: np.ndarray, t: float) -> n
     idx = np.arange(1, d)
     B[:, idx, idx] = np.outer(n, beta**2 * nu / l) + lc
     return B
+
+
+def diffusion_event_rates(p: KineticsParameters, states: np.ndarray, t: float) -> np.ndarray:
+    """Event rates for a batch of states, shape (N, m+3), in event-vector order.
+
+    These are the weights of the event factor of the diffusion matrix: with
+    ``D`` the (m+3, m+1) table of :func:`event_vectors` deltas,
+    ``sum_k r_k D[k] D[k]^T`` equals :func:`diffusion_matrices` for every
+    parameter set.  The capture coefficient is therefore the one inside the
+    diffusion matrix, (1 - rho - 1/nu)/l, not the alpha of
+    :func:`event_rates`; the two agree at the default alpha = 1/nu.  States
+    are used as given, so a negative population gives a negative rate.
+    """
+    if not p.reactivity.defined_at(t):
+        raise ReactivityDomainError(f"reactivity undefined at t={t!r}")
+    rho = float(p.reactivity(t))
+    states = np.asarray(states, dtype=float)
+    n = states[:, 0]
+    rates = np.empty((states.shape[0], p.m + 3))
+    rates[:, 0] = (-rho + 1.0 - 1.0 / p.nu) / p.gen_time * n
+    rates[:, 1] = n / (p.nu * p.gen_time)
+    rates[:, 2:-1] = states[:, 1:] * p.lam
+    rates[:, -1] = float(p.source(t))
+    return rates
 
 
 def diffusion_matrix(p: KineticsParameters, x, t: float = 0.0) -> DiffusionMatrix:

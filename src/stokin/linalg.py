@@ -1,9 +1,11 @@
 """Dense small-matrix kernels used by the solvers.
 
 Matrix exponential and linear solves delegate to scipy/LAPACK behind narrow
-contracts; the positive-semidefinite square root adds the eigenvalue-clipping
-policy the state-dependent diffusion matrices need.  Everything here operates
-on plain float ndarrays and is pure.
+contracts; the positive-semidefinite square root adds an eigenvalue-clipping
+policy for state-dependent diffusion matrices (the SDE solvers factor those
+over events instead; the square root is kept as the reference the tests
+compare against).  Everything here operates on plain float ndarrays and is
+pure.
 """
 
 from __future__ import annotations
@@ -136,6 +138,10 @@ def psd_sqrt(B: np.ndarray, policy: str = "strict") -> PsdSqrtResult:
 
 def psd_sqrt_batch(B: np.ndarray, policy: str = "strict"):
     """Vectorized PSD square roots for a stack of symmetric matrices.
+
+    Not on the solver path: the SDE solvers draw their noise from the event
+    factor of the diffusion matrix (see :mod:`stokin.solvers`), which needs
+    no square root.  This is the batched counterpart of :func:`psd_sqrt`.
 
     Parameters
     ----------

@@ -278,7 +278,7 @@ def _six_group(name, rho, horizon, record_dt, solver, samples, description) -> S
         ensemble={"min_samples": samples, "max_samples": samples, "target_rel_halfwidth": 5e-4},
         notes=(
             "Population fluctuations are comparable to the mean at n0=100, so SDE paths "
-            "undershoot zero routinely; the clamp PSD policy keeps the noise factor real."
+            "undershoot zero routinely; the clamp policy clips their negative event rates."
         ),
     )
 

@@ -11,7 +11,7 @@ trajectory:
 
 ``euler_maruyama_solve``
     The first-order explicit scheme: drift at the left endpoint plus the
-    PSD square root of the diffusion matrix times sqrt(dt) white noise.
+    event factor of the diffusion matrix times sqrt(dt) white noise.
 
 ``stochastic_pca_solve``
     The piecewise-constant-approximation scheme: reactivity is frozen at the
@@ -19,13 +19,21 @@ trajectory:
     through the exact matrix exponential of the frozen system, i.e. an Euler
     step on the exponentially transformed variable.
 
-Both stochastic solvers evaluate the diffusion matrix at the step's start
-state and never clamp negative excursions; under ``psd_policy="strict"`` a
-diffusion matrix with a meaningfully negative eigenvalue raises, while
-``psd_policy="clamp"`` clips all negative eigenvalues to zero and counts the
-hard clips in the trajectory diagnostics.  Scenarios with small populations
-relative to their fluctuations (the stiff six-group cases) need the clamp
-policy; see the scenario presets.
+Both stochastic solvers draw their noise from the event factor of the
+diffusion matrix, B(x) = C C^T with C = [sqrt(r_k) delta_k] over the m+3
+elementary events (Allen, Allen, Arciniega & Greenwood 2008; Gillespie
+2000): each step takes m+3 independent standard normals eta and adds
+sqrt(dt) * sum_k sqrt(r_k) eta_k delta_k, with rates and deltas from
+:func:`~stokin.kinetics.diffusion_event_rates` and
+:func:`~stokin.kinetics.event_vectors`.  No eigendecomposition is needed.
+Rates are evaluated at the step's start state, which is never clamped, and a
+negative rate contributes zero (the event Monte Carlo's rule for negative
+populations).  Rates in the roundoff band [-CLIP_TOL * max_k |r_k|, 0) are
+clipped silently and counted in ``clipped_small``; a rate below the band
+fails the path under ``psd_policy="strict"`` and is clipped and counted in
+``clipped_hard`` under ``psd_policy="clamp"``.  Scenarios with small
+populations relative to their fluctuations (the stiff six-group cases) need
+the clamp policy; see the scenario presets.
 """
 
 from __future__ import annotations
@@ -39,11 +47,14 @@ from .errors import ParameterError, ReactivityDomainError, SolverError
 from .kinetics import (
     KineticsParameters,
     as_state_vector,
-    diffusion_matrices,
+    diffusion_event_rates,
     drift_apply,
     drift_matrix,
+    event_vectors,
 )
-from .linalg import expm, propagator_with_source, psd_sqrt_batch
+from .kinetics import diffusion_matrices  # noqa: F401  unused; benchmarks/spans.py rebinds it by name
+from .linalg import CLIP_TOL, expm, propagator_with_source
+from .linalg import psd_sqrt_batch  # noqa: F401  unused; benchmarks/spans.py rebinds it by name
 
 __all__ = [
     "TimeGrid",
@@ -234,9 +245,34 @@ class SdePathsResult:
 
 
 def _row_matvec(E: np.ndarray, X: np.ndarray) -> np.ndarray:
-    # (d,d) applied to each row of (N,d); sum-based so results per row do not
-    # depend on the batch size (keeps single-path and ensemble runs bit-equal)
-    return (E[None, :, :] * X[:, None, :]).sum(axis=2)
+    # (d,k) applied to each row of (N,k) as a column-by-column sum in a fixed
+    # order, so results per row do not depend on the batch size (keeps
+    # single-path and ensemble runs bit-equal, which BLAS and einsum do not)
+    out = X[:, 0, None] * E[:, 0]
+    for j in range(1, E.shape[1]):
+        out += X[:, j, None] * E[:, j]
+    return out
+
+
+def _clipped_event_rates(p: KineticsParameters, states: np.ndarray, t: float):
+    """Event-factor rates with negatives clipped to zero.
+
+    Returns the clipped (N, m+3) rates, the per-path count of rates clipped
+    from the roundoff band [-CLIP_TOL * max_k |r_k|, 0), and a per-path flag
+    for a rate below that band.
+    """
+    rates = diffusion_event_rates(p, states, t)
+    small = np.zeros(len(rates), dtype=np.int64)
+    hard = np.zeros(len(rates), dtype=bool)
+    neg = rates < 0
+    if neg.any():
+        rows = np.flatnonzero(neg.any(axis=1))
+        r = rates[rows]
+        band = -CLIP_TOL * np.abs(r).max(axis=1, keepdims=True)
+        hard[rows] = np.any(r < band, axis=1)
+        small[rows] = np.count_nonzero(neg[rows] & (r >= band), axis=1)
+        np.maximum(rates, 0.0, out=rates)
+    return rates, small, hard
 
 
 def run_sde_paths(
@@ -254,24 +290,30 @@ def run_sde_paths(
     """Advance a batch of sample paths, one numpy Generator per path.
 
     Every path consumes its generator exactly as the single-path solvers do
-    (one (dim,) standard-normal block per step, in time order), so a path run
-    here is bit-identical to the same seed run through
-    :func:`euler_maruyama_solve` / :func:`stochastic_pca_solve`.
+    (one (m+3,) standard-normal block per step, one normal per elementary
+    event, in time order), so a path run here is bit-identical to the same
+    seed run through :func:`euler_maruyama_solve` /
+    :func:`stochastic_pca_solve`.
 
-    Under the strict PSD policy, a path whose diffusion matrix develops a
-    meaningfully negative eigenvalue is frozen and flagged in ``failed``
-    rather than raising, so the remaining paths finish.
+    The noise increment is the event factor times the step's normals (see
+    the module docstring).  Under the strict policy, a path with an event
+    rate below the roundoff band is frozen and flagged in ``failed`` rather
+    than raising, so the remaining paths finish.
     """
     if method not in (METHOD_EULER_MARUYAMA, METHOD_STOCHASTIC_PCA):
         raise ParameterError(f"unknown SDE method {method!r}")
+    if psd_policy not in ("strict", "clamp"):
+        raise ParameterError(f"unknown psd policy {psd_policy!r}")
     _check_domain(p, grid)
     x0 = as_state_vector(x0, p)
     d = p.dim
+    n_events = p.m + 3
     n_paths = len(generators)
     n_steps = grid.n_steps
     dt = grid.dt
     sqrt_dt = math.sqrt(dt)
     nodes = grid.nodes
+    deltas_t = np.array([ev.delta for ev in event_vectors(p)]).T  # (d, m+3)
 
     if record_indices is None:
         record_indices = np.arange(n_steps + 1)
@@ -294,28 +336,32 @@ def run_sde_paths(
         out[:, rec_pos] = X
         rec_pos += 1
 
-    block = max(1, _BLOCK_BUDGET // max(1, n_paths * d))
+    block = max(1, min(n_steps, _BLOCK_BUDGET // max(1, n_paths * n_events)))
+    # filled in place, path by path: each path walks its own stream exactly
+    # as one (kk, m+3) draw would, without a stacking copy
+    noise = None if zero_noise else np.empty((n_paths, block, n_events))
     k = 0
     while k < n_steps:
         kk = min(block, n_steps - k)
-        if zero_noise:
-            noise = None
-        else:
-            noise = np.stack([g.standard_normal((kk, d)) for g in generators])
+        if not zero_noise:
+            for i, g in enumerate(generators):
+                g.standard_normal(out=noise[i, :kk])
         for j in range(kk):
             step = k + j
             t = nodes[step]
             ia = np.flatnonzero(alive)
             if ia.size:
-                Xa = X[ia]
+                # a slice while every path is alive avoids the gather/scatter
+                rows = slice(None) if ia.size == n_paths else ia
+                Xa = X[rows]
                 if zero_noise:
                     G = np.zeros_like(Xa)
                     hard = np.zeros(ia.size, dtype=bool)
                 else:
-                    B = diffusion_matrices(p, Xa, t)
-                    S, small, hard = psd_sqrt_batch(B, policy=psd_policy)
-                    clipped_small[ia] += small
-                    G = (S * noise[ia, j, :][:, None, :]).sum(axis=2) * sqrt_dt
+                    rates, small, hard = _clipped_event_rates(p, Xa, t)
+                    clipped_small[rows] += small
+                    weights = np.sqrt(rates) * noise[rows, j]
+                    G = _row_matvec(deltas_t, weights) * sqrt_dt
                 if method == METHOD_EULER_MARUYAMA:
                     drift = drift_apply(p, Xa, t)
                     drift[:, 0] += float(p.source(t))
@@ -323,18 +369,18 @@ def run_sde_paths(
                 else:
                     inner = Xa + propagators.F_dt[step][None, :] + G
                     Xn = _row_matvec(propagators.E[step], inner)
-                bad = hard | ~np.all(np.isfinite(Xn), axis=1)
                 if psd_policy == "clamp":
-                    clipped_hard[ia] += hard
-                    bad = ~np.all(np.isfinite(Xn), axis=1)
+                    clipped_hard[rows] += hard
+                    hard[:] = False  # clipped and counted, not fatal
+                finite = np.isfinite(Xn)
+                bad = hard if finite.all() else hard | ~finite.all(axis=1)
                 if bad.any():
                     dead = ia[bad]
                     alive[dead] = False
                     fail_step[dead] = step
-                good = ~bad
-                ig = ia[good]
-                X[ig] = Xn[good]
-                negative_steps[ig] += Xn[good, 0] < 0
+                    rows, Xn = ia[~bad], Xn[~bad]
+                X[rows] = Xn
+                negative_steps[rows] += Xn[:, 0] < 0
             if rec_pos < n_rec and record_indices[rec_pos] == step + 1:
                 out[:, rec_pos] = X
                 rec_pos += 1
@@ -366,7 +412,7 @@ def _single_path(p, x0, grid, noise, method, zero_noise, psd_policy):
         step = int(result.fail_step[0])
         raise SolverError(
             f"{method} path failed at step {step} (t={grid.nodes[step]:g}): "
-            "diffusion matrix not PSD or state overflowed",
+            "event rate below the roundoff band or state overflowed",
             step_index=step,
         )
     diagnostics = {

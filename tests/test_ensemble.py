@@ -148,7 +148,7 @@ def test_stop_reason_max_samples():
 
 def test_failed_paths_abort_when_above_one_percent():
     # tiny populations at six-group prompt-critical parameters: under the
-    # strict policy most paths hit an indefinite diffusion matrix
+    # strict policy most paths hit a negative event rate
     p = six_group_params(rho=0.007)
     x0 = np.concatenate([[1.0], np.full(6, 0.01)])
     grid = TimeGrid(0.0, 0.001, 1e-5)

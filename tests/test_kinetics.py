@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from stokin import (
     ReactivityDomainError,
     SingularMatrixError,
     State,
+    diffusion_event_rates,
+    diffusion_matrices,
     diffusion_matrix,
     drift_matrix,
     equilibrium_state,
@@ -330,6 +334,25 @@ def test_covariance_matches_diffusion(rng):
         B = diffusion_matrix(p, x, 0.0).matrix
         scale = np.abs(B).max() + 1e-30
         assert np.abs(second_moment - B).max() <= 1e-10 * scale
+
+
+def test_event_factor_reproduces_diffusion(rng):
+    # C = [sqrt(r_k) delta_k] factors the diffusion matrix, C C^T = B, also
+    # with alpha overridden: the factor's capture rate comes from B, not alpha
+    for trial in range(100):
+        p = random_params(rng)
+        if trial % 2:
+            p = replace(p, alpha=float(rng.uniform(0.05, 0.6)))
+            assert p.alpha_overridden
+        X = random_state(rng, p.m)[None, :]
+        deltas = np.array([ev.delta for ev in event_vectors(p)])
+        rates = diffusion_event_rates(p, X, 0.0)
+        assert np.all(rates >= 0.0)
+        C = np.sqrt(rates)[:, :, None] * deltas[None, :, :]
+        CCt = np.einsum("nki,nkj->nij", C, C)
+        B = diffusion_matrices(p, X, 0.0)
+        scale = np.abs(B).max() + 1e-30
+        assert np.abs(CCt - B).max() <= 1e-10 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -225,9 +225,59 @@ def test_batch_paths_bit_equal_single_paths():
             assert np.array_equal(batch.states[i], traj.states)
 
 
+def test_batch_paths_bit_equal_single_paths_six_group_clamp():
+    # tiny six-group population: paths undershoot zero, so the clip branch of
+    # the event factor runs inside the batch and in the single paths alike
+    p = six_group_params(rho=0.007)
+    x0 = np.concatenate([[1.0], np.full(6, 0.01)])
+    grid = TimeGrid(0.0, 2e-4, 1e-5)
+    seeds = [path_seed(37, i) for i in range(6)]
+    for method, solver in (
+        ("euler-maruyama", euler_maruyama_solve),
+        ("stochastic-pca", stochastic_pca_solve),
+    ):
+        gens = [np.random.default_rng(s) for s in seeds]
+        batch = run_sde_paths(p, x0, grid, method, gens, psd_policy="clamp")
+        assert batch.clipped_hard.sum() > 0
+        for i, s in enumerate(seeds):
+            traj = solver(p, x0, grid, NoiseSource(s), psd_policy="clamp")
+            assert np.array_equal(batch.states[i], traj.states)
+            assert traj.diagnostics["clipped_hard"] == batch.clipped_hard[i]
+            assert traj.diagnostics["negative_steps"] == batch.negative_steps[i]
+
+
+def test_negative_population_rates_follow_event_mc_rule():
+    # a negative population contributes zero rate, in the SDE noise factor
+    # as in the event Monte Carlo
+    from stokin.event_mc import _clipped_rates
+    from stokin.solvers import _clipped_event_rates
+
+    for p, x in (
+        (one_group_params(beta1=0.05), np.array([-3.0, 300.0])),
+        (one_group_params(beta1=0.05), np.array([400.0, -2.0])),
+        (six_group_params(rho=0.007), np.concatenate([[-0.5], np.full(6, 40.0)])),
+    ):
+        rates, small, hard = _clipped_event_rates(p, x[None, :], 0.0)
+        assert np.array_equal(rates[0], _clipped_rates(p, x, 0.0))
+        assert hard[0] and small[0] == 0
+    # roundoff-scale undershoot is clipped and counted, not flagged
+    p = one_group_params(beta1=0.05)
+    rates, small, hard = _clipped_event_rates(p, np.array([[-1e-12, 300.0]]), 0.0)
+    assert np.array_equal(rates[0], _clipped_rates(p, np.array([-1e-12, 300.0]), 0.0))
+    assert small[0] == 2 and not hard[0]
+
+
+def test_unknown_psd_policy_rejected():
+    p = one_group_params(beta1=0.05)
+    grid = TimeGrid(0.0, 0.01, 0.001)
+    with pytest.raises(ParameterError):
+        run_sde_paths(p, [400.0, 300.0], grid, "euler-maruyama", [np.random.default_rng(0)],
+                      psd_policy="eigen")
+
+
 def test_strict_policy_failure_carries_step_index():
     # tiny population at prompt-critical six-group parameters: paths undershoot
-    # zero almost immediately and the diffusion matrix turns indefinite
+    # zero almost immediately and their event rates turn negative
     p = six_group_params(rho=0.007)
     x0 = np.concatenate([[1.0], np.full(6, 0.01)])
     grid = TimeGrid(0.0, 0.001, 1e-5)
@@ -313,30 +363,44 @@ def test_zero_noise_reductions_every_preset(preset):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("method", ["euler-maruyama", "stochastic-pca"])
-def test_one_step_weak_consistency(method):
-    p = one_group_params(beta1=0.05)
-    x0 = np.array([400.0, 300.0])
-    dt = 1e-3
+@pytest.mark.parametrize("preset", ["table1", "table2", "table3", "linear-rho"])
+def test_one_step_weak_consistency(preset, method):
+    # one step of the scheme from the preset's initial state at its solver dt:
+    # the increment's mean and covariance match the scheme's one-step law
+    # (EM: x0 + (A x0 + q) dt and B dt; PCA: E (x0 + q dt) and E B E^T dt)
+    from stokin import diffusion_matrix, expm, load_scenario
+
+    scn = load_scenario(preset)
+    p = scn.build_parameters()
+    x0 = scn.build_initial(p).vector
+    dt = scn.solver["em_dt" if method == "euler-maruyama" else "pca_dt"]
     grid = TimeGrid(0.0, dt, dt)
     n_samples = 100_000
     gens = [np.random.default_rng(path_seed(404, i)) for i in range(n_samples)]
-    res = run_sde_paths(p, x0, grid, method, gens)
+    res = run_sde_paths(p, x0, grid, method, gens, psd_policy=scn.solver["psd_policy"])
+    assert not res.failed.any()
     increments = res.states[:, -1, :] - x0
 
-    A = np.array(drift_matrix(p, 0.0).matrix)
-    drift = A @ x0
-    drift[0] += 200.0
-    expected_mean = drift * dt
+    B = np.array(diffusion_matrix(p, x0, 0.0).matrix) * dt
+    if method == "euler-maruyama":
+        drift = np.array(drift_matrix(p, 0.0).matrix) @ x0
+        drift[0] += p.source(0.0)
+        expected_mean = drift * dt
+        expected_cov = B
+    else:
+        tm = grid.midpoint(0)
+        E = expm(np.array(drift_matrix(p, tm).matrix) * dt)
+        f = np.zeros(p.dim)
+        f[0] = p.source(tm) * dt
+        expected_mean = E @ (x0 + f) - x0
+        expected_cov = E @ B @ E.T
 
     mean = increments.mean(axis=0)
     se_mean = increments.std(axis=0, ddof=1) / np.sqrt(n_samples)
     assert np.all(np.abs(mean - expected_mean) <= 4.0 * se_mean)
 
-    from stokin import diffusion_matrix
-
-    B = np.array(diffusion_matrix(p, x0, 0.0).matrix)
     centered = increments - mean
     prods = np.einsum("ni,nj->nij", centered, centered)
     cov = prods.sum(axis=0) / (n_samples - 1)
     se_cov = prods.std(axis=0, ddof=1) / np.sqrt(n_samples)
-    assert np.all(np.abs(cov - B * dt) <= 4.0 * se_cov)
+    assert np.all(np.abs(cov - expected_cov) <= 4.0 * se_cov)
