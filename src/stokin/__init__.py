@@ -60,8 +60,6 @@ from .solvers import (
 from .event_mc import (
     McConfig,
     McTrajectory,
-    mc_step_exact,
-    mc_step_fixed,
     mc_trajectory,
     run_mc_paths,
     sample_increments,

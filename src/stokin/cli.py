@@ -21,6 +21,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -67,42 +68,50 @@ def _component_header(dim) -> list:
     return ["t", "n"] + [f"c{i + 1}" for i in range(dim - 1)]
 
 
-def _scenario_mc_config(scn: ScenarioConfig, args) -> McConfig:
+def _scenario_mc_config(scn: ScenarioConfig, mode=None, yield_model=None, dt=None) -> McConfig:
+    """The scenario's MC settings with any command-line overrides applied."""
     mc = scn.mc_config()
-    mode = getattr(args, "mode", None) or mc.mode
-    yield_model = getattr(args, "yield_model", None) or mc.yield_model
-    dt = getattr(args, "dt", None) or mc.dt
-    return McConfig(
-        mode=mode,
-        yield_model=yield_model,
-        dt=dt,
-        safety=mc.safety,
-        record_times=mc.record_times,
+    return replace(
+        mc,
+        mode=mode or mc.mode,
+        yield_model=yield_model or mc.yield_model,
+        dt=dt or mc.dt,
     )
 
 
-def _ensemble_config(scn: ScenarioConfig, args, keep_paths=0) -> EnsembleConfig:
+def _ensemble_config(
+    scn: ScenarioConfig,
+    method: str,
+    seed: int,
+    samples,
+    mc: McConfig,
+    zero_noise=False,
+    keep_paths=0,
+) -> EnsembleConfig:
     ens = scn.ensemble
-    samples = getattr(args, "samples", None)
-    min_samples = samples or int(ens["min_samples"])
-    max_samples = samples or int(ens["max_samples"])
-    mc = _scenario_mc_config(scn, args)
     return EnsembleConfig(
-        method=args.method,
-        master_seed=args.seed,
-        min_samples=min_samples,
-        max_samples=max_samples,
+        method=method,
+        master_seed=seed,
+        min_samples=samples or int(ens["min_samples"]),
+        max_samples=samples or int(ens["max_samples"]),
         target_rel_halfwidth=float(ens.get("target_rel_halfwidth", 5e-4)),
         record_times=tuple(scn.record_times()),
-        zero_noise=getattr(args, "zero_noise", False),
+        zero_noise=zero_noise,
         psd_policy=scn.solver.get("psd_policy", "strict"),
         mc=mc,
         keep_sample_paths=keep_paths,
     )
 
 
-def _sde_grid(scn: ScenarioConfig, method: str, args) -> TimeGrid:
-    dt = getattr(args, "dt", None)
+def _args_ensemble_config(scn: ScenarioConfig, args, keep_paths=0) -> EnsembleConfig:
+    """Ensemble configuration from the ``ensemble``/``plotdata`` flags."""
+    mc = _scenario_mc_config(scn, args.mode, args.yield_model, args.dt)
+    return _ensemble_config(
+        scn, args.method, args.seed, args.samples, mc, args.zero_noise, keep_paths
+    )
+
+
+def _sde_grid(scn: ScenarioConfig, method: str, dt) -> TimeGrid:
     if dt:
         return TimeGrid(0.0, scn.horizon, dt)
     return scn.grid(method)
@@ -129,21 +138,21 @@ def _cmd_solve(args) -> int:
     record = scn.record_times()
 
     if args.method == "det":
-        traj = deterministic_solve(p, x0, _sde_grid(scn, "det", args))
+        traj = deterministic_solve(p, x0, _sde_grid(scn, "det", args.dt))
         times, states = _thin_to_record(traj.times, traj.states, record)
     elif args.method in ("em", "pca"):
         solver = euler_maruyama_solve if args.method == "em" else stochastic_pca_solve
         traj = solver(
             p,
             x0,
-            _sde_grid(scn, args.method, args),
+            _sde_grid(scn, args.method, args.dt),
             NoiseSource(args.seed),
             zero_noise=args.zero_noise,
             psd_policy=scn.solver.get("psd_policy", "strict"),
         )
         times, states = _thin_to_record(traj.times, traj.states, record)
     else:  # mc
-        mc = _scenario_mc_config(scn, args)
+        mc = _scenario_mc_config(scn, args.mode, args.yield_model, args.dt)
         traj = mc_trajectory(p, x0, scn.horizon, mc, NoiseSource(args.seed))
         times, states = traj.times, traj.states
 
@@ -193,8 +202,8 @@ def _cmd_ensemble(args) -> int:
     scn = load_scenario(args.scenario)
     p = scn.build_parameters()
     x0 = scn.build_initial(p)
-    grid = _sde_grid(scn, args.method, args) if args.method != "mc" else scn.grid("mc")
-    summary = run_ensemble(p, x0, grid, _ensemble_config(scn, args))
+    grid = _sde_grid(scn, args.method, args.dt) if args.method != "mc" else scn.grid("mc")
+    summary = run_ensemble(p, x0, grid, _args_ensemble_config(scn, args))
 
     out_dir = _out_dir(args)
     base = f"{scn.name}_{args.method}_summary"
@@ -232,26 +241,16 @@ def _cmd_reproduce(args) -> int:
         for (comp, label), mean, std in zip(quantities, means, stds):
             rows.append([label, method_name, _fmt(mean), "" if std is None else _fmt(std)])
 
-    class _A:
-        pass
-
     for method in ("mc", "pca", "em"):
-        a = _A()
-        a.method = method
-        a.seed = args.seed
-        a.samples = args.samples
-        a.zero_noise = False
-        a.dt = None
-        a.mode = None
-        a.yield_model = None
+        samples, mode = args.samples, None
         if method == "mc":
-            a.samples = args.mc_samples or args.samples
+            samples = args.mc_samples or args.samples
             if args.table == "2" and args.mc_samples is None:
                 # full-horizon event MC at ~5e6 events/s per path: trim the
                 # default sample count to keep this a desk-scale run
-                a.samples = 64
-                a.mode = "exact"
-        cfg = _ensemble_config(scn, a, keep_paths=0)
+                samples, mode = 64, "exact"
+        mc = _scenario_mc_config(scn, mode=mode)
+        cfg = _ensemble_config(scn, method, args.seed, samples, mc)
         grid = scn.grid(method if method != "mc" else "mc")
         summary = run_ensemble(p, x0, grid, cfg)
         means = []
@@ -277,8 +276,8 @@ def _cmd_plotdata(args) -> int:
     scn = load_scenario(args.scenario)
     p = scn.build_parameters()
     x0 = scn.build_initial(p)
-    grid = _sde_grid(scn, args.method, args) if args.method != "mc" else scn.grid("mc")
-    summary = run_ensemble(p, x0, grid, _ensemble_config(scn, args, keep_paths=2))
+    grid = _sde_grid(scn, args.method, args.dt) if args.method != "mc" else scn.grid("mc")
+    summary = run_ensemble(p, x0, grid, _args_ensemble_config(scn, args, keep_paths=2))
 
     j = summary.component_index("n")
     samples = summary.sample_paths

@@ -18,17 +18,16 @@ are discarded and counted; more than 1% of attempts failing aborts the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EnsembleFailureError, ParameterError
-from .event_mc import McConfig, YIELD_FRACTIONAL, mc_trajectory, run_mc_paths
+from .event_mc import McConfig, run_mc_paths
 from .kinetics import KineticsParameters, as_state_vector
 from .solvers import (
     METHOD_EULER_MARUYAMA,
     METHOD_STOCHASTIC_PCA,
-    NoiseSource,
     TimeGrid,
     _PcaPropagators,
     run_sde_paths,
@@ -222,28 +221,11 @@ def run_ensemble(
             for i in range(n_new)
         ]
         if method == METHOD_EVENT_MC:
-            if cfg.mc.yield_model == YIELD_FRACTIONAL:
-                res = run_mc_paths(
-                    p,
-                    x0,
-                    grid.t_end,
-                    cfg.mc,
-                    gens,
-                    record_times,
-                )
-                batch_states = res.states
-                batch_failed = res.failed
-                diagnostics["negative_steps"] += int(res.negative_captures.sum())
-                diagnostics["halvings"] += len(res.halvings)
-            else:
-                # integer yields: per-path trajectories (no batched engine)
-                batch_states = np.empty((n_new, record_times.size, d))
-                batch_failed = np.zeros(n_new, dtype=bool)
-                mc_cfg_rec = replace(cfg.mc, record_times=tuple(record_times))
-                for i in range(n_new):
-                    ns = NoiseSource(path_seed(cfg.master_seed, attempted + i))
-                    traj = mc_trajectory(p, x0, grid.t_end, mc_cfg_rec, ns)
-                    batch_states[i] = traj.states
+            res = run_mc_paths(p, x0, grid.t_end, cfg.mc, gens, record_times)
+            batch_states = res.states
+            batch_failed = res.failed
+            diagnostics["negative_steps"] += int(res.negative_captures.sum())
+            diagnostics["halvings"] += len(res.halvings)
         else:
             res = run_sde_paths(
                 p,

@@ -1,5 +1,11 @@
 """Discrete-event Monte Carlo of the birth/death/transformation process.
 
+One engine, :func:`run_mc_paths`, advances a batch of paths; each path has
+its own Generator and its own clock, so a path's result does not depend on
+the batch it runs in, and :func:`mc_trajectory` is a batch of one.  Events
+are applied with one gather-add from the (m+4, d) table of event deltas
+whose last row, "no event", is zero.
+
 Two stepping modes:
 
 ``fixed``
@@ -7,8 +13,8 @@ Two stepping modes:
     probability rate*dt, at most one event per step, chosen by a single
     uniform draw against the cumulative probabilities.  The step must keep
     the total probability at or below one; sizes are chosen from the initial
-    total rate with a safety factor and halved automatically (and logged)
-    whenever a path's rates grow past the bound.
+    total rate with a safety factor, and a path whose rates grow past the
+    bound halves its own step permanently (each halving is logged).
 
 ``exact``
     Competing exponential clocks: the waiting time is exponential in the
@@ -41,14 +47,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError, StepSizeError
-from .kinetics import KineticsParameters, State, as_state_vector, event_rates, event_vectors
+from .kinetics import (
+    ConstantReactivity,
+    ConstantSource,
+    KineticsParameters,
+    as_state_vector,
+    event_rates,
+    event_vectors,
+)
 from .solvers import NoiseSource
 
 __all__ = [
     "McConfig",
     "McTrajectory",
-    "mc_step_fixed",
-    "mc_step_exact",
     "mc_trajectory",
     "sample_increments",
     "run_mc_paths",
@@ -112,184 +123,69 @@ def _event_count_dict(p: KineticsParameters, counts: np.ndarray) -> dict:
     return out
 
 
-def _clipped_rates(p: KineticsParameters, vec: np.ndarray, t: float) -> np.ndarray:
-    """Event rates with populations below zero contributing zero rate, so a
-    fractional-mode path that has transiently undershot keeps evolving."""
-    return event_rates(p, np.clip(vec, 0.0, None), t)
+# ---------------------------------------------------------------------------
+# building blocks shared by the engine and the one-step sampler
+# ---------------------------------------------------------------------------
+
+def _rate_constants(p: KineticsParameters, t: float):
+    """Capture rate per neutron and source emission rate at time t."""
+    rho = float(p.reactivity(t))
+    k_cap = (-rho + 1.0 - p.alpha) / p.gen_time
+    if k_cap < 0:
+        raise ParameterError(f"negative capture rate coefficient at rho={rho:g}")
+    return k_cap, float(p.source(t))
 
 
-def mc_step_fixed(p: KineticsParameters, x, t: float, dt: float, noise: NoiseSource) -> State:
-    """One Bernoulli step of size dt from a nonnegative state.
+def _path_rates(p: KineticsParameters, X: np.ndarray, t) -> np.ndarray:
+    """Event rates of the states X (..., d), event-major: row k of the
+    (m+3, ...) result is event k's rate, in event-vector order.
 
-    Raises StepSizeError (carrying the admissible bound) when the event
-    probabilities sum past one.
+    ``t`` is one time or one per state; the rate constants are evaluated once
+    per distinct time.  Populations below zero contribute zero rate, so a
+    fractional-yield path that has undershot keeps evolving.
     """
-    vec = as_state_vector(x, p)
-    rates = event_rates(p, vec, t)  # validates nonnegativity
-    probs = rates * dt
-    total = probs.sum()
-    if total > 1.0:
-        raise StepSizeError(
-            f"sum of event probabilities {total:.4g} exceeds 1 at t={t:g}; "
-            f"need dt <= {1.0 / rates.sum():.4g}",
-            max_allowed_dt=1.0 / rates.sum(),
-        )
-    u = float(noise.uniforms())
-    idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    if idx >= probs.size:
-        return State.from_vector(vec)
-    delta = event_vectors(p)[idx].delta
-    return State.from_vector(vec + delta)
-
-
-def mc_step_exact(p: KineticsParameters, x, t: float, noise: NoiseSource):
-    """One exact jump: returns (waiting time, new state).
-
-    The waiting time is exponential in the total rate; the event is selected
-    with probability rate/total.  A zero total rate signals an absorbing
-    state: the waiting time is +inf and the state is returned unchanged.
-    """
-    vec = as_state_vector(x, p)
-    rates = event_rates(p, vec, t)
-    total = rates.sum()
-    if total <= 0.0:
-        return math.inf, State.from_vector(vec)
-    u_wait = float(noise.uniforms())
-    u_sel = float(noise.uniforms())
-    tau = -math.log1p(-u_wait) / total
-    idx = int(np.searchsorted(np.cumsum(rates), u_sel * total, side="right"))
-    idx = min(idx, rates.size - 1)
-    delta = event_vectors(p)[idx].delta
-    return tau, State.from_vector(vec + delta)
-
-
-def _integer_fission_delta(p: KineticsParameters, noise: NoiseSource) -> np.ndarray:
-    """Sample an integer fission yield and its prompt/delayed split."""
-    base = math.floor(p.nu)
-    frac = p.nu - base
-    total_yield = base + (float(noise.uniforms()) < frac)
-    delayed = int(noise.generator.binomial(total_yield, p.beta_total)) if total_yield else 0
-    delta = np.zeros(p.dim)
-    delta[0] = total_yield - 1 - delayed
-    if delayed:
-        groups = noise.generator.multinomial(delayed, p.beta / p.beta_total)
-        delta[1:] = groups
-    return delta
-
-
-def mc_trajectory(
-    p: KineticsParameters,
-    x0,
-    horizon: float,
-    cfg: McConfig,
-    noise: NoiseSource,
-) -> McTrajectory:
-    """Simulate one sample path on [0, horizon], sampling at the record grid.
-
-    Fixed mode validates the probability bound every step and halves the
-    step permanently on violation (each halving is logged in the
-    diagnostics).  Exact mode fast-forwards absorbed paths to the horizon.
-    """
-    vec = as_state_vector(x0, p)
-    if np.any(vec < 0):
-        raise ParameterError("Monte Carlo requires a nonnegative initial state")
-    if cfg.yield_model == YIELD_INTEGER:
-        vec = np.rint(vec)
-    if horizon < 0:
-        raise ParameterError("horizon must be nonnegative")
-    record = np.asarray(
-        cfg.record_times if cfg.record_times is not None else [horizon], dtype=float
-    )
-    if record.size and record[-1] > horizon * (1 + 1e-12):
-        raise ParameterError("record times must lie within the horizon")
-
-    events = event_vectors(p)
-    counts = np.zeros(p.m + 3, dtype=np.int64)
-    states = np.empty((record.size, p.dim))
-    halvings = []
-    negative_captures = 0
-
-    t = 0.0
-    rec_pos = 0
-    # record times at or before the start see the initial state
-    while rec_pos < record.size and record[rec_pos] <= 0.0:
-        states[rec_pos] = vec
-        rec_pos += 1
-
-    if cfg.mode == MODE_FIXED:
-        rates0 = _clipped_rates(p, vec, 0.0)
-        total0 = rates0.sum()
-        if cfg.dt is not None:
-            dt = cfg.dt
-        elif total0 > 0:
-            dt = cfg.safety / total0
-        else:
-            dt = horizon if horizon > 0 else 1.0
-        while t < horizon - 1e-15 * max(1.0, horizon):
-            t_target = record[rec_pos] if rec_pos < record.size else horizon
-            step = min(dt, t_target - t)
-            rates = _clipped_rates(p, vec, t)
-            while rates.sum() * step > 1.0:
-                dt *= 0.5
-                step = min(dt, t_target - t)
-                halvings.append((t, dt))
-            probs = rates * step
-            u = float(noise.uniforms())
-            idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-            if idx < probs.size:
-                if idx == 1 and cfg.yield_model == YIELD_INTEGER:
-                    vec = vec + _integer_fission_delta(p, noise)
-                else:
-                    if idx == 0 and vec[0] < 1.0:
-                        negative_captures += 1
-                    vec = vec + events[idx].delta
-                counts[idx] += 1
-            t += step
-            while rec_pos < record.size and record[rec_pos] <= t * (1 + 1e-12):
-                states[rec_pos] = vec
-                rec_pos += 1
+    t = np.asarray(t, dtype=float)
+    t0 = t.flat[0]
+    if t.ndim == 0 or (t == t0).all():
+        k_cap, q = _rate_constants(p, t0)
     else:
-        while t < horizon:
-            rates = _clipped_rates(p, vec, t)
-            total = rates.sum()
-            if total <= 0.0:
-                break  # absorbing: fast-forward to horizon
-            u_wait = float(noise.uniforms())
-            u_sel = float(noise.uniforms())
-            t_new = t - math.log1p(-u_wait) / total
-            if t_new > horizon:
-                t = horizon
-                break
-            while rec_pos < record.size and record[rec_pos] < t_new:
-                states[rec_pos] = vec
-                rec_pos += 1
-            idx = int(np.searchsorted(np.cumsum(rates), u_sel * total, side="right"))
-            idx = min(idx, rates.size - 1)
-            if idx == 1 and cfg.yield_model == YIELD_INTEGER:
-                vec = vec + _integer_fission_delta(p, noise)
-            else:
-                if idx == 0 and vec[0] < 1.0:
-                    negative_captures += 1
-                vec = vec + events[idx].delta
-            counts[idx] += 1
-            t = t_new
+        times, inverse = np.unique(t, return_inverse=True)
+        k_cap, q = np.array([_rate_constants(p, s) for s in times])[inverse].T
+    X = np.clip(X, 0.0, None)
+    n = X[..., 0]
+    rates = np.empty((p.m + 3,) + n.shape)
+    rates[0] = k_cap * n
+    rates[1] = n / (p.nu * p.gen_time)
+    rates[2:-1] = (X[..., 1:] * p.lam).T
+    rates[-1] = q
+    return rates
 
-    while rec_pos < record.size:
-        states[rec_pos] = vec
-        rec_pos += 1
 
-    return McTrajectory(
-        times=record,
-        states=states,
-        event_counts=_event_count_dict(p, counts),
-        seed=noise.seed,
-        diagnostics={
-            "halvings": halvings,
-            "negative_captures": negative_captures,
-            "mode": cfg.mode,
-            "yield_model": cfg.yield_model,
-        },
-    )
+def _delta_table(p: KineticsParameters) -> np.ndarray:
+    """(m+4, d) state change per event index: the event vectors in rate
+    order, then a zero row for "no event" (index m+3)."""
+    table = np.zeros((p.m + 4, p.dim))
+    table[:-1] = [ev.delta for ev in event_vectors(p)]
+    return table
+
+
+def _bernoulli_events(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Event index selected by each uniform u against the event-major step
+    probabilities, (m+3,) shared or (m+3, len(u)): the count of cumulative
+    probabilities at or below u, so m+3 means no event."""
+    cum = np.cumsum(probs, axis=0)
+    return (u >= cum.reshape(cum.shape[0], -1)).sum(axis=0)
+
+
+def _integer_fission(p: KineticsParameters, generator) -> np.ndarray:
+    """State change of one integer-yield fission drawn from ``generator``."""
+    base = math.floor(p.nu)
+    total_yield = base + (generator.random() < p.nu - base)
+    delayed = generator.binomial(total_yield, p.beta_total)
+    delta = np.empty(p.dim)
+    delta[0] = total_yield - 1 - delayed
+    delta[1:] = generator.multinomial(delayed, p.beta / p.beta_total)
+    return delta
 
 
 # ---------------------------------------------------------------------------
@@ -309,44 +205,28 @@ def sample_increments(
 
     Returns an (n_samples, m+1) array of state changes, suitable for checking
     the one-step mean against drift*dt and (in fractional mode) the one-step
-    second moment against diffusion*dt.
+    second moment against diffusion*dt.  Raises StepSizeError (carrying the
+    admissible bound) when the event probabilities sum past one.
     """
-    vec = as_state_vector(x, p)
-    rates = event_rates(p, vec, t)
+    if yield_model not in (YIELD_FRACTIONAL, YIELD_INTEGER):
+        raise ParameterError(f"unknown yield model {yield_model!r}")
+    rates = event_rates(p, as_state_vector(x, p), t)  # validates nonnegativity
     probs = rates * dt
     if probs.sum() > 1.0:
         raise StepSizeError(
             f"sum of event probabilities {probs.sum():.4g} exceeds 1",
             max_allowed_dt=1.0 / rates.sum(),
         )
-    cum = np.cumsum(probs)
-    u = rng.random(n_samples)
-    idx = np.searchsorted(cum, u, side="right")  # == m+3 means no event
-    deltas = np.vstack([ev.delta for ev in event_vectors(p)] + [np.zeros(p.dim)])
-    out = deltas[np.minimum(idx, p.m + 3)].copy()
+    idx = _bernoulli_events(probs, rng.random(n_samples))
+    out = _delta_table(p)[idx]
     if yield_model == YIELD_INTEGER:
-        fis = np.flatnonzero(idx == 1)
-        if fis.size:
-            base = math.floor(p.nu)
-            frac = p.nu - base
-            yields = base + (rng.random(fis.size) < frac)
-            delayed = rng.binomial(yields, p.beta_total)
-            pvals = p.beta / p.beta_total
-            groups = np.zeros((fis.size, p.m), dtype=np.int64)
-            nonzero = np.flatnonzero(delayed)
-            if nonzero.size:
-                groups[nonzero] = np.array(
-                    [rng.multinomial(k, pvals) for k in delayed[nonzero]]
-                )
-            out[fis, 0] = yields - 1 - delayed
-            out[fis, 1:] = groups
-    elif yield_model != YIELD_FRACTIONAL:
-        raise ParameterError(f"unknown yield model {yield_model!r}")
+        for j in np.flatnonzero(idx == 1):
+            out[j] = _integer_fission(p, rng)
     return out
 
 
 # ---------------------------------------------------------------------------
-# batched path engine (fractional yields) used by the ensemble layer
+# the path engine
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -355,17 +235,16 @@ class McPathsResult:
     record_times: np.ndarray
     failed: np.ndarray        # all-False today; kept for interface symmetry
     event_counts: np.ndarray  # (n_paths, m+3)
-    halvings: list
+    halvings: list            # (path index, t, new dt), one per halving
     negative_captures: np.ndarray
 
 
-def _rate_constants(p: KineticsParameters, t: float):
-    rho = float(p.reactivity(t))
-    k_cap = (-rho + 1.0 - p.alpha) / p.gen_time
-    k_fis = 1.0 / (p.nu * p.gen_time)
-    if k_cap < 0:
-        raise ParameterError(f"negative capture rate coefficient at rho={rho:g}")
-    return k_cap, k_fis, float(p.source(t))
+def _record(out, X, rows, rec_ptr, new_ptr):
+    """Write each path's current state into its record slots up to new_ptr."""
+    for j in np.flatnonzero(new_ptr > rec_ptr[rows]):
+        i = rows[j]
+        out[i, rec_ptr[i] : new_ptr[j]] = X[i]
+        rec_ptr[i] = new_ptr[j]
 
 
 def run_mc_paths(
@@ -376,177 +255,131 @@ def run_mc_paths(
     generators,
     record_times,
 ) -> McPathsResult:
-    """Advance a batch of fractional-yield MC paths, one Generator per path.
+    """Advance a batch of MC paths from x0 to the horizon, one Generator each.
 
-    Fixed mode shares one clock across the batch: all paths take the same
-    step sizes, and the step is halved globally when any path's total
-    probability would pass the bound.  Each path consumes exactly one uniform
-    per step (fixed) or two per jump (exact), matching
-    :func:`mc_trajectory` draw for draw.
+    Every path has its own clock.  In fixed mode all paths start from the
+    same step size; a path whose total probability would pass one halves
+    its own step, so a halving changes only that path.  Each path draws its
+    uniforms from its own generator in blocks, one per step (fixed) or two
+    per jump (exact), and integer-yield fissions draw their yields from the
+    same generator, so a path is bit-identical alone and in any batch.
+    ``record_times`` must be sorted and lie within the horizon; times at or
+    before zero see the initial state.
     """
-    if cfg.yield_model != YIELD_FRACTIONAL:
-        raise ParameterError("the batched engine supports fractional yields only")
+    if horizon < 0:
+        raise ParameterError("horizon must be nonnegative")
+    record = np.asarray(record_times, dtype=float)
+    if np.any(np.diff(record) < 0) or (record.size and record[-1] > horizon * (1 + 1e-12)):
+        raise ParameterError(
+            f"record times must be sorted and lie within the horizon {horizon:g}"
+        )
     vec0 = as_state_vector(x0, p)
     if np.any(vec0 < 0):
         raise ParameterError("Monte Carlo requires a nonnegative initial state")
+    integer = cfg.yield_model == YIELD_INTEGER
+    if integer:
+        vec0 = np.rint(vec0)
+    fixed = cfg.mode == MODE_FIXED
+    autonomous = isinstance(p.reactivity, ConstantReactivity) and isinstance(
+        p.source, ConstantSource
+    )
     n_paths = len(generators)
-    d = p.dim
-    m = p.m
-    lam = p.lam
-    record = np.asarray(record_times, dtype=float)
+    none = p.m + 3  # event index of "no event"
+    deltas = _delta_table(p)
+
     X = np.tile(vec0, (n_paths, 1))
-    counts = np.zeros((n_paths, m + 3), dtype=np.int64)
-    out = np.empty((n_paths, record.size, d))
+    t = np.zeros(n_paths)
+    counts = np.zeros((n_paths, none), dtype=np.int64)
     neg_cap = np.zeros(n_paths, dtype=np.int64)
     halvings = []
+    out = np.empty((n_paths, record.size, p.dim))
+    start = int(np.searchsorted(record, 0.0, side="right"))
+    out[:, :start] = vec0
+    rec_ptr = np.full(n_paths, start)
 
-    bt = p.beta_total
-    fis_dn = -1.0 + (1.0 - bt) * p.nu
-    fis_dc = p.beta * p.nu
-
-    def apply_events(idx, sel_paths):
-        """idx: event index per selected path (m+3 = none)."""
-        Xs = X[sel_paths]
-        cap = idx == 0
-        neg_cap[sel_paths[cap]] += Xs[cap, 0] < 1.0
-        Xs[cap, 0] -= 1.0
-        fis = idx == 1
-        Xs[fis, 0] += fis_dn
-        Xs[fis, 1:] += fis_dc
-        for g in range(m):
-            tr = idx == 2 + g
-            Xs[tr, 0] += 1.0
-            Xs[tr, 1 + g] -= 1.0
-        src = idx == m + 2
-        Xs[src, 0] += 1.0
-        X[sel_paths] = Xs
-        fired = idx < m + 3
-        counts[sel_paths[fired], idx[fired]] += 1
-
-    if cfg.mode == MODE_FIXED:
-        k_cap, k_fis, q = _rate_constants(p, 0.0)
-        total0 = (k_cap + k_fis) * vec0[0] + float((lam * vec0[1:]).sum()) + q
+    if fixed:
+        t_end = horizon - 1e-15 * max(1.0, horizon)
+        total0 = _path_rates(p, vec0, 0.0).sum()
         if cfg.dt is not None:
-            dt = cfg.dt
+            dt0 = cfg.dt
         elif total0 > 0:
-            dt = cfg.safety / total0
+            dt0 = cfg.safety / total0
         else:
-            dt = horizon if horizon > 0 else 1.0
-
-        buf = np.empty((n_paths, _BUFFER))
-        for i, g in enumerate(generators):
-            buf[i] = g.random(_BUFFER)
-        cursor = 0
-
-        t = 0.0
-        rec_pos = 0
-        while rec_pos < record.size and record[rec_pos] <= 0.0:
-            out[:, rec_pos] = X
-            rec_pos += 1
-        all_paths = np.arange(n_paths)
-        while t < horizon - 1e-15 * max(1.0, horizon):
-            k_cap, k_fis, q = _rate_constants(p, t)
-            t_target = record[rec_pos] if rec_pos < record.size else horizon
-            step = min(dt, t_target - t)
-            n = np.clip(X[:, 0], 0.0, None)
-            lc = np.clip(X[:, 1:], 0.0, None) * lam
-            totals = (k_cap + k_fis) * n + lc.sum(axis=1) + q
-            while totals.max() * step > 1.0:
-                dt *= 0.5
-                step = min(dt, t_target - t)
-                halvings.append((t, dt))
-            cum = np.empty((n_paths, m + 3))
-            cum[:, 0] = k_cap * n * step
-            cum[:, 1] = cum[:, 0] + k_fis * n * step
-            np.cumsum(lc * step, axis=1, out=cum[:, 2 : 2 + m])
-            cum[:, 2 : 2 + m] += cum[:, 1][:, None]
-            cum[:, m + 2] = cum[:, m + 1] + q * step
-            if cursor >= _BUFFER:
-                for i, g in enumerate(generators):
-                    buf[i] = g.random(_BUFFER)
-                cursor = 0
-            u = buf[:, cursor]
-            cursor += 1
-            idx = (u[:, None] >= cum).sum(axis=1)
-            apply_events(idx, all_paths)
-            t += step
-            while rec_pos < record.size and record[rec_pos] <= t * (1 + 1e-12):
-                out[:, rec_pos] = X
-                rec_pos += 1
-        while rec_pos < record.size:
-            out[:, rec_pos] = X
-            rec_pos += 1
+            dt0 = horizon if horizon > 0 else 1.0
+        dt = np.full(n_paths, dt0)
+        targets = np.append(record, horizon)  # each path steps onto its next record time
+        draws = 1
     else:
-        # exact jumps: per-path clocks, per-path pregenerated uniform pairs
-        from .kinetics import ConstantReactivity, ConstantSource
+        t_end = horizon
+        draws = 2
+    active = t < t_end
 
-        autonomous = isinstance(p.reactivity, ConstantReactivity) and isinstance(
-            p.source, ConstantSource
-        )
-        if autonomous:
-            k_cap0, k_fis0, q0 = _rate_constants(p, 0.0)
-        t_path = np.zeros(n_paths)
-        active = np.ones(n_paths, dtype=bool)
-        rec_ptr = np.zeros(n_paths, dtype=np.int64)
-        buf = np.empty((n_paths, _BUFFER))
-        cursor = np.zeros(n_paths, dtype=np.int64)
-        for i, g in enumerate(generators):
-            buf[i] = g.random(_BUFFER)
-        while active.any():
-            ia = np.flatnonzero(active)
-            refill = ia[cursor[ia] + 1 >= _BUFFER]
-            for i in refill:
-                buf[i] = generators[i].random(_BUFFER)
-                cursor[i] = 0
-            if autonomous:
-                k_caps = k_cap0
-                k_fiss = k_fis0
-                qs = q0
-            else:
-                k_caps = np.empty(ia.size)
-                k_fiss = np.empty(ia.size)
-                qs = np.empty(ia.size)
-                for j, i in enumerate(ia):  # rho frozen at each jump's start time
-                    k_caps[j], k_fiss[j], qs[j] = _rate_constants(p, t_path[i])
-            n = np.clip(X[ia, 0], 0.0, None)
-            lc = np.clip(X[ia, 1:], 0.0, None) * lam
-            rates = np.empty((ia.size, m + 3))
-            rates[:, 0] = k_caps * n
-            rates[:, 1] = k_fiss * n
-            rates[:, 2 : 2 + m] = lc
-            rates[:, m + 2] = qs
-            totals = rates.sum(axis=1)
+    buf = np.empty((n_paths, _BUFFER))
+    cursor = np.zeros(n_paths, dtype=np.int64)
+    for i, g in enumerate(generators):
+        buf[i] = g.random(_BUFFER)
+    all_paths = np.arange(n_paths)
+
+    while active.any():
+        # rows: the stepping paths; ia indexes them, as a view when all step
+        if active.all():
+            rows, ia = all_paths, slice(None)
+        else:
+            rows = ia = np.flatnonzero(active)
+        for i in rows[cursor[ia] + draws > _BUFFER]:
+            buf[i] = generators[i].random(_BUFFER)
+            cursor[i] = 0
+        u = buf[rows, cursor[ia]]
+        if not fixed:
+            u_sel = buf[rows, cursor[ia] + 1]
+        cursor[ia] += draws
+        Xa = X[ia]
+        ta = t[ia]
+        rates = _path_rates(p, Xa, 0.0 if autonomous else ta)
+        totals = rates.sum(axis=0)
+
+        if fixed:
+            step = np.minimum(dt[ia], targets[rec_ptr[ia]] - ta)
+            for j in np.flatnonzero(totals * step > 1.0):
+                i = rows[j]
+                while totals[j] * step[j] > 1.0:
+                    dt[i] *= 0.5
+                    step[j] = min(dt[i], targets[rec_ptr[i]] - ta[j])
+                    halvings.append((int(i), float(ta[j]), float(dt[i])))
+            idx = _bernoulli_events(rates * step, u)
+            t_new = ta + step
+        else:
             dead = totals <= 0.0
-            u_wait = buf[ia, cursor[ia]]
-            u_sel = buf[ia, cursor[ia] + 1]
-            cursor[ia] += 2
             with np.errstate(divide="ignore"):
-                tau = np.where(dead, np.inf, -np.log1p(-u_wait) / np.where(dead, 1.0, totals))
-            t_new = t_path[ia] + tau
+                tau = np.where(dead, np.inf, -np.log1p(-u) / np.where(dead, 1.0, totals))
+            t_new = ta + tau
             done = (t_new > horizon) | dead
             # record times strictly before this jump land on the pre-jump state
             landing = np.where(done, horizon * (1 + 1e-12), t_new)
-            new_ptr = np.searchsorted(record, landing, side="left")
-            moved = np.flatnonzero(new_ptr > rec_ptr[ia])
-            for j in moved:
-                i = ia[j]
-                out[i, rec_ptr[i] : new_ptr[j]] = X[i]
-                rec_ptr[i] = new_ptr[j]
-            fire = ~done
-            f = ia[fire]
-            if f.size:
-                cum = np.cumsum(rates[fire], axis=1)
-                idx = (u_sel[fire][:, None] * totals[fire][:, None] >= cum).sum(axis=1)
-                idx = np.minimum(idx, m + 2)
-                apply_events(idx, f)
-                t_path[f] = t_new[fire]
-            stopped = ia[done]
-            active[stopped] = False
-        # absorbed / finished paths: fill any remaining record slots
-        for i in range(n_paths):
-            if rec_ptr[i] < record.size:
-                out[i, rec_ptr[i] :] = X[i]
+            _record(out, X, rows, rec_ptr, np.searchsorted(record, landing, side="left"))
+            idx = np.minimum((u_sel * totals >= np.cumsum(rates, axis=0)).sum(axis=0), none - 1)
+            idx[done] = none
 
+        fired = np.flatnonzero(idx < none)
+        counts[rows[fired], idx[fired]] += 1
+        neg_cap[ia] += (idx == 0) & (Xa[:, 0] < 1.0)
+        step_deltas = deltas[idx]
+        if integer:
+            for j in np.flatnonzero(idx == 1):
+                step_deltas[j] = _integer_fission(p, generators[rows[j]])
+        X[ia] = Xa + step_deltas
+
+        if fixed:
+            t[ia] = t_new
+            reached = np.searchsorted(record, t_new * (1 + 1e-12), side="right")
+            _record(out, X, rows, rec_ptr, reached)
+            active[ia] = t_new < t_end
+        else:
+            t[rows[~done]] = t_new[~done]
+            active[rows[done]] = False
+
+    # finished and absorbed paths: fill any remaining record slots
+    _record(out, X, all_paths, rec_ptr, np.full(n_paths, record.size))
     return McPathsResult(
         states=out,
         record_times=record,
@@ -554,4 +387,33 @@ def run_mc_paths(
         event_counts=counts,
         halvings=halvings,
         negative_captures=neg_cap,
+    )
+
+
+def mc_trajectory(
+    p: KineticsParameters,
+    x0,
+    horizon: float,
+    cfg: McConfig,
+    noise: NoiseSource,
+) -> McTrajectory:
+    """Simulate one sample path on [0, horizon]: :func:`run_mc_paths` with a
+    batch of one, sampled at ``cfg.record_times`` (default: the horizon).
+
+    The diagnostics hold each fixed-mode step halving as (t, new dt) and the
+    count of captures that drove a fractional population below zero.
+    """
+    record = cfg.record_times if cfg.record_times is not None else (horizon,)
+    res = run_mc_paths(p, x0, horizon, cfg, [noise.generator], record)
+    return McTrajectory(
+        times=res.record_times,
+        states=res.states[0],
+        event_counts=_event_count_dict(p, res.event_counts[0]),
+        seed=noise.seed,
+        diagnostics={
+            "halvings": [(t, dt) for _, t, dt in res.halvings],
+            "negative_captures": int(res.negative_captures[0]),
+            "mode": cfg.mode,
+            "yield_model": cfg.yield_model,
+        },
     )

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from stokin import (
     ParameterError,
     TimeGrid,
     deterministic_solve,
+    mc_trajectory,
     run_ensemble,
     stochastic_pca_solve,
     summarize_component,
@@ -191,6 +194,69 @@ def test_integer_yield_ensemble_runs_per_path():
     summary = run_ensemble(p, x0, grid, cfg)
     assert summary.n_samples == 20
     assert np.array_equal(summary.mean[0, :2], x0)
+
+
+def halving_case():
+    # supercritical one-group burst from 20 neutrons: with safety 1 the
+    # fixed-step paths outgrow their step and halve it
+    p = one_group_params(rho=0.01, l=1e-3, beta1=0.002, q=0.0)
+    return p, np.array([20.0, 0.0]), TimeGrid(0.0, 0.02, 0.01)
+
+
+MC_VARIANTS = {
+    "fixed-fractional": McConfig(mode="fixed", safety=1.0),
+    "fixed-integer": McConfig(mode="fixed", safety=1.0, yield_model="integer"),
+    "exact": McConfig(mode="exact"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(MC_VARIANTS))
+def test_mc_ensemble_batch_invariant_with_halvings(variant):
+    p, x0, grid = halving_case()
+    mc = MC_VARIANTS[variant]
+    base = dict(method="mc", master_seed=3, min_samples=8, max_samples=8, mc=mc,
+                keep_sample_paths=8)
+    runs = [run_ensemble(p, x0, grid, EnsembleConfig(batch_size=b, **base)) for b in (1, 3, 8)]
+    if mc.mode == "fixed":
+        assert runs[0].diagnostics["halvings"] > 0
+    for s in runs[1:]:
+        assert np.array_equal(runs[0].mean, s.mean)
+        assert np.array_equal(runs[0].std, s.std)
+        assert np.array_equal(runs[0].ci_halfwidth, s.ci_halfwidth)
+        assert s.diagnostics == runs[0].diagnostics
+    # each sample path is the single path at its seed
+    cfg = replace(mc, record_times=tuple(runs[0].times))
+    for i in range(8):
+        traj = mc_trajectory(p, x0, grid.t_end, cfg, NoiseSource(path_seed(3, i)))
+        assert np.array_equal(traj.states, runs[-1].sample_paths[i]), f"path {i} diverged"
+
+
+def test_integer_yield_ensemble_reports_diagnostics():
+    p, x0, grid = halving_case()
+    mc = MC_VARIANTS["fixed-integer"]
+    cfg = EnsembleConfig(method="mc", master_seed=3, min_samples=8, max_samples=8, mc=mc)
+    summary = run_ensemble(p, x0, grid, cfg)
+    record = replace(mc, record_times=tuple(summary.times))
+    halvings = sum(
+        len(mc_trajectory(p, x0, grid.t_end, record, NoiseSource(path_seed(3, i)))
+            .diagnostics["halvings"])
+        for i in range(8)
+    )
+    assert halvings > 0
+    assert summary.diagnostics["halvings"] == halvings
+    # integer populations never undershoot zero
+    assert summary.diagnostics["negative_steps"] == 0
+
+
+@pytest.mark.parametrize("record_times", [(0.0, 5.0), (0.1, 0.05)])
+def test_mc_ensemble_rejects_bad_record_times(record_times):
+    # a time beyond the horizon, or unsorted times, would label rows with
+    # states from other times
+    p, x0 = table1_setup()
+    grid = TimeGrid(0.0, 0.1, 0.01)
+    cfg = EnsembleConfig(method="mc", min_samples=2, max_samples=2, record_times=record_times)
+    with pytest.raises(ParameterError):
+        run_ensemble(p, x0, grid, cfg)
 
 
 def test_keep_sample_paths():

@@ -11,8 +11,6 @@ from stokin import (
     diffusion_matrix,
     drift_matrix,
     equilibrium_state,
-    mc_step_exact,
-    mc_step_fixed,
     mc_trajectory,
     run_mc_paths,
     sample_increments,
@@ -22,17 +20,30 @@ from stokin.ensemble import path_seed
 from conftest import one_group_params, six_group_params
 
 
+class StubGenerator:
+    """Generator stand-in: scripted uniforms first, then ``fill``."""
+
+    def __init__(self, values, fill=0.5):
+        self.values = list(values)
+        self.fill = fill
+
+    def random(self, size):
+        head, self.values = self.values[:size], self.values[size:]
+        return np.array(head + [self.fill] * (size - len(head)))
+
+
 class StubNoise:
-    """NoiseSource stand-in returning scripted uniform draws."""
+    """NoiseSource stand-in whose generator returns scripted uniforms."""
 
     def __init__(self, values):
-        self.values = list(values)
+        self.generator = StubGenerator(values)
         self.seed = None
 
-    def uniforms(self, size=None):
-        if size is None:
-            return self.values.pop(0)
-        return np.array([self.values.pop(0) for _ in range(size)])
+
+def run_stubbed(p, x0, horizon, cfg, scripts):
+    """One path per script of uniforms; returns the engine result."""
+    gens = [StubGenerator(u) for u in scripts]
+    return run_mc_paths(p, x0, horizon, cfg, gens, [horizon])
 
 
 # ---------------------------------------------------------------------------
@@ -41,44 +52,45 @@ class StubNoise:
 
 def test_fixed_step_probabilities_and_bucket_selection():
     # rates (560, 240, 30, 200) * dt=1e-4 -> P=(0.056, 0.024, 0.003, 0.02),
-    # no-event probability 0.897
+    # no-event probability 0.897; one step per path
     p = one_group_params(beta1=0.05)
-    x = [400.0, 300.0]
-
-    s = mc_step_fixed(p, x, 0.0, 1e-4, StubNoise([0.05]))
-    assert s.vector.tolist() == [399.0, 300.0]  # capture bucket
-
-    s = mc_step_fixed(p, x, 0.0, 1e-4, StubNoise([0.056 + 1e-9]))
-    assert s.vector == pytest.approx([401.375, 300.125], rel=1e-12)  # fission
-
-    s = mc_step_fixed(p, x, 0.0, 1e-4, StubNoise([0.0805]))  # transformation bucket
-    assert s.vector.tolist() == [401.0, 299.0]
-
-    s = mc_step_fixed(p, x, 0.0, 1e-4, StubNoise([0.0995]))  # source bucket
-    assert s.vector.tolist() == [401.0, 300.0]
-
-    s = mc_step_fixed(p, x, 0.0, 1e-4, StubNoise([0.5]))  # no event (p=0.897)
-    assert s.vector.tolist() == [400.0, 300.0]
+    scripts = [
+        [0.05],  # capture bucket
+        [0.056 + 1e-9],  # fission
+        [0.0805],  # transformation bucket
+        [0.0995],  # source bucket
+        [0.5],  # no event (p=0.897)
+    ]
+    res = run_stubbed(p, [400.0, 300.0], 1e-4, McConfig(dt=1e-4), scripts)
+    s = res.states[:, -1]
+    assert s[0].tolist() == [399.0, 300.0]
+    assert s[1] == pytest.approx([401.375, 300.125], rel=1e-12)
+    assert s[2].tolist() == [401.0, 299.0]
+    assert s[3].tolist() == [401.0, 300.0]
+    assert s[4].tolist() == [400.0, 300.0]
+    assert res.event_counts.tolist() == [
+        [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]
+    ]
 
 
 def test_fixed_step_absorbing_state():
     p = one_group_params(q=0.0)
-    for u in (0.0, 0.3, 0.999):
-        s = mc_step_fixed(p, [0.0, 0.0], 0.0, 1e-3, StubNoise([u]))
-        assert s.vector.tolist() == [0.0, 0.0]
+    res = run_stubbed(p, [0.0, 0.0], 1e-3, McConfig(dt=1e-3), [[0.0], [0.3], [0.999]])
+    assert np.all(res.states == 0.0)
+    assert np.all(res.event_counts == 0)
 
 
 def test_fixed_step_rejects_oversized_dt():
     p = one_group_params(beta1=0.05)
     with pytest.raises(StepSizeError) as err:
-        mc_step_fixed(p, [400.0, 300.0], 0.0, 1e-2, StubNoise([0.5]))
+        sample_increments(p, [400.0, 300.0], 0.0, 1e-2, 10, np.random.default_rng(0))
     assert err.value.max_allowed_dt == pytest.approx(1.0 / 1030.0, rel=1e-12)
 
 
 def test_fixed_step_rejects_negative_state():
     p = one_group_params()
     with pytest.raises(ParameterError):
-        mc_step_fixed(p, [-1.0, 0.0], 0.0, 1e-4, StubNoise([0.5]))
+        run_stubbed(p, [-1.0, 0.0], 1e-4, McConfig(dt=1e-4), [[0.5]])
 
 
 # ---------------------------------------------------------------------------
@@ -86,43 +98,50 @@ def test_fixed_step_rejects_negative_state():
 # ---------------------------------------------------------------------------
 
 def test_exact_step_source_only():
-    # only the source clock runs: every event is a source birth, E(tau)=1/200
+    # only the source clock runs from the empty state: the first event is a
+    # source birth after an exponential wait, P(no event by T) = exp(-200 T)
     p = one_group_params(q=200.0)
-    taus = []
-    noise = NoiseSource(17)
-    for _ in range(4000):
-        tau, s = mc_step_exact(p, [0.0, 0.0], 0.0, noise)
-        assert s.vector.tolist() == [1.0, 0.0]
-        taus.append(tau)
-    taus = np.array(taus)
-    se = taus.std(ddof=1) / math.sqrt(taus.size)
-    assert abs(taus.mean() - 1.0 / 200.0) <= 4.0 * se
+    horizon = 1.0 / 200.0
+    n = 4000
+    gens = [np.random.default_rng(path_seed(17, i)) for i in range(n)]
+    res = run_mc_paths(p, [0.0, 0.0], horizon, McConfig(mode="exact"), gens, [horizon])
+    one = res.event_counts.sum(axis=1) == 1
+    assert np.all(res.event_counts[one, -1] == 1)
+    assert np.all(res.states[one, -1] == [1.0, 0.0])
+    waiting = res.event_counts.sum(axis=1) == 0
+    assert np.all(res.states[waiting, -1] == 0.0)
+    expected = math.exp(-1.0)
+    se = math.sqrt(expected * (1 - expected) / n)
+    assert abs(waiting.mean() - expected) <= 4.0 * se
 
 
 def test_exact_step_absorbing():
     p = one_group_params(q=0.0)
-    tau, s = mc_step_exact(p, [0.0, 0.0], 0.0, StubNoise([]))
-    assert math.isinf(tau)
-    assert s.vector.tolist() == [0.0, 0.0]
+    res = run_stubbed(p, [0.0, 0.0], 1.0, McConfig(mode="exact"), [[]])
+    assert res.states[0, -1].tolist() == [0.0, 0.0]
+    assert np.all(res.event_counts == 0)
 
 
 def test_exact_step_capture_probability():
-    # P(capture) = 560/1030; scripted selection uniform hits the bucket edge
+    # P(capture) = 560/1030; scripted selection uniform hits the bucket edge.
+    # The waiting uniform 0.5 puts the first jump at ln2/1030 = 6.7e-4 s and
+    # the second past the 1e-3 s horizon, so each path makes exactly one jump.
     p = one_group_params(beta1=0.05)
+    x0 = [400.0, 300.0]
+    cfg = McConfig(mode="exact")
     edge = 560.0 / 1030.0
-    _, s = mc_step_exact(p, [400.0, 300.0], 0.0, StubNoise([0.5, edge - 1e-9]))
-    assert s.vector.tolist() == [399.0, 300.0]
-    _, s = mc_step_exact(p, [400.0, 300.0], 0.0, StubNoise([0.5, edge + 1e-9]))
-    assert s.vector[0] == pytest.approx(401.375, rel=1e-12)  # fission bucket
+    res = run_stubbed(p, x0, 1e-3, cfg, [[0.5, edge - 1e-9], [0.5, edge + 1e-9]])
+    assert res.states[0, -1].tolist() == [399.0, 300.0]
+    assert res.states[1, -1, 0] == pytest.approx(401.375, rel=1e-12)  # fission bucket
 
-    noise = NoiseSource(3)
+    sel = np.random.default_rng(3).random(20_000)
     hits = 0
-    trials = 20_000
-    for _ in range(trials):
-        _, s = mc_step_exact(p, [400.0, 300.0], 0.0, noise)
-        hits += s.vector[0] == 399.0
-    freq = hits / trials
-    se = math.sqrt(edge * (1 - edge) / trials)
+    for chunk in np.split(sel, 20):
+        res = run_stubbed(p, x0, 1e-3, cfg, [[0.5, u] for u in chunk])
+        assert np.all(res.event_counts.sum(axis=1) == 1)
+        hits += int((res.states[:, -1, 0] == 399.0).sum())
+    freq = hits / sel.size
+    se = math.sqrt(edge * (1 - edge) / sel.size)
     assert abs(freq - edge) <= 4.0 * se
 
 
