@@ -103,14 +103,6 @@ def _ensemble_config(
     )
 
 
-def _args_ensemble_config(scn: ScenarioConfig, args, keep_paths=0) -> EnsembleConfig:
-    """Ensemble configuration from the ``ensemble``/``plotdata`` flags."""
-    mc = _scenario_mc_config(scn, args.mode, args.yield_model, args.dt)
-    return _ensemble_config(
-        scn, args.method, args.seed, args.samples, mc, args.zero_noise, keep_paths
-    )
-
-
 def _sde_grid(scn: ScenarioConfig, method: str, dt) -> TimeGrid:
     if dt:
         return TimeGrid(0.0, scn.horizon, dt)
@@ -203,7 +195,9 @@ def _cmd_ensemble(args) -> int:
     p = scn.build_parameters()
     x0 = scn.build_initial(p)
     grid = _sde_grid(scn, args.method, args.dt) if args.method != "mc" else scn.grid("mc")
-    summary = run_ensemble(p, x0, grid, _args_ensemble_config(scn, args))
+    mc = _scenario_mc_config(scn, args.mode, args.yield_model, args.dt)
+    cfg = _ensemble_config(scn, args.method, args.seed, args.samples, mc, args.zero_noise)
+    summary = run_ensemble(p, x0, grid, cfg)
 
     out_dir = _out_dir(args)
     base = f"{scn.name}_{args.method}_summary"
@@ -277,7 +271,9 @@ def _cmd_plotdata(args) -> int:
     p = scn.build_parameters()
     x0 = scn.build_initial(p)
     grid = _sde_grid(scn, args.method, args.dt) if args.method != "mc" else scn.grid("mc")
-    summary = run_ensemble(p, x0, grid, _args_ensemble_config(scn, args, keep_paths=2))
+    mc = _scenario_mc_config(scn, args.mode, args.yield_model, args.dt)
+    cfg = _ensemble_config(scn, args.method, args.seed, args.samples, mc, args.zero_noise, 2)
+    summary = run_ensemble(p, x0, grid, cfg)
 
     j = summary.component_index("n")
     samples = summary.sample_paths
