@@ -20,6 +20,7 @@ from stokin import (
     ConstantReactivity,
     ConstantSource,
     KineticsParameters,
+    delta_table,
     diffusion_matrix,
     drift_matrix,
     equilibrium_state,
@@ -39,7 +40,6 @@ params = KineticsParameters(
 )
 print("groups:", params.m)
 print("beta_total:", params.beta_total)
-print("alpha (defaults to 1/nu):", params.alpha)
 
 A = drift_matrix(params, t=0.0)
 print("\ndrift matrix at rho =", round(A.rho, 6))
@@ -61,7 +61,7 @@ for ev, rate in zip(event_vectors(params), rates):
     print(f"  {label:<22} rate {rate:8.1f}/s   delta {ev.delta}")
 
 # Consistency of the two descriptions.
-deltas = np.array([ev.delta for ev in event_vectors(params)])
+deltas = delta_table(params)
 mean_change = rates @ deltas
 drift_plus_source = A.matrix @ x_eq.vector + np.array([200.0, 0.0])
 print("\nrate-weighted event vectors:", mean_change)

@@ -30,7 +30,7 @@ from .kinetics import (
     PiecewiseConstantReactivity,
     PiecewiseConstantSource,
     State,
-    diffusion_event_rates,
+    delta_table,
     diffusion_matrices,
     diffusion_matrix,
     drift_apply,

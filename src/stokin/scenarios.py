@@ -68,6 +68,11 @@ class ScenarioConfig:
 
     def build_parameters(self) -> KineticsParameters:
         par = self.parameters
+        if par.get("alpha") is not None:  # older files carry "alpha": null
+            raise ScenarioError(
+                f"scenario {self.name!r}: parameters.alpha is not supported, the "
+                "capture rate is (1 - rho - 1/nu)/l; remove the field or set it to null"
+            )
         try:
             reactivity = _function_from_dict(par["reactivity"], kind="reactivity")
             source = _function_from_dict(par["source"], kind="source")
@@ -78,7 +83,6 @@ class ScenarioConfig:
                 gen_time=par["gen_time"],
                 reactivity=reactivity,
                 source=source,
-                alpha=par.get("alpha"),
             )
         except KeyError as exc:
             raise ScenarioError(f"scenario {self.name!r}: missing parameter field {exc}")
@@ -238,7 +242,6 @@ def _table1() -> ScenarioConfig:
             "group_fractions": [0.05],
             "nu": 2.5,
             "gen_time": 2.0 / 3.0,
-            "alpha": None,
             "reactivity": {"kind": "constant", "value": -1.0 / 3.0},
             "source": {"kind": "constant", "value": 200.0},
         },
@@ -266,7 +269,6 @@ def _six_group(name, rho, horizon, record_dt, solver, samples, description) -> S
             "group_fractions": list(_SIX_GROUP_BETA),
             "nu": 2.5,
             "gen_time": 2e-5,
-            "alpha": None,
             "reactivity": {"kind": "constant", "value": rho},
             "source": {"kind": "constant", "value": 0.0},
         },
@@ -316,7 +318,6 @@ def _linear_rho() -> ScenarioConfig:
             "group_fractions": [0.005],
             "nu": 2.5,
             "gen_time": 1e-5,
-            "alpha": None,
             "reactivity": {"kind": "linear", "slope": 0.25},
             "source": {"kind": "constant", "value": 0.0},
         },

@@ -19,15 +19,23 @@ trajectory:
     through the exact matrix exponential of the frozen system, i.e. an Euler
     step on the exponentially transformed variable.
 
-Both stochastic solvers draw their noise from the event factor of the
-diffusion matrix, B(x) = C C^T with C = [sqrt(r_k) delta_k] over the m+3
-elementary events (Allen, Allen, Arciniega & Greenwood 2008; Gillespie
-2000): each step takes m+3 independent standard normals eta and adds
-sqrt(dt) * sum_k sqrt(r_k) eta_k delta_k, with rates and deltas from
-:func:`~stokin.kinetics.diffusion_event_rates` and
-:func:`~stokin.kinetics.event_vectors`.  No eigendecomposition is needed.
+Both stochastic solvers work from the event table (Hayes & Allen 2005): with
+rates r_k from :func:`~stokin.kinetics.event_rates` and state changes delta_k
+from :func:`~stokin.kinetics.delta_table`, the drift is sum_k r_k delta_k and
+the diffusion matrix factors as B(x) = C C^T with C = [sqrt(r_k) delta_k]
+(Allen, Allen, Arciniega & Greenwood 2008; Gillespie 2000).  Each step takes
+m+3 independent standard normals eta, one per elementary event, so no
+eigendecomposition is needed.  An Euler-Maruyama step is one fixed-order sum
+over the events,
+
+    x + sum_k (r_k dt + sqrt(r_k+ dt) eta_k) delta_k,
+
+with the drift part taken from the raw rates (it equals A x + q e0 exactly)
+and r_k+ the rates with the negativity rule below applied.  A PCA step adds
+sqrt(dt) sum_k sqrt(r_k+) eta_k delta_k before the propagator.
+
 Rates are evaluated at the step's start state, which is never clamped, and a
-negative rate contributes zero (the event Monte Carlo's rule for negative
+negative rate contributes no noise (the event Monte Carlo's rule for negative
 populations).  Rates in the roundoff band [-CLIP_TOL * max_k |r_k|, 0) are
 clipped silently and counted in ``clipped_small``; a rate below the band
 fails the path under ``psd_policy="strict"`` and is clipped and counted in
@@ -47,12 +55,11 @@ from .errors import ParameterError, ReactivityDomainError, SolverError
 from .kinetics import (
     KineticsParameters,
     as_state_vector,
-    diffusion_event_rates,
-    drift_apply,
+    delta_table,
     drift_matrix,
-    event_vectors,
+    event_rates,
 )
-from .kinetics import diffusion_matrices  # noqa: F401  unused; benchmarks/spans.py rebinds it by name
+from .kinetics import diffusion_matrices, drift_apply  # noqa: F401  unused; benchmarks/spans.py rebinds them by name
 from .linalg import CLIP_TOL, expm, propagator_with_source
 from .linalg import psd_sqrt_batch  # noqa: F401  unused; benchmarks/spans.py rebinds it by name
 
@@ -107,6 +114,21 @@ class TimeGrid:
     def midpoint(self, k: int) -> float:
         # literal node average so recorded midpoint coefficients are exact
         return 0.5 * ((self.t0 + k * self.dt) + (self.t0 + (k + 1) * self.dt))
+
+
+def check_record_times(times, horizon: float = None) -> np.ndarray:
+    """Record times as a float array; raises ParameterError unless they are
+    sorted, nonnegative and (with ``horizon`` given) not past the horizon.
+
+    Every engine writes its record rows in order, so unsorted times would
+    label rows with states from other times.
+    """
+    times = np.asarray(times, dtype=float)
+    if np.any(np.diff(times) < 0) or np.any(times < 0):
+        raise ParameterError("record times must be sorted and nonnegative")
+    if horizon is not None and times.size and times[-1] > horizon * (1 + 1e-12):
+        raise ParameterError(f"record time {times[-1]:g} lies past the horizon {horizon:g}")
+    return times
 
 
 class NoiseSource:
@@ -254,24 +276,23 @@ def _row_matvec(E: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _clipped_event_rates(p: KineticsParameters, states: np.ndarray, t: float):
-    """Event-factor rates with negatives clipped to zero.
+def _clipped_event_rates(rates: np.ndarray):
+    """The negativity rule on event-major rates (m+3, N).
 
-    Returns the clipped (N, m+3) rates, the per-path count of rates clipped
-    from the roundoff band [-CLIP_TOL * max_k |r_k|, 0), and a per-path flag
-    for a rate below that band.
+    Returns the rates with negatives clipped to zero, the per-path count of
+    rates clipped from the roundoff band [-CLIP_TOL * max_k |r_k|, 0), and a
+    per-path flag for a rate below that band.
     """
-    rates = diffusion_event_rates(p, states, t)
-    small = np.zeros(len(rates), dtype=np.int64)
-    hard = np.zeros(len(rates), dtype=bool)
+    small = np.zeros(rates.shape[1], dtype=np.int64)
+    hard = np.zeros(rates.shape[1], dtype=bool)
     neg = rates < 0
     if neg.any():
-        rows = np.flatnonzero(neg.any(axis=1))
-        r = rates[rows]
-        band = -CLIP_TOL * np.abs(r).max(axis=1, keepdims=True)
-        hard[rows] = np.any(r < band, axis=1)
-        small[rows] = np.count_nonzero(neg[rows] & (r >= band), axis=1)
-        np.maximum(rates, 0.0, out=rates)
+        cols = np.flatnonzero(neg.any(axis=0))
+        r = rates[:, cols]
+        band = -CLIP_TOL * np.abs(r).max(axis=0)
+        hard[cols] = np.any(r < band, axis=0)
+        small[cols] = np.count_nonzero(neg[:, cols] & (r >= band), axis=0)
+        rates = np.maximum(rates, 0.0)
     return rates, small, hard
 
 
@@ -295,8 +316,8 @@ def run_sde_paths(
     seed run through :func:`euler_maruyama_solve` /
     :func:`stochastic_pca_solve`.
 
-    The noise increment is the event factor times the step's normals (see
-    the module docstring).  Under the strict policy, a path with an event
+    Each step is built from the event table (see the module docstring).
+    Under the strict policy, a path with an event
     rate below the roundoff band is frozen and flagged in ``failed`` rather
     than raising, so the remaining paths finish.
     """
@@ -313,7 +334,7 @@ def run_sde_paths(
     dt = grid.dt
     sqrt_dt = math.sqrt(dt)
     nodes = grid.nodes
-    deltas_t = np.array([ev.delta for ev in event_vectors(p)]).T  # (d, m+3)
+    deltas = delta_table(p).T  # (d, m+3)
 
     if record_indices is None:
         record_indices = np.arange(n_steps + 1)
@@ -354,20 +375,22 @@ def run_sde_paths(
                 # a slice while every path is alive avoids the gather/scatter
                 rows = slice(None) if ia.size == n_paths else ia
                 Xa = X[rows]
+                rates = event_rates(p, Xa, t)  # (m+3, paths), raw
                 if zero_noise:
-                    G = np.zeros_like(Xa)
                     hard = np.zeros(ia.size, dtype=bool)
                 else:
-                    rates, small, hard = _clipped_event_rates(p, Xa, t)
+                    clipped, small, hard = _clipped_event_rates(rates)
                     clipped_small[rows] += small
-                    weights = np.sqrt(rates) * noise[rows, j]
-                    G = _row_matvec(deltas_t, weights) * sqrt_dt
+                    eta = noise[rows, j].T
                 if method == METHOD_EULER_MARUYAMA:
-                    drift = drift_apply(p, Xa, t)
-                    drift[:, 0] += float(p.source(t))
-                    Xn = Xa + drift * dt + G
+                    weights = rates * dt
+                    if not zero_noise:
+                        weights += np.sqrt(clipped * dt) * eta
+                    Xn = Xa + _row_matvec(deltas, weights.T)
                 else:
-                    inner = Xa + propagators.F_dt[step][None, :] + G
+                    inner = Xa + propagators.F_dt[step][None, :]
+                    if not zero_noise:
+                        inner += _row_matvec(deltas, (np.sqrt(clipped) * eta).T) * sqrt_dt
                     Xn = _row_matvec(propagators.E[step], inner)
                 if psd_policy == "clamp":
                     clipped_hard[rows] += hard

@@ -251,12 +251,14 @@ def test_integer_yield_ensemble_reports_diagnostics():
 @pytest.mark.parametrize("record_times", [(0.0, 5.0), (0.1, 0.05)])
 def test_mc_ensemble_rejects_bad_record_times(record_times):
     # a time beyond the horizon, or unsorted times, would label rows with
-    # states from other times
+    # states from other times (and point the stopping rule at the wrong row);
+    # the MC and both SDE engines share one check
     p, x0 = table1_setup()
     grid = TimeGrid(0.0, 0.1, 0.01)
-    cfg = EnsembleConfig(method="mc", min_samples=2, max_samples=2, record_times=record_times)
-    with pytest.raises(ParameterError):
-        run_ensemble(p, x0, grid, cfg)
+    for method in ("mc", "em", "pca"):
+        cfg = EnsembleConfig(method=method, min_samples=2, max_samples=2, record_times=record_times)
+        with pytest.raises(ParameterError):
+            run_ensemble(p, x0, grid, cfg)
 
 
 def test_keep_sample_paths():

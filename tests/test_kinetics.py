@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,7 @@ from stokin import (
     ReactivityDomainError,
     SingularMatrixError,
     State,
-    diffusion_event_rates,
+    delta_table,
     diffusion_matrices,
     diffusion_matrix,
     drift_matrix,
@@ -103,23 +101,6 @@ def test_parameter_validation():
 def test_beta_total_is_exact_sum():
     p = six_group_params(rho=0.003)
     assert abs(p.beta_total - sum(SIX_GROUP_BETA)) <= 1e-12 * p.beta_total
-
-
-def test_alpha_defaults_to_inverse_nu():
-    p = one_group_params()
-    assert p.alpha == 1.0 / 2.5
-    assert not p.alpha_overridden
-    p2 = KineticsParameters(
-        decay_constants=(0.1,),
-        group_fractions=(0.05,),
-        nu=2.5,
-        gen_time=1.0,
-        reactivity=ConstantReactivity(0.0),
-        source=ConstantSource(0.0),
-        alpha=0.41,
-    )
-    assert p2.alpha == 0.41
-    assert p2.alpha_overridden
 
 
 def test_state_immutable_and_sized():
@@ -301,10 +282,37 @@ def test_event_rates_source_rate_is_q(rng):
         assert event_rates(p, x, 0.0)[-1] == 200.0
 
 
-def test_event_rates_reject_negative_population():
-    p = one_group_params()
-    with pytest.raises(ParameterError):
-        event_rates(p, [-1.0, 300.0], 0.0)
+def test_event_rates_batch_is_event_major(rng):
+    # a batch (N, d) gives (m+3, N), column i equal to the rates of state i;
+    # negative populations pass through as negative rates
+    p = six_group_params(rho=0.003, q=5.0)
+    X = np.array([random_state(rng, p.m) for _ in range(5)])
+    X[1, 0] = -3.0
+    X[2, 4] = -1.0
+    rates = event_rates(p, X, 0.0)
+    assert rates.shape == (p.m + 3, 5)
+    for i, x in enumerate(X):
+        assert np.array_equal(rates[:, i], event_rates(p, x, 0.0))
+    assert rates[0, 1] < 0 and rates[1, 1] < 0 and rates[5, 2] < 0
+
+
+def test_event_rates_per_row_times_match_scalar_calls():
+    # linear-rho: one time per state gives the same rates as one call per
+    # state at its own time, repeated times included
+    p = KineticsParameters(
+        decay_constants=(0.1,),
+        group_fractions=(0.005,),
+        nu=2.5,
+        gen_time=1e-5,
+        reactivity=LinearReactivity(0.25),
+        source=ConstantSource(3.0),
+    )
+    X = np.array([[100.0, 5e5], [80.0, 4e5], [120.0, 6e5], [0.0, 1e5]])
+    t = np.array([0.02, 0.0, 0.02, 0.07])
+    rates = event_rates(p, X, t)
+    for i in range(len(X)):
+        assert np.array_equal(rates[:, i], event_rates(p, X[i], float(t[i])))
+    assert rates[0, 0] != rates[0, 1]  # capture follows the ramp
 
 
 # ---------------------------------------------------------------------------
@@ -337,18 +345,14 @@ def test_covariance_matches_diffusion(rng):
 
 
 def test_event_factor_reproduces_diffusion(rng):
-    # C = [sqrt(r_k) delta_k] factors the diffusion matrix, C C^T = B, also
-    # with alpha overridden: the factor's capture rate comes from B, not alpha
-    for trial in range(100):
+    # C = [sqrt(r_k) delta_k] factors the diffusion matrix, C C^T = B, for a
+    # batch of states through the event-major kernel
+    for _ in range(100):
         p = random_params(rng)
-        if trial % 2:
-            p = replace(p, alpha=float(rng.uniform(0.05, 0.6)))
-            assert p.alpha_overridden
-        X = random_state(rng, p.m)[None, :]
-        deltas = np.array([ev.delta for ev in event_vectors(p)])
-        rates = diffusion_event_rates(p, X, 0.0)
+        X = np.array([random_state(rng, p.m) for _ in range(3)])
+        rates = event_rates(p, X, 0.0)
         assert np.all(rates >= 0.0)
-        C = np.sqrt(rates)[:, :, None] * deltas[None, :, :]
+        C = np.sqrt(rates.T)[:, :, None] * delta_table(p)[None, :, :]
         CCt = np.einsum("nki,nkj->nij", C, C)
         B = diffusion_matrices(p, X, 0.0)
         scale = np.abs(B).max() + 1e-30

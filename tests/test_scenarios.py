@@ -89,6 +89,21 @@ def test_validation_names_offending_field(tmp_path):
         load_scenario(str(path))
 
 
+def test_alpha_null_loads_and_alpha_value_is_rejected(tmp_path):
+    # files saved while the capture ratio alpha was a parameter hold
+    # "alpha": null, which still loads; a value is refused, not ignored
+    data = load_scenario("table1").to_dict()
+    assert "alpha" not in data["parameters"]
+    path = tmp_path / "old.json"
+    data["parameters"] = dict(data["parameters"], alpha=None)
+    path.write_text(json.dumps(data))
+    assert load_scenario(str(path)).build_parameters().nu == 2.5
+    data["parameters"]["alpha"] = 0.41
+    path.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError, match="parameters.alpha"):
+        load_scenario(str(path))
+
+
 def test_parse_error_reports_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "x",\n  "oops\n}')

@@ -15,6 +15,7 @@ from stokin import (
     drift_matrix,
     equilibrium_state,
     euler_maruyama_solve,
+    event_rates,
     run_sde_paths,
     stochastic_pca_solve,
 )
@@ -248,8 +249,8 @@ def test_batch_paths_bit_equal_single_paths_six_group_clamp():
 
 def test_negative_population_rates_follow_event_mc_rule():
     # a negative population contributes zero rate, in the SDE noise factor
-    # as in the event Monte Carlo
-    from stokin.event_mc import _path_rates
+    # as in the event Monte Carlo, whose rates are the kernel's on the
+    # states clipped at zero
     from stokin.solvers import _clipped_event_rates
 
     for p, x in (
@@ -257,13 +258,16 @@ def test_negative_population_rates_follow_event_mc_rule():
         (one_group_params(beta1=0.05), np.array([400.0, -2.0])),
         (six_group_params(rho=0.007), np.concatenate([[-0.5], np.full(6, 40.0)])),
     ):
-        rates, small, hard = _clipped_event_rates(p, x[None, :], 0.0)
-        assert np.array_equal(rates[0], _path_rates(p, x, 0.0))
+        raw = event_rates(p, x[None, :], 0.0)
+        rates, small, hard = _clipped_event_rates(raw)
+        assert np.array_equal(rates, np.maximum(raw, 0.0))
+        assert np.array_equal(rates[:, 0], event_rates(p, np.maximum(x, 0.0), 0.0))
         assert hard[0] and small[0] == 0
     # roundoff-scale undershoot is clipped and counted, not flagged
     p = one_group_params(beta1=0.05)
-    rates, small, hard = _clipped_event_rates(p, np.array([[-1e-12, 300.0]]), 0.0)
-    assert np.array_equal(rates[0], _path_rates(p, np.array([-1e-12, 300.0]), 0.0))
+    raw = event_rates(p, np.array([[-1e-12, 300.0]]), 0.0)
+    rates, small, hard = _clipped_event_rates(raw)
+    assert np.array_equal(rates[:, 0], event_rates(p, np.array([0.0, 300.0]), 0.0))
     assert small[0] == 2 and not hard[0]
 
 
