@@ -25,7 +25,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .ensemble import EnsembleConfig, EnsembleSummary, run_ensemble
+from .ensemble import METHOD_LABELS, EnsembleConfig, EnsembleSummary, run_ensemble
 from .errors import StokinError
 from .event_mc import McConfig, mc_trajectory
 from .scenarios import ScenarioConfig, load_scenario
@@ -38,13 +38,6 @@ from .solvers import (
 )
 
 ENV_OUT_DIR = "STOKIN_OUT_DIR"
-
-_METHOD_NAMES = {
-    "det": "deterministic",
-    "em": "euler-maruyama",
-    "pca": "stochastic-pca",
-    "mc": "monte-carlo",
-}
 
 
 def _fmt(x) -> str:
@@ -253,7 +246,7 @@ def _cmd_reproduce(args) -> int:
             j = summary.component_index(comp)
             means.append(summary.mean[-1, j])
             stds.append(summary.std[-1, j])
-        add_rows(_METHOD_NAMES[method], means, stds)
+        add_rows(METHOD_LABELS[summary.method], means, stds)
 
     det = deterministic_solve(p, x0, scn.grid("det"))
     final = det.final_state

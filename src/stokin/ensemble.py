@@ -46,6 +46,11 @@ _METHOD_ALIASES = {
     "mc": METHOD_EVENT_MC,
     "event-mc": METHOD_EVENT_MC,
 }
+METHOD_LABELS = {  # result-table label of each method
+    METHOD_EULER_MARUYAMA: METHOD_EULER_MARUYAMA,
+    METHOD_STOCHASTIC_PCA: METHOD_STOCHASTIC_PCA,
+    METHOD_EVENT_MC: "monte-carlo",
+}
 
 _CONFIDENCE_FACTOR = 1.96  # 95% two-sided normal
 

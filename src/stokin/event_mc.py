@@ -17,7 +17,12 @@ Two stepping modes:
     uniform draw against the cumulative probabilities.  The step must keep
     the total probability at or below one; sizes are chosen from the initial
     total rate with a safety factor, and a path whose rates grow past the
-    bound halves its own step permanently (each halving is logged).
+    bound halves its own step permanently (each halving is logged).  When
+    reactivity and source are constant, rates change only at events, so one
+    uniform draws the geometric count of empty steps before a path's next
+    event and the event itself (:func:`_geometric_skip`): an iteration moves
+    a path to its next event or record time.  Otherwise every step is one
+    iteration.
 
 ``exact``
     Competing exponential clocks: the waiting time is exponential in the
@@ -145,6 +150,33 @@ def _bernoulli_events(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (u >= cum.reshape(cum.shape[0], -1)).sum(axis=0)
 
 
+def _geometric_skip(u, totals, step, gap):
+    """Fixed-mode skip-ahead for rates that change only at events.
+
+    A path takes full steps while its gap to the record target exceeds dt,
+    then one last step onto the target (``step`` is dt, or that last step).
+    Over the n_full full steps, the count K of empty steps before an event
+    is Geometric(P), P = total * dt, drawn by inversion from u: the event
+    fires at step K+1 when K < n_full, else the path moves n_full steps with
+    none.  The position of u inside its geometric cell, 1 - (1-u)/(1-P)^K,
+    is uniform on [0, P) and selects the event against the step
+    probabilities; at K = 0 it is u itself.  The last step onto a target is
+    the plain Bernoulli step with u, and a path with zero total rate moves
+    straight to the target.  Returns the selection value (inf: no event)
+    and the time to advance.
+    """
+    n_full = np.ceil(gap / step) - 1.0
+    n = np.maximum(n_full, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # P = 0 or P = 1, masked below
+        lq = np.log1p(-totals * step)
+        a = np.log1p(-u)
+        K = np.where(n_full >= 1.0, np.floor(a / lq), 0.0)
+        cell = -np.expm1(a - K * lq)
+    v = np.where(K >= n, np.inf, np.where(K > 0.0, cell, u))
+    advance = np.where(totals > 0.0, np.minimum(K + 1.0, n) * step, gap)
+    return v, advance
+
+
 def _integer_fission(p: KineticsParameters, generator) -> np.ndarray:
     """State change of one integer-yield fission drawn from ``generator``."""
     base = math.floor(p.nu)
@@ -231,9 +263,10 @@ def run_mc_paths(
     Every path has its own clock.  In fixed mode all paths start from the
     same step size; a path whose total probability would pass one halves
     its own step, so a halving changes only that path.  Each path draws its
-    uniforms from its own generator in blocks, one per step (fixed) or two
-    per jump (exact), and integer-yield fissions draw their yields from the
-    same generator, so a path is bit-identical alone and in any batch.
+    uniforms from its own generator in blocks, one per iteration (fixed: a
+    step, or a geometric skip) or two per jump (exact), and integer-yield
+    fissions draw their yields from the same generator, so a path is
+    bit-identical alone and in any batch.
     ``record_times`` must be sorted, nonnegative and within the horizon;
     times at zero see the initial state.
     """
@@ -310,15 +343,19 @@ def run_mc_paths(
         totals = rates.sum(axis=0)
 
         if fixed:
-            step = np.minimum(dt[ia], targets[rec_ptr[ia]] - ta)
+            gap = targets[rec_ptr[ia]] - ta
+            step = np.minimum(dt[ia], gap)
             for j in np.flatnonzero(totals * step > 1.0):
                 i = rows[j]
                 while totals[j] * step[j] > 1.0:
                     dt[i] *= 0.5
-                    step[j] = min(dt[i], targets[rec_ptr[i]] - ta[j])
+                    step[j] = min(dt[i], gap[j])
                     halvings.append((int(i), float(ta[j]), float(dt[i])))
+            advance = step
+            if autonomous:
+                u, advance = _geometric_skip(u, totals, step, gap)
             idx = _bernoulli_events(rates * step, u)
-            t_new = ta + step
+            t_new = ta + advance
         else:
             dead = totals <= 0.0
             with np.errstate(divide="ignore"):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from stokin import (
     McConfig,
     NoiseSource,
     ParameterError,
+    PiecewiseConstantReactivity,
     StepSizeError,
+    delta_table,
     diffusion_matrix,
     drift_matrix,
     equilibrium_state,
@@ -91,6 +94,86 @@ def test_fixed_step_rejects_negative_state():
     p = one_group_params()
     with pytest.raises(ParameterError):
         run_stubbed(p, [-1.0, 0.0], 1e-4, McConfig(dt=1e-4), [[0.5]])
+
+
+# ---------------------------------------------------------------------------
+# geometric skip-ahead (fixed mode, autonomous rates)
+# ---------------------------------------------------------------------------
+
+# dt = 2^-14 keeps every multiple of dt exact; from (400, 300) the step
+# probabilities are (560, 240, 30, 200) * dt with total P = 1030 * dt
+SKIP_DT = 2.0**-14
+SKIP_P = 1030.0 * SKIP_DT
+LAST_UNIFORM = np.nextafter(1.0, 0.0)  # log1p(-u) = -36.7: no event for many steps
+
+
+def uniform_for(k, cell):
+    """The uniform whose geometric count is k and whose cell position is ``cell``."""
+    return 1.0 - (1.0 - SKIP_P) ** k * (1.0 - cell)
+
+
+def test_skip_inverts_geometric_count_and_cell():
+    p = one_group_params(beta1=0.05)
+    x0 = [400.0, 300.0]
+    D = delta_table(p)
+    # K = 3 at cell position 0.04, inside the fission bucket [560, 800) * dt;
+    # then u = 0 fires a capture on every step, one per iteration
+    horizon = 64 * SKIP_DT
+    res = run_stubbed(p, x0, horizon, McConfig(dt=SKIP_DT), [[uniform_for(3.0, 0.04)] + [0.0] * 60])
+    # the 60 captures fill steps 5..64, so the fission took step 4: t = 4 dt
+    expected = np.array(x0) + D[1]
+    for _ in range(60):
+        expected = expected + D[0]
+    assert np.array_equal(res.states[0, -1], expected)
+    assert res.event_counts.tolist() == [[60, 1, 0, 0]]
+
+    # K = 9 >= n_full = 7: the path crosses 7 empty steps, then the plain
+    # Bernoulli step onto the target draws 0.06, inside the source bucket
+    horizon = 8 * SKIP_DT
+    res = run_stubbed(p, x0, horizon, McConfig(dt=SKIP_DT), [[uniform_for(9.5, 0.0), 0.06]])
+    assert res.states[0, -1].tolist() == [401.0, 300.0]
+    assert res.event_counts.tolist() == [[0, 0, 0, 1]]
+
+
+def test_skip_crosses_empty_stretches():
+    # absorbing: zero rate goes straight to each record time (1e9 steps of 1e-9)
+    p = one_group_params(q=0.0)
+    record = np.linspace(0.0, 1.0, 11)
+    res = run_mc_paths(p, [0.0, 0.0], 1.0, McConfig(dt=1e-9), [np.random.default_rng(5)], record)
+    assert np.all(res.states == 0.0)
+    assert np.all(res.event_counts == 0)
+
+    # with a source: each stretch of about 1e8 steps is crossed without an
+    # event, then u = 0 fires on the last step onto the record time (source
+    # from the empty state, capture from n = 1), so every row sees its event
+    p = one_group_params(beta1=0.05)
+    record = np.array([0.0, 0.05, 0.12, 0.15])
+    gen = StubGenerator([LAST_UNIFORM, 0.0] * 3, fill=LAST_UNIFORM)
+    res = run_mc_paths(p, [0.0, 0.0], 0.15, McConfig(dt=1e-9), [gen], record)
+    assert res.states[0].tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    assert res.event_counts.tolist() == [[1, 0, 0, 2]]
+
+
+def test_skip_and_per_step_branches_agree():
+    # a one-piece schedule is the constant-reactivity process, but only
+    # constant types count as autonomous, so it takes the per-step loop
+    p_skip = one_group_params(beta1=0.05)
+    rho = p_skip.reactivity.value
+    p_step = replace(p_skip, reactivity=PiecewiseConstantReactivity((0.0,), (rho,)))
+    x0 = [400.0, 300.0]
+    horizon = 0.5
+    n = 1500
+
+    def finals(p, seed_base):
+        gens = [np.random.default_rng(path_seed(seed_base, i)) for i in range(n)]
+        res = run_mc_paths(p, x0, horizon, McConfig(), gens, [horizon])
+        return np.column_stack([res.states[:, -1], res.event_counts])
+
+    a = finals(p_skip, 303)
+    b = finals(p_step, 404)
+    se = np.hypot(a.std(axis=0, ddof=1), b.std(axis=0, ddof=1)) / math.sqrt(n)
+    # final n, c1 and each of the four event counts
+    assert np.all(np.abs(a.mean(axis=0) - b.mean(axis=0)) <= 4.0 * se)
 
 
 # ---------------------------------------------------------------------------
