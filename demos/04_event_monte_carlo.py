@@ -27,12 +27,10 @@ p = scn.build_parameters()
 x0 = scn.build_initial(p)
 record = tuple(scn.record_times())
 
-one = mc_trajectory(p, x0, scn.horizon, McConfig(record_times=record), NoiseSource(1))
+one = mc_trajectory(p, x0, scn.horizon, McConfig(), NoiseSource(1), record)
 print("fixed-step path, event totals:", one.event_counts)
 
-jump = mc_trajectory(
-    p, x0, scn.horizon, McConfig(mode="exact", record_times=record), NoiseSource(1)
-)
+jump = mc_trajectory(p, x0, scn.horizon, McConfig(mode="exact"), NoiseSource(1), record)
 print("exact-jump path, event totals:", jump.event_counts)
 
 cfg = EnsembleConfig(

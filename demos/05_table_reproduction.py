@@ -28,7 +28,7 @@ for k, method in enumerate(("mc", "pca", "em")):
         max_samples=SAMPLES,
         record_times=(0.0, scn.horizon),
         psd_policy=scn.solver["psd_policy"],
-        mc=scn.mc_config(record=False),
+        mc=scn.mc_config(),
     )
     grid = scn.grid(method if method != "mc" else "mc")
     s = run_ensemble(p, x0, grid, cfg)

@@ -23,8 +23,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .ensemble import METHOD_LABELS, EnsembleConfig, EnsembleSummary, run_ensemble
 from .errors import StokinError
 from .event_mc import McConfig, mc_trajectory
@@ -96,20 +94,12 @@ def _ensemble_config(
     )
 
 
-def _sde_grid(scn: ScenarioConfig, method: str, dt) -> TimeGrid:
-    if dt:
+def _grid(scn: ScenarioConfig, method: str, dt) -> TimeGrid:
+    """The method's grid; ``--dt`` sets the solver step, except for mc, where
+    it is the MC step and the grid is the scenario's record grid."""
+    if dt and method != "mc":
         return TimeGrid(0.0, scn.horizon, dt)
     return scn.grid(method)
-
-
-def _thin_to_record(traj_times, traj_states, record_times):
-    idx = np.searchsorted(traj_times, record_times)
-    idx = np.clip(idx, 0, len(traj_times) - 1)
-    # snap to the nearest node (record times are grid nodes by construction)
-    for j, t in enumerate(record_times):
-        if idx[j] > 0 and abs(traj_times[idx[j] - 1] - t) < abs(traj_times[idx[j]] - t):
-            idx[j] -= 1
-    return traj_times[idx], traj_states[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -122,24 +112,26 @@ def _cmd_solve(args) -> int:
     x0 = scn.build_initial(p)
     record = scn.record_times()
 
-    if args.method == "det":
-        traj = deterministic_solve(p, x0, _sde_grid(scn, "det", args.dt))
-        times, states = _thin_to_record(traj.times, traj.states, record)
-    elif args.method in ("em", "pca"):
-        solver = euler_maruyama_solve if args.method == "em" else stochastic_pca_solve
-        traj = solver(
-            p,
-            x0,
-            _sde_grid(scn, args.method, args.dt),
-            NoiseSource(args.seed),
-            zero_noise=args.zero_noise,
-            psd_policy=scn.solver.get("psd_policy", "strict"),
-        )
-        times, states = _thin_to_record(traj.times, traj.states, record)
-    else:  # mc
+    if args.method == "mc":
         mc = _scenario_mc_config(scn, args.mode, args.yield_model, args.dt)
-        traj = mc_trajectory(p, x0, scn.horizon, mc, NoiseSource(args.seed))
+        traj = mc_trajectory(p, x0, scn.horizon, mc, NoiseSource(args.seed), record)
         times, states = traj.times, traj.states
+    else:
+        grid = _grid(scn, args.method, args.dt)
+        idx = grid.node_indices(record)
+        if args.method == "det":
+            traj = deterministic_solve(p, x0, grid)
+        else:
+            solver = euler_maruyama_solve if args.method == "em" else stochastic_pca_solve
+            traj = solver(
+                p,
+                x0,
+                grid,
+                NoiseSource(args.seed),
+                zero_noise=args.zero_noise,
+                psd_policy=scn.solver.get("psd_policy", "strict"),
+            )
+        times, states = traj.times[idx], traj.states[idx]
 
     out = os.path.join(_out_dir(args), f"{scn.name}_{args.method}_trajectory.csv")
     rows = [[_fmt(t)] + [_fmt(v) for v in row] for t, row in zip(times, states)]
@@ -187,7 +179,7 @@ def _cmd_ensemble(args) -> int:
     scn = load_scenario(args.scenario)
     p = scn.build_parameters()
     x0 = scn.build_initial(p)
-    grid = _sde_grid(scn, args.method, args.dt) if args.method != "mc" else scn.grid("mc")
+    grid = _grid(scn, args.method, args.dt)
     mc = _scenario_mc_config(scn, args.mode, args.yield_model, args.dt)
     cfg = _ensemble_config(scn, args.method, args.seed, args.samples, mc, args.zero_noise)
     summary = run_ensemble(p, x0, grid, cfg)
@@ -238,7 +230,7 @@ def _cmd_reproduce(args) -> int:
                 samples, mode = 64, "exact"
         mc = _scenario_mc_config(scn, mode=mode)
         cfg = _ensemble_config(scn, method, args.seed, samples, mc)
-        grid = scn.grid(method if method != "mc" else "mc")
+        grid = scn.grid(method)
         summary = run_ensemble(p, x0, grid, cfg)
         means = []
         stds = []
@@ -263,7 +255,7 @@ def _cmd_plotdata(args) -> int:
     scn = load_scenario(args.scenario)
     p = scn.build_parameters()
     x0 = scn.build_initial(p)
-    grid = _sde_grid(scn, args.method, args.dt) if args.method != "mc" else scn.grid("mc")
+    grid = _grid(scn, args.method, args.dt)
     mc = _scenario_mc_config(scn, args.mode, args.yield_model, args.dt)
     cfg = _ensemble_config(scn, args.method, args.seed, args.samples, mc, args.zero_noise, 2)
     summary = run_ensemble(p, x0, grid, cfg)

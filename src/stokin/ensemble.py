@@ -25,14 +25,7 @@ import numpy as np
 from .errors import EnsembleFailureError, ParameterError
 from .event_mc import McConfig, run_mc_paths
 from .kinetics import KineticsParameters, as_state_vector
-from .solvers import (
-    METHOD_EULER_MARUYAMA,
-    METHOD_STOCHASTIC_PCA,
-    TimeGrid,
-    _PcaPropagators,
-    check_record_times,
-    run_sde_paths,
-)
+from .solvers import METHOD_EULER_MARUYAMA, METHOD_STOCHASTIC_PCA, TimeGrid, run_sde_paths
 
 __all__ = ["EnsembleConfig", "EnsembleSummary", "run_ensemble", "summarize_component"]
 
@@ -150,26 +143,13 @@ def _augment(states: np.ndarray) -> np.ndarray:
     return np.concatenate([states, csum], axis=-1)
 
 
-def _default_record_indices(grid: TimeGrid, max_points: int = 21) -> np.ndarray:
+def _default_record_times(grid: TimeGrid, max_points: int = 21) -> np.ndarray:
     n = grid.n_steps
     stride = max(1, int(np.ceil(n / (max_points - 1))))
     idx = np.arange(0, n + 1, stride)
     if idx[-1] != n:
         idx = np.append(idx, n)
-    return idx
-
-
-def _record_indices_for(grid: TimeGrid, record_times) -> np.ndarray:
-    if record_times is None:
-        return _default_record_indices(grid)
-    nodes = grid.nodes
-    idx = []
-    for t in check_record_times(record_times).tolist():
-        k = int(round((t - grid.t0) / grid.dt))
-        if k < 0 or k > grid.n_steps or abs(nodes[k] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ParameterError(f"record time {t!r} is not a grid node")
-        idx.append(k)
-    return np.asarray(idx, dtype=int)
+    return grid.nodes[idx]
 
 
 def run_ensemble(
@@ -180,30 +160,20 @@ def run_ensemble(
 ) -> EnsembleSummary:
     """Run seeded sample paths of the configured method and summarize them.
 
-    For the SDE methods ``grid`` is the solver grid and statistics are
-    recorded at ``cfg.record_times`` (grid nodes; a ~21-node thinning by
-    default).  For the event Monte Carlo the grid supplies the horizon and
-    record times; stepping is governed by ``cfg.mc``.
+    Statistics are recorded at ``cfg.record_times``, or by default at a
+    ~21-node thinning of ``grid``; either engine checks them.  For the SDE
+    methods ``grid`` is the solver grid and the record times must be its
+    nodes.  For the event Monte Carlo the grid supplies the horizon and the
+    default record times; stepping is governed by ``cfg.mc``.
     """
     x0 = as_state_vector(x0, p)
     d = p.dim
     method = cfg.method
+    record_times = cfg.record_times
+    if record_times is None:
+        record_times = _default_record_times(grid)
 
-    if method == METHOD_EVENT_MC:
-        if cfg.record_times is not None:
-            record_times = np.asarray(cfg.record_times, dtype=float)
-        else:
-            record_times = grid.nodes[_default_record_indices(grid)]
-        propagators = None
-        record_indices = None
-    else:
-        record_indices = _record_indices_for(grid, cfg.record_times)
-        record_times = grid.nodes[record_indices]
-        propagators = (
-            _PcaPropagators(p, grid) if method == METHOD_STOCHASTIC_PCA else None
-        )
-
-    acc = _Welford((record_times.size, d + 1))
+    acc = _Welford((len(record_times), d + 1))
     kept = []
     attempted = 0
     failures = 0
@@ -239,10 +209,9 @@ def run_ensemble(
                 grid,
                 method,
                 gens,
-                record_indices=record_indices,
+                record_times=record_times,
                 zero_noise=cfg.zero_noise,
                 psd_policy=cfg.psd_policy,
-                propagators=propagators,
             )
             batch_states = res.states
             batch_failed = res.failed
@@ -283,7 +252,7 @@ def run_ensemble(
         raise EnsembleFailureError("no path completed")
     std = acc.std()
     return EnsembleSummary(
-        times=record_times,
+        times=res.record_times,
         component_names=["n"] + [f"c{i + 1}" for i in range(d - 1)] + ["c_sum"],
         mean=acc.mean.copy(),
         std=std,

@@ -88,14 +88,14 @@ class McConfig:
     """Monte Carlo stepping configuration.
 
     ``dt=None`` picks safety / (total rate at the initial state) for the
-    fixed mode.  ``record_times`` defaults to the horizon only.
+    fixed mode.  Record times are not part of the configuration: the caller
+    passes them to :func:`run_mc_paths` or :func:`mc_trajectory`.
     """
 
     mode: str = MODE_FIXED
     yield_model: str = YIELD_FRACTIONAL
     dt: float = None
     safety: float = 0.1
-    record_times: tuple = None
 
     def __post_init__(self):
         if self.mode not in (MODE_FIXED, MODE_EXACT):
@@ -106,9 +106,6 @@ class McConfig:
             raise ParameterError("fixed-step dt must be positive")
         if not 0 < self.safety <= 1:
             raise ParameterError("safety factor must be in (0, 1]")
-        if self.record_times is not None:
-            rt = tuple(check_record_times(self.record_times).tolist())
-            object.__setattr__(self, "record_times", rt)
 
 
 @dataclass
@@ -403,14 +400,15 @@ def mc_trajectory(
     horizon: float,
     cfg: McConfig,
     noise: NoiseSource,
+    record_times=None,
 ) -> McTrajectory:
     """Simulate one sample path on [0, horizon]: :func:`run_mc_paths` with a
-    batch of one, sampled at ``cfg.record_times`` (default: the horizon).
+    batch of one, sampled at ``record_times`` (default: the horizon).
 
     The diagnostics hold each fixed-mode step halving as (t, new dt) and the
     count of captures that drove a fractional population below zero.
     """
-    record = cfg.record_times if cfg.record_times is not None else (horizon,)
+    record = (horizon,) if record_times is None else record_times
     res = run_mc_paths(p, x0, horizon, cfg, [noise.generator], record)
     return McTrajectory(
         times=res.record_times,

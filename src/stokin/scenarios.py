@@ -109,22 +109,22 @@ class ScenarioConfig:
 
     def grid(self, method: str) -> TimeGrid:
         """Solver grid for one of det|em|pca (mc uses the record grid)."""
-        key = {"det": "det_dt", "em": "em_dt", "pca": "pca_dt", "mc": None}.get(method, method)
-        dt = self.record_dt if key is None else self.solver[key]
+        if method not in ("det", "em", "pca", "mc"):
+            raise ParameterError(f"unknown grid method {method!r}; expected det|em|pca|mc")
+        dt = self.record_dt if method == "mc" else self.solver[f"{method}_dt"]
         return TimeGrid(0.0, self.horizon, dt)
 
     def record_times(self) -> np.ndarray:
         n = int(round(self.horizon / self.record_dt))
         return self.record_dt * np.arange(n + 1)
 
-    def mc_config(self, record=True) -> McConfig:
+    def mc_config(self) -> McConfig:
         mc = self.monte_carlo
         return McConfig(
             mode=mc.get("mode", "fixed"),
             yield_model=mc.get("yield_model", "fractional"),
             dt=mc.get("dt"),
             safety=mc.get("safety", 0.1),
-            record_times=tuple(self.record_times()) if record else None,
         )
 
     # -- serialization ------------------------------------------------------
@@ -193,7 +193,10 @@ class ScenarioConfig:
             raise ScenarioError(f"scenario {self.name!r}: unknown solver.psd_policy")
         self.mc_config()
         ens = self.ensemble
-        if not 1 <= int(ens.get("min_samples", 1)) <= int(ens.get("max_samples", 1)):
+        for key in ("min_samples", "max_samples"):
+            if key not in ens:
+                raise ScenarioError(f"scenario {self.name!r}: ensemble.{key} missing")
+        if not 1 <= int(ens["min_samples"]) <= int(ens["max_samples"]):
             raise ScenarioError(
                 f"scenario {self.name!r}: ensemble min_samples must not exceed max_samples"
             )

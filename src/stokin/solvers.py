@@ -115,6 +115,18 @@ class TimeGrid:
         # literal node average so recorded midpoint coefficients are exact
         return 0.5 * ((self.t0 + k * self.dt) + (self.t0 + (k + 1) * self.dt))
 
+    def node_indices(self, times) -> np.ndarray:
+        """Indices of the nodes at ``times``; raises ParameterError unless the
+        times are sorted, nonnegative and each a node (to 1e-9 relative)."""
+        nodes = self.nodes
+        idx = []
+        for t in check_record_times(times).tolist():
+            k = int(round((t - self.t0) / self.dt))
+            if k < 0 or k > self.n_steps or abs(nodes[k] - t) > 1e-9 * max(1.0, abs(t)):
+                raise ParameterError(f"record time {t!r} is not a grid node")
+            idx.append(k)
+        return np.asarray(idx, dtype=int)
+
 
 def check_record_times(times, horizon: float = None) -> np.ndarray:
     """Record times as a float array; raises ParameterError unless they are
@@ -303,10 +315,9 @@ def run_sde_paths(
     method: str,
     generators,
     *,
-    record_indices=None,
+    record_times=None,
     zero_noise: bool = False,
     psd_policy: str = "strict",
-    propagators: _PcaPropagators = None,
 ) -> SdePathsResult:
     """Advance a batch of sample paths, one numpy Generator per path.
 
@@ -315,6 +326,9 @@ def run_sde_paths(
     event, in time order), so a path run here is bit-identical to the same
     seed run through :func:`euler_maruyama_solve` /
     :func:`stochastic_pca_solve`.
+
+    States are recorded at ``record_times``, which must be grid nodes
+    (:meth:`TimeGrid.node_indices`); the default records every node.
 
     Each step is built from the event table (see the module docstring).
     Under the strict policy, a path with an event
@@ -336,12 +350,13 @@ def run_sde_paths(
     nodes = grid.nodes
     deltas = delta_table(p).T  # (d, m+3)
 
-    if record_indices is None:
+    if record_times is None:
         record_indices = np.arange(n_steps + 1)
-    record_indices = np.asarray(record_indices, dtype=int)
+    else:
+        record_indices = grid.node_indices(record_times)
     n_rec = len(record_indices)
 
-    if method == METHOD_STOCHASTIC_PCA and propagators is None:
+    if method == METHOD_STOCHASTIC_PCA:
         propagators = _PcaPropagators(p, grid)
 
     X = np.tile(x0, (n_paths, 1))

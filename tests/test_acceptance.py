@@ -83,7 +83,7 @@ def _ensemble(scenario, method, samples, seed, record=None):
         max_samples=samples,
         record_times=record or (0.0, scn.horizon),
         psd_policy=scn.solver.get("psd_policy", "strict"),
-        mc=scn.mc_config(record=False),
+        mc=scn.mc_config(),
     )
     return run_ensemble(p, x0, grid, cfg)
 

@@ -138,6 +138,19 @@ def test_error_is_machine_readable(tmp_path, capsys):
     assert "missing.json" in payload["message"]
 
 
+def test_solve_rejects_record_times_off_the_grid(tmp_path, capsys):
+    # table1 records every 0.1 s; with --dt 0.04 the record time 0.1 is no
+    # grid node, which solve refuses as ensemble does
+    code, out = run_cli(
+        ["solve", "--scenario", "table1", "--method", "em", "--dt", "0.04"], tmp_path, "a"
+    )
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ParameterError"
+    assert "not a grid node" in payload["message"]
+    assert not (out / "table1_em_trajectory.csv").exists()
+
+
 def test_out_dir_env_var(tmp_path, monkeypatch):
     target = tmp_path / "envout"
     monkeypatch.setenv("STOKIN_OUT_DIR", str(target))

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -196,6 +194,18 @@ def test_integer_yield_ensemble_runs_per_path():
     assert np.array_equal(summary.mean[0, :2], x0)
 
 
+def test_mc_ensemble_records_at_given_times():
+    # MC record times need not be nodes of the grid, which supplies the horizon
+    p, x0 = table1_setup()
+    record = (0.0, 0.05, 0.13, 0.5)
+    cfg = EnsembleConfig(
+        method="mc", master_seed=5, min_samples=4, max_samples=4, record_times=record,
+    )
+    summary = run_ensemble(p, x0, TimeGrid(0.0, 0.5, 0.1), cfg)
+    assert summary.times.tolist() == list(record)
+    assert summary.mean.shape == (len(record), 3)
+
+
 def halving_case():
     # supercritical one-group burst from 20 neutrons: with safety 1 the
     # fixed-step paths outgrow their step and halve it
@@ -225,9 +235,8 @@ def test_mc_ensemble_batch_invariant_with_halvings(variant):
         assert np.array_equal(runs[0].ci_halfwidth, s.ci_halfwidth)
         assert s.diagnostics == runs[0].diagnostics
     # each sample path is the single path at its seed
-    cfg = replace(mc, record_times=tuple(runs[0].times))
     for i in range(8):
-        traj = mc_trajectory(p, x0, grid.t_end, cfg, NoiseSource(path_seed(3, i)))
+        traj = mc_trajectory(p, x0, grid.t_end, mc, NoiseSource(path_seed(3, i)), runs[0].times)
         assert np.array_equal(traj.states, runs[-1].sample_paths[i]), f"path {i} diverged"
 
 
@@ -236,9 +245,8 @@ def test_integer_yield_ensemble_reports_diagnostics():
     mc = MC_VARIANTS["fixed-integer"]
     cfg = EnsembleConfig(method="mc", master_seed=3, min_samples=8, max_samples=8, mc=mc)
     summary = run_ensemble(p, x0, grid, cfg)
-    record = replace(mc, record_times=tuple(summary.times))
     halvings = sum(
-        len(mc_trajectory(p, x0, grid.t_end, record, NoiseSource(path_seed(3, i)))
+        len(mc_trajectory(p, x0, grid.t_end, mc, NoiseSource(path_seed(3, i)), summary.times)
             .diagnostics["halvings"])
         for i in range(8)
     )

