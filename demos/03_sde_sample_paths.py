@@ -29,7 +29,7 @@ grid = scn.grid("em")
 em = euler_maruyama_solve(p, x0, grid, NoiseSource(2024))
 pca = stochastic_pca_solve(p, x0, scn.grid("pca"), NoiseSource(2024))
 
-print("started at the sourced equilibrium", x0.vector)
+print("started at the sourced equilibrium", x0)
 print(f"EM  path: n(2) = {em.final_state[0]:8.3f}   c1(2) = {em.final_state[1]:8.3f}")
 print(f"PCA path: n(2) = {pca.final_state[0]:8.3f}   c1(2) = {pca.final_state[1]:8.3f}")
 print("negative-density steps (EM):", em.diagnostics["negative_steps"])
@@ -41,7 +41,7 @@ print("seed determinism:", np.array_equal(em.states, again.states))
 # zero-noise: the stochastic steppers become deterministic integrators
 em0 = euler_maruyama_solve(p, x0, grid, NoiseSource(1), zero_noise=True)
 print("zero-noise EM stays at the equilibrium:",
-      np.abs(em0.states - x0.vector).max() < 1e-6)
+      np.abs(em0.states - x0).max() < 1e-6)
 
 # a handful of paths to see the spread build up
 print("\nn(t) for five EM paths:")

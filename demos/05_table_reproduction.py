@@ -30,7 +30,7 @@ for k, method in enumerate(("mc", "pca", "em")):
         psd_policy=scn.solver["psd_policy"],
         mc=scn.mc_config(),
     )
-    grid = scn.grid(method if method != "mc" else "mc")
+    grid = scn.grid(method)
     s = run_ensemble(p, x0, grid, cfg)
     rows.append(
         (

@@ -22,14 +22,10 @@ from .errors import (
 from .kinetics import (
     ConstantReactivity,
     ConstantSource,
-    DiffusionMatrix,
-    DriftMatrix,
-    EventVector,
     KineticsParameters,
     LinearReactivity,
     PiecewiseConstantReactivity,
     PiecewiseConstantSource,
-    State,
     delta_table,
     diffusion_matrices,
     diffusion_matrix,
@@ -37,16 +33,13 @@ from .kinetics import (
     drift_matrix,
     equilibrium_state,
     event_rates,
-    event_vectors,
 )
 from .linalg import (
     PsdSqrtResult,
-    SymEigenDecomposition,
     expm,
     propagator_with_source,
     psd_sqrt,
     solve_linear,
-    sym_eigendecomposition,
 )
 from .solvers import (
     NoiseSource,

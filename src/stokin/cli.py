@@ -66,7 +66,7 @@ def _scenario_mc_config(scn: ScenarioConfig, mode=None, yield_model=None, dt=Non
         mc,
         mode=mode or mc.mode,
         yield_model=yield_model or mc.yield_model,
-        dt=dt or mc.dt,
+        dt=mc.dt if dt is None else dt,
     )
 
 
@@ -83,8 +83,8 @@ def _ensemble_config(
     return EnsembleConfig(
         method=method,
         master_seed=seed,
-        min_samples=samples or int(ens["min_samples"]),
-        max_samples=samples or int(ens["max_samples"]),
+        min_samples=int(ens["min_samples"]) if samples is None else samples,
+        max_samples=int(ens["max_samples"]) if samples is None else samples,
         target_rel_halfwidth=float(ens.get("target_rel_halfwidth", 5e-4)),
         record_times=tuple(scn.record_times()),
         zero_noise=zero_noise,
@@ -97,7 +97,7 @@ def _ensemble_config(
 def _grid(scn: ScenarioConfig, method: str, dt) -> TimeGrid:
     """The method's grid; ``--dt`` sets the solver step, except for mc, where
     it is the MC step and the grid is the scenario's record grid."""
-    if dt and method != "mc":
+    if dt is not None and method != "mc":
         return TimeGrid(0.0, scn.horizon, dt)
     return scn.grid(method)
 
@@ -223,7 +223,7 @@ def _cmd_reproduce(args) -> int:
     for method in ("mc", "pca", "em"):
         samples, mode = args.samples, None
         if method == "mc":
-            samples = args.mc_samples or args.samples
+            samples = args.samples if args.mc_samples is None else args.mc_samples
             if args.table == "2" and args.mc_samples is None:
                 # full-horizon event MC at ~5e6 events/s per path: trim the
                 # default sample count to keep this a desk-scale run

@@ -2,26 +2,30 @@
 
 This module holds the reduced reactor parameters (decay constants, delayed
 fractions, generation time, fission yield), time-dependent reactivity and
-source functions, the state vector (neutron density plus one precursor
-concentration per delayed group), and the constructors for the pieces of the
-Ito system:
+source functions, and the constructors for the pieces of the Ito system.
+Every quantity is a plain float ndarray:
 
-* the drift matrix of the linear mean dynamics,
-* the state-dependent diffusion (increment-covariance) matrix,
+* the state, (m+1,): neutron density plus one precursor concentration per
+  delayed group (:func:`equilibrium_state`),
+* the drift matrix of the linear mean dynamics, (m+1, m+1),
+* the state-dependent diffusion (increment-covariance) matrix, (m+1, m+1),
 * the elementary event table of the underlying birth/death/transformation
-  process (capture, fission, precursor decay, source emission) with its
-  state-change vectors (:func:`delta_table`) and rates (:func:`event_rates`).
+  process (capture, fission, precursor decay, source emission): its
+  state-change vectors, (m+3, m+1) (:func:`delta_table`), and its rates
+  (:func:`event_rates`).
 
 :func:`event_rates` is the package's one rate law: the SDE solvers build
 their drift and noise from it and the event Monte Carlo draws its events
 from it.  The drift/diffusion pair and the event table describe the same
-process: the rate-weighted sum of event vectors reproduces the drift applied
-to the state, and the rate-weighted sum of their outer products reproduces
-the diffusion matrix.  The closed forms :func:`drift_matrix` and
+process: the rate-weighted sum of the event vectors reproduces the drift
+applied to the state, and the rate-weighted sum of their outer products
+reproduces the diffusion matrix.  The closed forms :func:`drift_matrix` and
 :func:`diffusion_matrices` are kept as the oracles of those identities,
 which the test suite exercises.
 
-All types are immutable after construction; the functions are pure.
+The parameter and coefficient types are immutable after construction; the
+arrays returned for a single state, matrix or table are read-only; the
+functions are pure.
 """
 
 from __future__ import annotations
@@ -40,15 +44,10 @@ __all__ = [
     "ConstantSource",
     "PiecewiseConstantSource",
     "KineticsParameters",
-    "State",
-    "DriftMatrix",
-    "DiffusionMatrix",
-    "EventVector",
     "drift_matrix",
     "drift_apply",
     "diffusion_matrix",
     "diffusion_matrices",
-    "event_vectors",
     "delta_table",
     "event_rates",
     "equilibrium_state",
@@ -168,7 +167,7 @@ class PiecewiseConstantSource:
 
 
 # ---------------------------------------------------------------------------
-# parameters and state
+# parameters
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -245,60 +244,9 @@ class KineticsParameters:
         return np.asarray(self.group_fractions)
 
 
-class State:
-    """Immutable state vector (n, c_1, ..., c_m).
-
-    The neutron density may transiently go negative along SDE sample paths;
-    only the event simulator requires nonnegative populations.
-    """
-
-    __slots__ = ("_vec",)
-
-    def __init__(self, n, precursors):
-        vec = np.concatenate(([float(n)], np.asarray(precursors, dtype=float).ravel()))
-        vec.setflags(write=False)
-        object.__setattr__(self, "_vec", vec)
-
-    @classmethod
-    def from_vector(cls, vec) -> "State":
-        vec = np.asarray(vec, dtype=float).ravel()
-        if vec.size < 2:
-            raise ParameterError("state vector needs at least (n, c_1)")
-        return cls(vec[0], vec[1:])
-
-    @property
-    def n(self) -> float:
-        return float(self._vec[0])
-
-    @property
-    def precursors(self) -> np.ndarray:
-        return self._vec[1:]
-
-    @property
-    def vector(self) -> np.ndarray:
-        return self._vec
-
-    def __len__(self):
-        return self._vec.size
-
-    def __iter__(self):
-        return iter(self._vec)
-
-    def __repr__(self):
-        return f"State(n={self.n!r}, precursors={list(self.precursors)!r})"
-
-    def __eq__(self, other):
-        if isinstance(other, State):
-            return np.array_equal(self._vec, other._vec)
-        return NotImplemented
-
-    def __setattr__(self, *args):
-        raise AttributeError("State is immutable")
-
-
 def as_state_vector(x, p: KineticsParameters) -> np.ndarray:
-    """Coerce a State or array-like into a validated (m+1,) float array."""
-    vec = x.vector if isinstance(x, State) else np.asarray(x, dtype=float).ravel()
+    """Coerce an array-like into a validated (m+1,) float array (a copy)."""
+    vec = np.asarray(x, dtype=float).ravel()
     if vec.size != p.dim:
         raise ParameterError(f"state dimension {vec.size} does not match m+1={p.dim}")
     return np.array(vec, dtype=float)
@@ -308,47 +256,8 @@ def as_state_vector(x, p: KineticsParameters) -> np.ndarray:
 # drift, diffusion, events
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DriftMatrix:
-    """Dense (m+1)x(m+1) drift matrix with the time and reactivity it used."""
-
-    matrix: np.ndarray
-    t: float
-    rho: float
-
-
-@dataclass(frozen=True)
-class DiffusionMatrix:
-    """Dense symmetric (m+1)x(m+1) increment-covariance matrix.
-
-    ``zeta`` is the (0, 0) entry and ``gamma`` the coefficient multiplying the
-    neutron density inside it.
-    """
-
-    matrix: np.ndarray
-    zeta: float
-    gamma: float
-    t: float
-
-
-@dataclass(frozen=True)
-class EventVector:
-    """One elementary event: its kind, group index (transformations only),
-    and the (m+1,) state-change vector."""
-
-    kind: str
-    group: int
-    delta: np.ndarray
-
-
-EVENT_CAPTURE = "capture"
-EVENT_FISSION = "fission"
-EVENT_TRANSFORMATION = "transformation"
-EVENT_SOURCE = "source"
-
-
-def drift_matrix(p: KineticsParameters, t: float = 0.0) -> DriftMatrix:
-    """Build the drift matrix at time t.
+def drift_matrix(p: KineticsParameters, t: float = 0.0) -> np.ndarray:
+    """Read-only (m+1, m+1) drift matrix at time t.
 
     Row 0: (rho - beta)/l on the diagonal and the decay constants across;
     rows 1..m: beta_i/l in column 0 and -lambda_i on the diagonal.  Column
@@ -365,7 +274,7 @@ def drift_matrix(p: KineticsParameters, t: float = 0.0) -> DriftMatrix:
     idx = np.arange(1, m + 1)
     A[idx, idx] = -p.lam
     A.setflags(write=False)
-    return DriftMatrix(matrix=A, t=float(t), rho=rho)
+    return A
 
 
 def drift_apply(p: KineticsParameters, states: np.ndarray, t: float) -> np.ndarray:
@@ -423,50 +332,31 @@ def diffusion_matrices(p: KineticsParameters, states: np.ndarray, t: float) -> n
     return B
 
 
-def diffusion_matrix(p: KineticsParameters, x, t: float = 0.0) -> DiffusionMatrix:
-    """Diffusion matrix at a single state; see :func:`diffusion_matrices`."""
+def diffusion_matrix(p: KineticsParameters, x, t: float = 0.0) -> np.ndarray:
+    """Read-only diffusion matrix at a single state; see
+    :func:`diffusion_matrices`.  Its (0, 0) entry is the neutron-density
+    variance rate zeta = gamma*n + sum_i lambda_i c_i + q, with
+    gamma = (-1 - rho + 2 beta + (1 - beta)^2 nu)/l."""
     vec = as_state_vector(x, p)
     B = diffusion_matrices(p, vec[None, :], t)[0]
-    rho = float(p.reactivity(t))
-    gamma = (-1.0 - rho + 2.0 * p.beta_total + (1.0 - p.beta_total) ** 2 * p.nu) / p.gen_time
     B.setflags(write=False)
-    return DiffusionMatrix(matrix=B, zeta=float(B[0, 0]), gamma=gamma, t=float(t))
-
-
-def event_vectors(p: KineticsParameters) -> list:
-    """The m+3 elementary events in rate order: capture, fission, one
-    transformation per group, source emission."""
-    m = p.m
-    bt = p.beta_total
-    events = []
-
-    delta = np.zeros(m + 1)
-    delta[0] = -1.0
-    events.append(EventVector(EVENT_CAPTURE, group=-1, delta=delta))
-
-    delta = np.empty(m + 1)
-    delta[0] = -1.0 + (1.0 - bt) * p.nu
-    delta[1:] = p.beta * p.nu
-    events.append(EventVector(EVENT_FISSION, group=-1, delta=delta))
-
-    for i in range(m):
-        delta = np.zeros(m + 1)
-        delta[0] = 1.0
-        delta[1 + i] = -1.0
-        events.append(EventVector(EVENT_TRANSFORMATION, group=i, delta=delta))
-
-    delta = np.zeros(m + 1)
-    delta[0] = 1.0
-    events.append(EventVector(EVENT_SOURCE, group=-1, delta=delta))
-
-    for ev in events:
-        ev.delta.setflags(write=False)
-    return events
+    return B
 
 
 def delta_table(p: KineticsParameters) -> np.ndarray:
-    """(m+3, m+1) state change per event, rows in :func:`event_rates` order."""
-    return np.array([ev.delta for ev in event_vectors(p)])
+    """Read-only (m+3, m+1) state change per elementary event, rows in
+    :func:`event_rates` order: capture, fission, one transformation
+    (precursor decay) per group, source emission."""
+    m = p.m
+    D = np.zeros((m + 3, m + 1))
+    D[0, 0] = -1.0
+    D[1, 0] = -1.0 + (1.0 - p.beta_total) * p.nu
+    D[1, 1:] = p.beta * p.nu
+    D[2:, 0] = 1.0
+    idx = np.arange(m)
+    D[2 + idx, 1 + idx] = -1.0
+    D.setflags(write=False)
+    return D
 
 
 def _capture_coefficient(p: KineticsParameters, rho):
@@ -483,7 +373,7 @@ def _rho_and_source(p: KineticsParameters, t: float):
 def event_rates(p: KineticsParameters, X, t=0.0) -> np.ndarray:
     """Event rates (1/s) of one state (m+1,) or a batch (N, m+1), event-major:
     row k of the (m+3,) or (m+3, N) result is event k's rate, in
-    event-vector order.
+    :func:`delta_table` row order.
 
     capture:        ((1 - rho - 1/nu)/l) * n
     fission:        n / (nu l)
@@ -496,7 +386,7 @@ def event_rates(p: KineticsParameters, X, t=0.0) -> np.ndarray:
     applies its own rule to them (the SDE solvers' roundoff band, the event
     Monte Carlo's clip at zero).
     """
-    X = X.vector if isinstance(X, State) else np.asarray(X, dtype=float)
+    X = np.asarray(X, dtype=float)
     if X.shape[-1] != p.dim:
         raise ParameterError(f"state dimension {X.shape[-1]} does not match m+1={p.dim}")
     t = np.asarray(t, dtype=float)
@@ -514,8 +404,8 @@ def event_rates(p: KineticsParameters, X, t=0.0) -> np.ndarray:
     return rates
 
 
-def equilibrium_state(p: KineticsParameters, t: float = 0.0, n0: float = None) -> State:
-    """Stationary state of the drift flow.
+def equilibrium_state(p: KineticsParameters, t: float = 0.0, n0: float = None) -> np.ndarray:
+    """Stationary state of the drift flow, a read-only (m+1,) array.
 
     With ``n0`` given, returns the source-free (critical) equilibrium
     (n0, beta_i n0 / (lambda_i l)), which balances precursor production and
@@ -524,11 +414,11 @@ def equilibrium_state(p: KineticsParameters, t: float = 0.0, n0: float = None) -
     when rho = 0, where no finite sourced equilibrium exists.
     """
     if n0 is not None:
-        c = p.beta * float(n0) / (p.lam * p.gen_time)
-        return State(float(n0), c)
-    A = drift_matrix(p, t)
-    q = float(p.source(t))
-    rhs = np.zeros(p.dim)
-    rhs[0] = -q
-    x = solve_linear(np.array(A.matrix), rhs)
-    return State(x[0], x[1:])
+        x = np.concatenate(([float(n0)], p.beta * float(n0) / (p.lam * p.gen_time)))
+    else:
+        A = drift_matrix(p, t)
+        rhs = np.zeros(p.dim)
+        rhs[0] = -float(p.source(t))
+        x = solve_linear(A, rhs)
+    x.setflags(write=False)
+    return x

@@ -1,11 +1,12 @@
 """Dense small-matrix kernels used by the solvers.
 
-Matrix exponential and linear solves delegate to scipy/LAPACK behind narrow
-contracts; the positive-semidefinite square root adds an eigenvalue-clipping
-policy for state-dependent diffusion matrices (the SDE solvers factor those
-over events instead; the square root is kept as the reference the tests
-compare against).  Everything here operates on plain float ndarrays and is
-pure.
+Matrix exponential, linear solves and symmetric eigendecompositions delegate
+to scipy/LAPACK behind narrow contracts.  The positive-semidefinite square
+root (LAPACK ``eigh``) adds an eigenvalue-clipping policy for state-dependent
+diffusion matrices; the SDE solvers factor those over events instead, so the
+square root is kept as the reference the tests compare against.  Everything
+here takes and returns plain float ndarrays (the square root also reports its
+clip count, in :class:`PsdSqrtResult`) and is pure.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .errors import (
 __all__ = [
     "expm",
     "propagator_with_source",
-    "sym_eigendecomposition",
-    "SymEigenDecomposition",
     "psd_sqrt",
     "PsdSqrtResult",
     "solve_linear",
@@ -85,24 +84,6 @@ def propagator_with_source(A: np.ndarray, forcing: np.ndarray, dt: float):
 
 
 @dataclass(frozen=True)
-class SymEigenDecomposition:
-    """Eigenvalues in ascending order with an orthonormal eigenvector matrix."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def sym_eigendecomposition(M: np.ndarray, sym_tol: float = 1e-10) -> SymEigenDecomposition:
-    """Eigendecomposition of a symmetric matrix (LAPACK ``eigh``)."""
-    M = _check_square(M)
-    scale = max(1.0, np.abs(M).max())
-    if np.abs(M - M.T).max() > sym_tol * scale:
-        raise ParameterError("matrix is not symmetric within tolerance")
-    w, V = np.linalg.eigh(M)
-    return SymEigenDecomposition(values=w, vectors=V)
-
-
-@dataclass(frozen=True)
 class PsdSqrtResult:
     """Symmetric square root plus the count of eigenvalues clipped to zero."""
 
@@ -117,10 +98,13 @@ def psd_sqrt(B: np.ndarray, policy: str = "strict") -> PsdSqrtResult:
     Under ``policy="strict"`` an eigenvalue below that band raises
     NotPositiveSemidefiniteError; under ``policy="clamp"`` it is clipped to
     zero as well (and counted), which keeps the noise factor real-valued for
-    states that have undershot zero.
+    states that have undershot zero.  ``B`` must be symmetric to 1e-10
+    relative (ParameterError otherwise).
     """
-    eig = sym_eigendecomposition(B)
-    w, V = eig.values, eig.vectors
+    B = _check_square(B)
+    if np.abs(B - B.T).max() > 1e-10 * max(1.0, np.abs(B).max()):
+        raise ParameterError("matrix is not symmetric within tolerance")
+    w, V = np.linalg.eigh(B)
     tol = CLIP_TOL * max(np.abs(B).max(), 0.0)
     if policy == "strict" and w[0] < -tol:
         raise NotPositiveSemidefiniteError(

@@ -41,7 +41,6 @@ from .kinetics import (
     LinearReactivity,
     PiecewiseConstantReactivity,
     PiecewiseConstantSource,
-    State,
     equilibrium_state,
 )
 from .solvers import TimeGrid
@@ -89,18 +88,20 @@ class ScenarioConfig:
         except ParameterError as exc:
             raise ScenarioError(f"scenario {self.name!r}: {exc}")
 
-    def build_initial(self, p: KineticsParameters = None) -> State:
+    def build_initial(self, p: KineticsParameters = None) -> np.ndarray:
+        """Initial state as a read-only (m+1,) array."""
         p = p or self.build_parameters()
         init = self.initial
         kind = init.get("kind")
         if kind == "vector":
-            vec = np.asarray(init["state"], dtype=float)
+            vec = np.array(init["state"], dtype=float).ravel()
             if vec.size != p.dim:
                 raise ScenarioError(
                     f"scenario {self.name!r}: initial state has {vec.size} entries, "
                     f"expected {p.dim}"
                 )
-            return State.from_vector(vec)
+            vec.setflags(write=False)
+            return vec
         if kind == "source-free-equilibrium":
             return equilibrium_state(p, n0=init["n0"])
         if kind == "sourced-equilibrium":
@@ -189,6 +190,10 @@ class ScenarioConfig:
                 raise ScenarioError(f"scenario {self.name!r}: solver.{key} missing")
             if not self.solver[key] > 0:
                 raise ScenarioError(f"scenario {self.name!r}: solver.{key} must be positive")
+            try:
+                TimeGrid(0.0, self.horizon, self.solver[key]).node_indices(self.record_times())
+            except ParameterError as exc:
+                raise ScenarioError(f"scenario {self.name!r}: solver.{key}: {exc}")
         if self.solver.get("psd_policy", "strict") not in ("strict", "clamp"):
             raise ScenarioError(f"scenario {self.name!r}: unknown solver.psd_policy")
         self.mc_config()

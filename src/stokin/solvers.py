@@ -157,9 +157,6 @@ class NoiseSource:
     def normals(self, shape=None) -> np.ndarray:
         return self.generator.standard_normal(shape)
 
-    def uniforms(self, size=None) -> np.ndarray:
-        return self.generator.random(size)
-
 
 @dataclass
 class Trajectory:
@@ -219,7 +216,7 @@ def deterministic_solve(p: KineticsParameters, x0, grid: TimeGrid) -> Trajectory
         rho_steps[k] = rho
         key = (rho, q)
         if key not in cache:
-            A = drift_matrix(p, tm).matrix
+            A = drift_matrix(p, tm)
             forcing = np.zeros(d)
             forcing[0] = q
             cache[key] = propagator_with_source(A, forcing, grid.dt)
@@ -255,7 +252,7 @@ class _PcaPropagators:
             rho = float(p.reactivity(tm))
             self.rho_mid[k] = rho
             if rho not in cache:
-                cache[rho] = expm(drift_matrix(p, tm).matrix * dt)
+                cache[rho] = expm(drift_matrix(p, tm) * dt)
             self.E.append(cache[rho])
             self.F_dt[k, 0] = float(p.source(tm)) * dt
 

@@ -20,12 +20,12 @@ import pytest
 from stokin import (
     EnsembleConfig,
     TimeGrid,
+    delta_table,
     deterministic_solve,
     diffusion_matrix,
     drift_matrix,
     euler_maruyama_solve,
     event_rates,
-    event_vectors,
     expm,
     load_scenario,
     psd_sqrt,
@@ -75,7 +75,7 @@ def _ensemble(scenario, method, samples, seed, record=None):
     scn = load_scenario(scenario)
     p = scn.build_parameters()
     x0 = scn.build_initial(p)
-    grid = scn.grid(method if method != "mc" else "mc")
+    grid = scn.grid(method)
     cfg = EnsembleConfig(
         method=method,
         master_seed=seed,
@@ -222,13 +222,13 @@ def test_criterion_6_property_suite():
         p = random_params(rng)
         x = random_state(rng, p.m)
         rates = event_rates(p, x, 0.0)
-        deltas = np.array([ev.delta for ev in event_vectors(p)])
+        deltas = delta_table(p)
         mean_change = rates @ deltas
-        expected = drift_matrix(p, 0.0).matrix @ x
+        expected = drift_matrix(p, 0.0) @ x
         expected[0] += p.source(0.0)
         scale = np.abs(expected).max() + 1e-30
         worst_mean = max(worst_mean, np.abs(mean_change - expected).max() / scale)
-        B = diffusion_matrix(p, x, 0.0).matrix
+        B = diffusion_matrix(p, x, 0.0)
         second = np.einsum("k,ki,kj->ij", rates, deltas, deltas)
         worst_cov = max(worst_cov, np.abs(second - B).max() / (np.abs(B).max() + 1e-30))
     crit.check("mean-change identity <= 1e-10", worst_mean <= 1e-10, f"worst {worst_mean:.2e}")
@@ -239,7 +239,7 @@ def test_criterion_6_property_suite():
     x1 = np.array([400.0, 300.0])
     dt = 1e-4
     inc = sample_increments(p1, x1, 0.0, dt, 1_000_000, np.random.default_rng(66))
-    A1 = np.array(drift_matrix(p1, 0.0).matrix)
+    A1 = np.array(drift_matrix(p1, 0.0))
     target = (A1 @ x1 + np.array([200.0, 0.0])) * dt
     se = inc.std(axis=0, ddof=1) / 1000.0
     crit.check(
@@ -247,7 +247,7 @@ def test_criterion_6_property_suite():
         bool(np.all(np.abs(inc.mean(axis=0) - target) <= 4 * se)),
         f"devs {np.abs(inc.mean(axis=0) - target) / se}",
     )
-    B1 = np.array(diffusion_matrix(p1, x1, 0.0).matrix)
+    B1 = np.array(diffusion_matrix(p1, x1, 0.0))
     prods = np.einsum("ni,nj->nij", inc, inc)
     se_c = prods.std(axis=0, ddof=1) / 1000.0
     crit.check(
@@ -269,7 +269,7 @@ def test_criterion_6_property_suite():
     crit.check("EM zero-noise reduces to explicit Euler", ok, "")
     scn3 = load_scenario("table3")
     p3 = scn3.build_parameters()
-    x3 = scn3.build_initial(p3).vector
+    x3 = scn3.build_initial(p3)
     g3 = scn3.grid("pca")
     pca_z = stochastic_pca_solve(p3, x3, g3, NoiseSource(0), zero_noise=True)
     det3 = deterministic_solve(p3, x3, g3)
@@ -292,7 +292,7 @@ def test_criterion_6_property_suite():
     crit.check("matrix exponential oracles", ok, "")
 
     # psd sqrt reconstruction on the table-1 diffusion matrix
-    Bm = np.array(diffusion_matrix(p1, x1, 0.0).matrix)
+    Bm = np.array(diffusion_matrix(p1, x1, 0.0))
     S = psd_sqrt(Bm).matrix
     crit.check(
         "psd_sqrt reconstruction",
@@ -304,7 +304,7 @@ def test_criterion_6_property_suite():
     ok = True
     for _ in range(20):
         pr = random_params(rng)
-        Ar = drift_matrix(pr, 0.0).matrix
+        Ar = drift_matrix(pr, 0.0)
         sums = Ar.sum(axis=0)
         ok &= abs(sums[0] - pr.reactivity(0.0) / pr.gen_time) <= 1e-12 * max(
             1.0, abs(sums[0])

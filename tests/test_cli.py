@@ -151,6 +151,24 @@ def test_solve_rejects_record_times_off_the_grid(tmp_path, capsys):
     assert not (out / "table1_em_trajectory.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["ensemble", "--scenario", "table3", "--method", "pca", "--samples", "0"],
+        ["solve", "--scenario", "table1", "--method", "em", "--dt", "0"],
+        ["ensemble", "--scenario", "table1", "--method", "mc", "--dt", "0"],
+        ["reproduce", "--table", "1", "--samples", "5", "--mc-samples", "0"],
+    ],
+    ids=["samples", "dt", "mc-dt", "mc-samples"],
+)
+def test_zero_is_a_value_not_a_default(args, tmp_path, capsys):
+    # 0 reaches the validators instead of falling back to the preset's value
+    code, _ = run_cli(args, tmp_path, "a")
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ParameterError"
+
+
 def test_out_dir_env_var(tmp_path, monkeypatch):
     target = tmp_path / "envout"
     monkeypatch.setenv("STOKIN_OUT_DIR", str(target))

@@ -297,7 +297,7 @@ def test_one_step_mean_matches_drift(yield_model):
     x = np.array([400.0, 300.0])
     dt = 1e-4
     inc = sample_increments(p, x, 0.0, dt, 1_000_000, np.random.default_rng(99), yield_model)
-    A = np.array(drift_matrix(p, 0.0).matrix)
+    A = np.array(drift_matrix(p, 0.0))
     expected = (A @ x + np.array([200.0, 0.0])) * dt
     se = inc.std(axis=0, ddof=1) / math.sqrt(inc.shape[0])
     assert np.all(np.abs(inc.mean(axis=0) - expected) <= 4.0 * se)
@@ -308,7 +308,7 @@ def test_one_step_second_moment_matches_diffusion():
     x = np.array([400.0, 300.0])
     dt = 1e-4
     inc = sample_increments(p, x, 0.0, dt, 1_000_000, np.random.default_rng(7), "fractional")
-    B = np.array(diffusion_matrix(p, x, 0.0).matrix)
+    B = np.array(diffusion_matrix(p, x, 0.0))
     prods = np.einsum("ni,nj->nij", inc, inc)
     mean_prod = prods.mean(axis=0)
     se = prods.std(axis=0, ddof=1) / math.sqrt(inc.shape[0])
@@ -317,10 +317,10 @@ def test_one_step_second_moment_matches_diffusion():
 
 def test_one_step_six_group_mean(rng):
     p = six_group_params(rho=0.007)
-    x = equilibrium_state(p, n0=100.0).vector
+    x = equilibrium_state(p, n0=100.0)
     dt = 1e-8
     inc = sample_increments(p, x, 0.0, dt, 1_000_000, rng, "fractional")
-    A = np.array(drift_matrix(p, 0.0).matrix)
+    A = np.array(drift_matrix(p, 0.0))
     expected = (A @ x) * dt
     se = inc.std(axis=0, ddof=1) / math.sqrt(inc.shape[0])
     assert np.all(np.abs(inc.mean(axis=0) - expected) <= 4.0 * se + 1e-30)

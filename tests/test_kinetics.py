@@ -10,14 +10,12 @@ from stokin import (
     PiecewiseConstantReactivity,
     ReactivityDomainError,
     SingularMatrixError,
-    State,
     delta_table,
     diffusion_matrices,
     diffusion_matrix,
     drift_matrix,
     equilibrium_state,
     event_rates,
-    event_vectors,
 )
 from stokin.kinetics import as_state_vector
 
@@ -103,15 +101,19 @@ def test_beta_total_is_exact_sum():
     assert abs(p.beta_total - sum(SIX_GROUP_BETA)) <= 1e-12 * p.beta_total
 
 
-def test_state_immutable_and_sized():
-    s = State(400.0, [300.0])
-    assert s.n == 400.0
-    assert len(s) == 2
-    with pytest.raises((ValueError, AttributeError)):
-        s.vector[0] = 1.0
-    with pytest.raises(AttributeError):
-        s.n = 1.0
-    assert State.from_vector([1.0, 2.0, 3.0]).precursors.tolist() == [2.0, 3.0]
+def test_returned_arrays_read_only_and_sized():
+    p = one_group_params(beta1=0.05)
+    arrays = {
+        "equilibrium_state": (equilibrium_state(p), (2,)),
+        "equilibrium_state n0": (equilibrium_state(p, n0=100.0), (2,)),
+        "drift_matrix": (drift_matrix(p, 0.0), (2, 2)),
+        "diffusion_matrix": (diffusion_matrix(p, [400.0, 300.0], 0.0), (2, 2)),
+        "delta_table": (delta_table(p), (4, 2)),
+    }
+    for name, (arr, shape) in arrays.items():
+        assert isinstance(arr, np.ndarray) and arr.shape == shape, name
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_state_dimension_check():
@@ -129,19 +131,17 @@ def test_drift_matrix_one_group_hand_value():
     p = one_group_params(beta1=0.05)
     A = drift_matrix(p, 0.0)
     expected = np.array([[-0.575, 0.1], [0.075, -0.1]])
-    assert np.abs(A.matrix - expected).max() <= 1e-15
-    assert A.rho == pytest.approx(-1.0 / 3.0, abs=0)
-    assert A.t == 0.0
+    assert np.abs(A - expected).max() <= 1e-15
 
 
 def test_drift_matrix_vanishing_prompt_term_at_rho_equal_beta():
     p = one_group_params(beta1=0.05, rho=0.05)
-    assert drift_matrix(p, 0.0).matrix[0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert drift_matrix(p, 0.0)[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_drift_matrix_six_group_entries():
     p = six_group_params(rho=0.003)
-    A = drift_matrix(p, 0.0).matrix
+    A = drift_matrix(p, 0.0)
     assert A[0, 0] == pytest.approx((0.003 - 0.007) / 0.00002, rel=1e-12)  # -200
     assert A[1, 0] == pytest.approx(0.000266 / 0.00002, rel=1e-12)  # 13.3
     assert A[0, 1] == pytest.approx(0.0127, rel=1e-12)
@@ -152,7 +152,7 @@ def test_drift_matrix_six_group_entries():
 def test_drift_matrix_column_sums(rng):
     for _ in range(50):
         p = random_params(rng)
-        A = drift_matrix(p, 0.0).matrix
+        A = drift_matrix(p, 0.0)
         sums = A.sum(axis=0)
         rho_l = p.reactivity(0.0) / p.gen_time
         assert sums[0] == pytest.approx(rho_l, rel=1e-12, abs=1e-12)
@@ -180,17 +180,16 @@ def test_diffusion_matrix_table1_hand_values():
     # gamma = (-1 + 1/3 + 0.1 + 0.95^2*2.5)/(2/3); lambda1*c1 = 30
     p = one_group_params(beta1=0.05)
     B = diffusion_matrix(p, [400.0, 300.0], 0.0)
-    assert B.gamma == pytest.approx(2.534375, rel=1e-12)
-    assert B.zeta == pytest.approx(1243.75, rel=1e-12)
-    assert B.matrix[0, 1] == pytest.approx(11.25, rel=1e-12)  # a_1
-    assert B.matrix[1, 1] == pytest.approx(33.75, rel=1e-12)  # r_1
-    assert B.matrix[1, 0] == B.matrix[0, 1]
+    assert B[0, 0] == pytest.approx(1243.75, rel=1e-12)  # zeta = gamma*400 + 30 + 200
+    assert B[0, 1] == pytest.approx(11.25, rel=1e-12)  # a_1
+    assert B[1, 1] == pytest.approx(33.75, rel=1e-12)  # r_1
+    assert B[1, 0] == B[0, 1]
 
 
 def test_diffusion_matrix_zero_state_zero_source():
     p = one_group_params(q=0.0)
     B = diffusion_matrix(p, [0.0, 0.0], 0.0)
-    assert np.all(B.matrix == 0.0)
+    assert np.all(B == 0.0)
 
 
 def test_diffusion_matrix_two_group_cross_term_symmetric():
@@ -203,7 +202,7 @@ def test_diffusion_matrix_two_group_cross_term_symmetric():
         source=ConstantSource(5.0),
     )
     n = 123.0
-    B = diffusion_matrix(p, [n, 7.0, 9.0], 0.0).matrix
+    B = diffusion_matrix(p, [n, 7.0, 9.0], 0.0)
     expected = 0.003 * 0.004 * 2.5 * n / 0.01
     assert B[1, 2] == pytest.approx(expected, rel=1e-12)
     assert B[2, 1] == B[1, 2]
@@ -214,7 +213,7 @@ def test_diffusion_matrix_exactly_symmetric(rng):
         p = random_params(rng)
         x = random_state(rng, p.m)
         x[0] -= 500.0  # negative neutron densities are allowed here
-        B = diffusion_matrix(p, x, 0.0).matrix
+        B = diffusion_matrix(p, x, 0.0)
         assert np.array_equal(B, B.T)
 
 
@@ -230,34 +229,32 @@ def test_diffusion_matrix_dimension_mismatch():
 
 def test_event_vectors_one_group_fission_delta():
     p = one_group_params(beta1=0.05)
-    evs = event_vectors(p)
-    fission = evs[1]
-    assert fission.kind == "fission"
+    fission = delta_table(p)[1]
     # (-1 + 0.95*2.5, 0.05*2.5)
-    assert fission.delta[0] == pytest.approx(1.375, rel=1e-12)
-    assert fission.delta[1] == pytest.approx(0.125, rel=1e-12)
+    assert fission[0] == pytest.approx(1.375, rel=1e-12)
+    assert fission[1] == pytest.approx(0.125, rel=1e-12)
 
 
 def test_event_vectors_capture_delta(rng):
     for _ in range(5):
         p = random_params(rng)
-        cap = event_vectors(p)[0]
-        assert cap.kind == "capture"
-        assert cap.delta[0] == -1.0
-        assert np.all(cap.delta[1:] == 0.0)
+        cap = delta_table(p)[0]
+        assert cap[0] == -1.0
+        assert np.all(cap[1:] == 0.0)
 
 
 def test_event_vectors_count_and_kinds():
+    # rows: capture, fission, one transformation per group, source
     p = six_group_params(rho=0.003)
-    evs = event_vectors(p)
-    assert len(evs) == 9  # capture, fission, 6 transformations, source
+    D = delta_table(p)
+    assert D.shape == (9, 7)
     for i in range(6):
-        tr = evs[2 + i]
-        assert tr.kind == "transformation" and tr.group == i
-        assert tr.delta[0] == 1.0 and tr.delta[1 + i] == -1.0
-        assert np.count_nonzero(tr.delta) == 2
-    assert evs[-1].kind == "source"
-    assert evs[-1].delta[0] == 1.0
+        tr = D[2 + i]
+        assert tr[0] == 1.0 and tr[1 + i] == -1.0
+        assert np.count_nonzero(tr) == 2
+    assert D[-1, 0] == 1.0
+    assert np.count_nonzero(D[-1]) == 1
+    assert not np.any(np.signbit(D) & (D == 0.0))  # no -0.0 entries
 
 
 def test_event_rates_table1_hand_values():
@@ -324,9 +321,8 @@ def test_mean_change_matches_drift_plus_source(rng):
         p = random_params(rng)
         x = random_state(rng, p.m)
         rates = event_rates(p, x, 0.0)
-        deltas = np.array([ev.delta for ev in event_vectors(p)])
-        mean_change = rates @ deltas
-        expected = drift_matrix(p, 0.0).matrix @ x
+        mean_change = rates @ delta_table(p)
+        expected = drift_matrix(p, 0.0) @ x
         expected[0] += p.source(0.0)
         scale = np.abs(expected).max() + 1e-30
         assert np.abs(mean_change - expected).max() <= 1e-10 * scale
@@ -337,9 +333,9 @@ def test_covariance_matches_diffusion(rng):
         p = random_params(rng)
         x = random_state(rng, p.m)
         rates = event_rates(p, x, 0.0)
-        deltas = np.array([ev.delta for ev in event_vectors(p)])
+        deltas = delta_table(p)
         second_moment = np.einsum("k,ki,kj->ij", rates, deltas, deltas)
-        B = diffusion_matrix(p, x, 0.0).matrix
+        B = diffusion_matrix(p, x, 0.0)
         scale = np.abs(B).max() + 1e-30
         assert np.abs(second_moment - B).max() <= 1e-10 * scale
 
@@ -366,7 +362,7 @@ def test_event_factor_reproduces_diffusion(rng):
 def test_sourced_equilibrium_table1():
     p = one_group_params(beta1=0.05)
     eq = equilibrium_state(p)
-    assert eq.vector == pytest.approx([400.0, 300.0], rel=1e-12)
+    assert eq == pytest.approx([400.0, 300.0], rel=1e-12)
 
 
 def test_sourced_equilibrium_residual(rng):
@@ -375,8 +371,7 @@ def test_sourced_equilibrium_residual(rng):
         if abs(p.reactivity(0.0)) < 1e-3:
             continue
         eq = equilibrium_state(p)
-        A = drift_matrix(p, 0.0).matrix
-        res = A @ eq.vector
+        res = drift_matrix(p, 0.0) @ eq
         res[0] += p.source(0.0)
         assert np.linalg.norm(res) <= 1e-9 * max(p.source(0.0), 1e-30)
 
@@ -386,8 +381,8 @@ def test_source_free_equilibrium_six_groups():
     eq = equilibrium_state(p, n0=100.0)
     lam = np.array(SIX_GROUP_LAMBDA)
     beta = np.array(SIX_GROUP_BETA)
-    assert eq.n == 100.0
-    assert eq.precursors == pytest.approx(100.0 * beta / (lam * 2e-5), rel=1e-14)
+    assert eq[0] == 100.0
+    assert eq[1:] == pytest.approx(100.0 * beta / (lam * 2e-5), rel=1e-14)
 
 
 def test_source_free_equilibrium_ramp_scenario():
@@ -401,7 +396,7 @@ def test_source_free_equilibrium_ramp_scenario():
         source=ConstantSource(0.0),
     )
     eq = equilibrium_state(p, n0=100.0)
-    assert eq.precursors[0] == pytest.approx(5e5, rel=1e-14)
+    assert eq[1] == pytest.approx(5e5, rel=1e-14)
 
 
 def test_sourced_equilibrium_singular_at_critical():

@@ -29,9 +29,11 @@ def test_table1_preset_values_and_discrepancy_note():
     assert p.source(0.0) == 200.0
     assert "0.005" in scn.notes  # documents the source value it corrects
     x0 = scn.build_initial(p)
-    assert x0.vector.tolist() == [400.0, 300.0]
+    assert x0.tolist() == [400.0, 300.0]
+    with pytest.raises(ValueError):
+        x0[0] = 1.0  # read-only, as the equilibrium starts are
     # the preset start is the sourced equilibrium
-    assert equilibrium_state(p).vector == pytest.approx(x0.vector, rel=1e-12)
+    assert equilibrium_state(p) == pytest.approx(x0, rel=1e-12)
 
 
 def test_table2_preset_values():
@@ -45,7 +47,7 @@ def test_table2_preset_values():
     assert p.reactivity(0.0) == 0.003
     assert scn.horizon == 0.1
     x0 = scn.build_initial(p)
-    assert x0.n == 100.0
+    assert x0[0] == 100.0
 
 
 def test_table3_preset_values():
@@ -63,7 +65,7 @@ def test_linear_rho_preset():
     assert scn.horizon == 0.1
     assert p.gen_time == 1e-5
     x0 = scn.build_initial(p)
-    assert x0.vector == pytest.approx([100.0, 5e5], rel=1e-14)
+    assert x0 == pytest.approx([100.0, 5e5], rel=1e-14)
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -115,6 +117,18 @@ def test_ensemble_sample_counts_required(dropped, named, tmp_path):
     path = tmp_path / "nosamples.json"
     path.write_text(json.dumps(data))
     with pytest.raises(ScenarioError, match=f"ensemble.{named} missing"):
+        load_scenario(str(path))
+
+
+@pytest.mark.parametrize("em_dt", [0.04, 0.003])
+def test_solver_step_must_hit_every_record_time(em_dt, tmp_path):
+    # 0.04 divides the horizon 2 but misses the record time 0.1; 0.003 does
+    # not divide the horizon at all
+    data = load_scenario("table1").to_dict()
+    data["solver"] = dict(data["solver"], em_dt=em_dt)
+    path = tmp_path / "offgrid.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError, match="solver.em_dt"):
         load_scenario(str(path))
 
 

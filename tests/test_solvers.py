@@ -32,7 +32,7 @@ TABLE3_CSUM = 4.463604e5
 
 
 def ivp_solve(p, x0, t_end):
-    A = np.array(drift_matrix(p, 0.0).matrix)
+    A = np.array(drift_matrix(p, 0.0))
     q = p.source(0.0)
 
     def rhs(t, y):
@@ -111,7 +111,7 @@ def test_trajectory_length_mismatch():
 
 def test_deterministic_constant_at_sourced_equilibrium():
     p = one_group_params(beta1=0.05)
-    x0 = equilibrium_state(p).vector
+    x0 = equilibrium_state(p)
     traj = deterministic_solve(p, x0, TimeGrid(0.0, 2.0, 0.1))
     assert np.abs(traj.states - x0).max() <= 1e-8 * np.abs(x0).max()
 
@@ -129,7 +129,7 @@ def test_deterministic_table1_paper_beta_against_ivp():
 
 def test_deterministic_table2_stiff_endpoint():
     p = six_group_params(rho=0.003)
-    x0 = equilibrium_state(p, n0=100.0).vector
+    x0 = equilibrium_state(p, n0=100.0)
     traj = deterministic_solve(p, x0, TimeGrid(0.0, 0.1, 0.005))
     assert traj.final_state[0] == pytest.approx(TABLE2_N, rel=1e-6)
     assert traj.final_state[1:].sum() == pytest.approx(TABLE2_CSUM, rel=1e-6)
@@ -139,7 +139,7 @@ def test_deterministic_table2_stiff_endpoint():
 
 def test_deterministic_table3_stiff_endpoint():
     p = six_group_params(rho=0.007)
-    x0 = equilibrium_state(p, n0=100.0).vector
+    x0 = equilibrium_state(p, n0=100.0)
     traj = deterministic_solve(p, x0, TimeGrid(0.0, 0.001, 5e-5))
     assert traj.final_state[0] == pytest.approx(TABLE3_N, rel=1e-6)
     assert traj.final_state[1:].sum() == pytest.approx(TABLE3_CSUM, rel=1e-6)
@@ -163,12 +163,12 @@ def test_deterministic_linear_ramp_matches_ivp():
         reactivity=LinearReactivity(0.25),
         source=ConstantSource(0.0),
     )
-    x0 = equilibrium_state(p, n0=100.0).vector
+    x0 = equilibrium_state(p, n0=100.0)
     t_end = 0.04  # before the explosive phase so relative comparison is clean
     traj = deterministic_solve(p, x0, TimeGrid(0.0, t_end, 2e-5))
 
     def rhs(t, y):
-        A = np.array(drift_matrix(p, t).matrix)
+        A = np.array(drift_matrix(p, t))
         return A @ y
 
     ref = solve_ivp(rhs, (0.0, t_end), x0, method="Radau", rtol=1e-10, atol=1e-8).y[:, -1]
@@ -193,7 +193,7 @@ def test_em_zero_noise_is_explicit_euler():
     x0 = np.array([400.0, 300.0])
     grid = TimeGrid(0.0, 1.0, 0.01)
     traj = euler_maruyama_solve(p, x0, grid, NoiseSource(0), zero_noise=True)
-    A = np.array(drift_matrix(p, 0.0).matrix)
+    A = np.array(drift_matrix(p, 0.0))
     x = x0.copy()
     for k in range(grid.n_steps):
         step = A @ x
@@ -204,7 +204,7 @@ def test_em_zero_noise_is_explicit_euler():
 
 def test_pca_zero_noise_matches_deterministic_sourcefree():
     p = six_group_params(rho=0.007)  # constant rho, q=0
-    x0 = equilibrium_state(p, n0=100.0).vector
+    x0 = equilibrium_state(p, n0=100.0)
     grid = TimeGrid(0.0, 0.001, 1e-5)
     pca = stochastic_pca_solve(p, x0, grid, NoiseSource(0), zero_noise=True)
     det = deterministic_solve(p, x0, grid)
@@ -314,7 +314,7 @@ def test_pca_records_exact_midpoint_reactivity():
         reactivity=LinearReactivity(0.25),
         source=ConstantSource(0.0),
     )
-    x0 = equilibrium_state(p, n0=100.0).vector
+    x0 = equilibrium_state(p, n0=100.0)
     grid = TimeGrid(0.0, 0.01, 1e-3)
     traj = stochastic_pca_solve(p, x0, grid, NoiseSource(5), psd_policy="clamp")
     nodes = grid.nodes
@@ -325,7 +325,7 @@ def test_pca_records_exact_midpoint_reactivity():
 def test_em_negative_step_diagnostic_counts():
     # about 1% of table-3 paths undershoot zero; scan a batch for one
     p = six_group_params(rho=0.007)
-    x0 = equilibrium_state(p, n0=100.0).vector
+    x0 = equilibrium_state(p, n0=100.0)
     grid = TimeGrid(0.0, 0.001, 1e-5)
     gens = [np.random.default_rng(path_seed(8, i)) for i in range(400)]
     res = run_sde_paths(p, x0, grid, "euler-maruyama", gens, psd_policy="clamp")
@@ -340,7 +340,7 @@ def test_zero_noise_reductions_every_preset(preset):
 
     scn = load_scenario(preset)
     p = scn.build_parameters()
-    x0 = scn.build_initial(p).vector
+    x0 = scn.build_initial(p)
     policy = scn.solver.get("psd_policy", "strict")
 
     # EM with the diffusion forced to zero is explicit Euler, step for step
@@ -350,7 +350,7 @@ def test_zero_noise_reductions_every_preset(preset):
     x = x0.copy()
     q = p.source(0.0)
     for k in range(grid.n_steps):
-        A = np.array(drift_matrix(p, grid.nodes[k]).matrix)
+        A = np.array(drift_matrix(p, grid.nodes[k]))
         step = A @ x
         step[0] += q
         x = x + grid.dt * step
@@ -364,7 +364,7 @@ def test_zero_noise_reductions_every_preset(preset):
     x = x0.copy()
     for k in range(grid.n_steps):
         tm = grid.midpoint(k)
-        E = expm(np.array(drift_matrix(p, tm).matrix) * grid.dt)
+        E = expm(drift_matrix(p, tm) * grid.dt)
         f = np.zeros(p.dim)
         f[0] = p.source(tm) * grid.dt
         x = E @ (x + f)
@@ -388,7 +388,7 @@ def test_one_step_weak_consistency(preset, method):
 
     scn = load_scenario(preset)
     p = scn.build_parameters()
-    x0 = scn.build_initial(p).vector
+    x0 = scn.build_initial(p)
     dt = scn.solver["em_dt" if method == "euler-maruyama" else "pca_dt"]
     grid = TimeGrid(0.0, dt, dt)
     n_samples = 100_000
@@ -397,15 +397,15 @@ def test_one_step_weak_consistency(preset, method):
     assert not res.failed.any()
     increments = res.states[:, -1, :] - x0
 
-    B = np.array(diffusion_matrix(p, x0, 0.0).matrix) * dt
+    B = diffusion_matrix(p, x0, 0.0) * dt
     if method == "euler-maruyama":
-        drift = np.array(drift_matrix(p, 0.0).matrix) @ x0
+        drift = drift_matrix(p, 0.0) @ x0
         drift[0] += p.source(0.0)
         expected_mean = drift * dt
         expected_cov = B
     else:
         tm = grid.midpoint(0)
-        E = expm(np.array(drift_matrix(p, tm).matrix) * dt)
+        E = expm(drift_matrix(p, tm) * dt)
         f = np.zeros(p.dim)
         f[0] = p.source(tm) * dt
         expected_mean = E @ (x0 + f) - x0
