@@ -180,6 +180,8 @@ class ScenarioConfig:
         self.build_initial(p)
         if not self.horizon > 0:
             raise ScenarioError(f"scenario {self.name!r}: horizon must be positive")
+        if not self.record_dt > 0:
+            raise ScenarioError(f"scenario {self.name!r}: record_dt must be positive")
         ratio = self.horizon / self.record_dt
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ScenarioError(

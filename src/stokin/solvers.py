@@ -42,6 +42,12 @@ fails the path under ``psd_policy="strict"`` and is clipped and counted in
 ``clipped_hard`` under ``psd_policy="clamp"``.  Scenarios with small
 populations relative to their fluctuations (the stiff six-group cases) need
 the clamp policy; see the scenario presets.
+
+The batch engine :func:`run_sde_paths` holds N paths as a (d, N) array, so
+each per-step numpy operation loops over the paths.  Its matrix-vector
+products are column sums in a fixed order, not BLAS, so a path's result does
+not depend on its batch; its noise buffer holds at most ``_BLOCK_BUDGET``
+floats (or one step).
 """
 
 from __future__ import annotations
@@ -78,8 +84,8 @@ METHOD_DETERMINISTIC = "deterministic"
 METHOD_EULER_MARUYAMA = "euler-maruyama"
 METHOD_STOCHASTIC_PCA = "stochastic-pca"
 
-# noise pregeneration block target (floats per chunk block)
-_BLOCK_BUDGET = 4_000_000
+# size bound of the pregenerated noise block, in floats (4 MiB)
+_BLOCK_BUDGET = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -275,13 +281,13 @@ class SdePathsResult:
     rho_steps: np.ndarray = None
 
 
-def _row_matvec(E: np.ndarray, X: np.ndarray) -> np.ndarray:
-    # (d,k) applied to each row of (N,k) as a column-by-column sum in a fixed
-    # order, so results per row do not depend on the batch size (keeps
+def _col_matvec(E: np.ndarray, W: np.ndarray) -> np.ndarray:
+    # (d,k) applied to each column of (k,N) as a column-by-column sum in a
+    # fixed order, so results per path do not depend on the batch size (keeps
     # single-path and ensemble runs bit-equal, which BLAS and einsum do not)
-    out = X[:, 0, None] * E[:, 0]
+    out = E[:, 0, None] * W[0]
     for j in range(1, E.shape[1]):
-        out += X[:, j, None] * E[:, j]
+        out += E[:, j, None] * W[j]
     return out
 
 
@@ -290,19 +296,20 @@ def _clipped_event_rates(rates: np.ndarray):
 
     Returns the rates with negatives clipped to zero, the per-path count of
     rates clipped from the roundoff band [-CLIP_TOL * max_k |r_k|, 0), and a
-    per-path flag for a rate below that band.
+    per-path flag for a rate below that band.  With no negative rate the
+    rates come back as given and both per-path results are None.
     """
+    neg = rates < 0
+    if not neg.any():
+        return rates, None, None
+    cols = np.flatnonzero(neg.any(axis=0))
+    r = rates[:, cols]
+    band = -CLIP_TOL * np.abs(r).max(axis=0)
     small = np.zeros(rates.shape[1], dtype=np.int64)
     hard = np.zeros(rates.shape[1], dtype=bool)
-    neg = rates < 0
-    if neg.any():
-        cols = np.flatnonzero(neg.any(axis=0))
-        r = rates[:, cols]
-        band = -CLIP_TOL * np.abs(r).max(axis=0)
-        hard[cols] = np.any(r < band, axis=0)
-        small[cols] = np.count_nonzero(neg[:, cols] & (r >= band), axis=0)
-        rates = np.maximum(rates, 0.0)
-    return rates, small, hard
+    hard[cols] = np.any(r < band, axis=0)
+    small[cols] = np.count_nonzero(neg[:, cols] & (r >= band), axis=0)
+    return np.maximum(rates, 0.0), small, hard
 
 
 def run_sde_paths(
@@ -326,6 +333,12 @@ def run_sde_paths(
 
     States are recorded at ``record_times``, which must be grid nodes
     (:meth:`TimeGrid.node_indices`); the default records every node.
+
+    The working state is (d, N), paths on the inner axis; products with the
+    event table and the PCA propagator are fixed-order column sums
+    (:func:`_col_matvec`).  Normals fill an (N, block, m+3) buffer of at most
+    ``_BLOCK_BUDGET`` floats (or one step), each path's stream in order, so
+    the block length never changes a draw.
 
     Each step is built from the event table (see the module docstring).
     Under the strict policy, a path with an event
@@ -356,8 +369,9 @@ def run_sde_paths(
     if method == METHOD_STOCHASTIC_PCA:
         propagators = _PcaPropagators(p, grid)
 
-    X = np.tile(x0, (n_paths, 1))
-    alive = np.ones(n_paths, dtype=bool)
+    X = np.tile(x0[:, None], (1, n_paths))  # (d, N): paths on the inner axis
+    ia = np.arange(n_paths)  # surviving paths
+    rows = slice(None)  # columns of X stepped: all, or ia once a path has died
     fail_step = np.full(n_paths, -1, dtype=np.int64)
     negative_steps = np.zeros(n_paths, dtype=np.int64)
     clipped_small = np.zeros(n_paths, dtype=np.int64)
@@ -366,10 +380,11 @@ def run_sde_paths(
 
     rec_pos = 0
     if rec_pos < n_rec and record_indices[rec_pos] == 0:
-        out[:, rec_pos] = X
+        out[:, rec_pos] = X.T
         rec_pos += 1
 
     block = max(1, min(n_steps, _BLOCK_BUDGET // max(1, n_paths * n_events)))
+    block = (block - 1) | 1  # odd: a 4 KiB-multiple path stride thrashes the cache
     # filled in place, path by path: each path walks its own stream exactly
     # as one (kk, m+3) draw would, without a stacking copy
     noise = None if zero_noise else np.empty((n_paths, block, n_events))
@@ -381,50 +396,50 @@ def run_sde_paths(
                 g.standard_normal(out=noise[i, :kk])
         for j in range(kk):
             step = k + j
-            t = nodes[step]
-            ia = np.flatnonzero(alive)
             if ia.size:
-                # a slice while every path is alive avoids the gather/scatter
-                rows = slice(None) if ia.size == n_paths else ia
-                Xa = X[rows]
-                rates = event_rates(p, Xa, t)  # (m+3, paths), raw
-                if zero_noise:
-                    hard = np.zeros(ia.size, dtype=bool)
-                else:
+                Xa = X[:, rows]
+                rates = event_rates(p, Xa.T, nodes[step])  # (m+3, paths), raw
+                hard = None
+                if not zero_noise:
                     clipped, small, hard = _clipped_event_rates(rates)
-                    clipped_small[rows] += small
                     eta = noise[rows, j].T
+                    if small is not None:
+                        clipped_small[rows] += small
+                        if psd_policy == "clamp":
+                            clipped_hard[rows] += hard
+                            hard = None  # clipped and counted, not fatal
                 if method == METHOD_EULER_MARUYAMA:
                     weights = rates * dt
                     if not zero_noise:
                         weights += np.sqrt(clipped * dt) * eta
-                    Xn = Xa + _row_matvec(deltas, weights.T)
+                    Xn = Xa + _col_matvec(deltas, weights)
                 else:
-                    inner = Xa + propagators.F_dt[step][None, :]
+                    inner = Xa + propagators.F_dt[step][:, None]
                     if not zero_noise:
-                        inner += _row_matvec(deltas, (np.sqrt(clipped) * eta).T) * sqrt_dt
-                    Xn = _row_matvec(propagators.E[step], inner)
-                if psd_policy == "clamp":
-                    clipped_hard[rows] += hard
-                    hard[:] = False  # clipped and counted, not fatal
-                finite = np.isfinite(Xn)
-                bad = hard if finite.all() else hard | ~finite.all(axis=1)
-                if bad.any():
-                    dead = ia[bad]
-                    alive[dead] = False
-                    fail_step[dead] = step
-                    rows, Xn = ia[~bad], Xn[~bad]
-                X[rows] = Xn
-                negative_steps[rows] += Xn[:, 0] < 0
+                        inner += _col_matvec(deltas, np.sqrt(clipped) * eta) * sqrt_dt
+                    Xn = _col_matvec(propagators.E[step], inner)
+                bad = hard
+                if not np.isfinite(Xn).all():
+                    overflow = ~np.isfinite(Xn).all(axis=0)
+                    bad = overflow if hard is None else hard | overflow
+                if bad is not None and bad.any():
+                    fail_step[ia[bad]] = step
+                    ia, Xn = ia[~bad], Xn[:, ~bad]
+                    rows = ia
+                if isinstance(rows, slice):
+                    X = Xn  # every path alive: X is the new state, no copy
+                else:
+                    X[:, rows] = Xn
+                negative_steps[rows] += Xn[0] < 0
             if rec_pos < n_rec and record_indices[rec_pos] == step + 1:
-                out[:, rec_pos] = X
+                out[:, rec_pos] = X.T
                 rec_pos += 1
         k += kk
 
     return SdePathsResult(
         states=out,
         record_times=nodes[record_indices],
-        failed=~alive,
+        failed=fail_step >= 0,
         fail_step=fail_step,
         negative_steps=negative_steps,
         clipped_small=clipped_small,

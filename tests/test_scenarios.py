@@ -132,6 +132,18 @@ def test_solver_step_must_hit_every_record_time(em_dt, tmp_path):
         load_scenario(str(path))
 
 
+@pytest.mark.parametrize("record_dt", [0.0, -0.1])
+def test_record_dt_must_be_positive(record_dt, tmp_path):
+    # zero used to divide by zero in validation, and a negative step loaded
+    # and gave an empty record grid
+    data = load_scenario("table1").to_dict()
+    data["record_dt"] = record_dt
+    path = tmp_path / "badrecord.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError, match="record_dt"):
+        load_scenario(str(path))
+
+
 def test_parse_error_reports_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "x",\n  "oops\n}')

@@ -334,6 +334,70 @@ def test_em_negative_step_diagnostic_counts():
     assert res.clipped_hard.sum() > 0
 
 
+def test_strict_failures_mid_batch_match_single_paths():
+    from stokin.solvers import _clipped_event_rates
+
+    # a handful of table-3 paths turn an event rate negative below the
+    # roundoff band partway through; the batch drops them from its surviving
+    # set while the rest keep stepping
+    p = six_group_params(rho=0.007)
+    x0 = equilibrium_state(p, n0=100.0)
+    grid = TimeGrid(0.0, 0.001, 1e-5)
+    seeds = [path_seed(8, i) for i in range(400)]
+    for method, solver in (
+        ("euler-maruyama", euler_maruyama_solve),
+        ("stochastic-pca", stochastic_pca_solve),
+    ):
+        gens = [np.random.default_rng(s) for s in seeds]
+        batch = run_sde_paths(p, x0, grid, method, gens, psd_policy="strict")
+        failed = np.flatnonzero(batch.failed)
+        assert 1 < failed.size < 20
+        assert len(set(batch.fail_step[failed].tolist())) > 1
+        assert np.all(batch.fail_step[~batch.failed] == -1)
+        for i, s in enumerate(seeds):
+            if not batch.failed[i]:
+                traj = solver(p, x0, grid, NoiseSource(s), psd_policy="strict")
+                assert np.array_equal(batch.states[i], traj.states)
+                continue
+            with pytest.raises(SolverError) as err:
+                solver(p, x0, grid, NoiseSource(s), psd_policy="strict")
+            step = int(batch.fail_step[i])
+            assert err.value.step_index == step
+            # the step failed on its start state: a rate below the roundoff
+            # band there, none at the step before
+            hard = [
+                _clipped_event_rates(event_rates(p, batch.states[i, k][None, :], grid.nodes[k]))[2]
+                for k in (step - 1, step)
+            ]
+            assert hard[0] is None or not hard[0][0]
+            assert hard[1][0]
+            # rows after the failure hold the last state before it
+            assert (batch.states[i, step + 1:] == batch.states[i, step]).all()
+
+
+def test_noise_block_length_does_not_change_paths(monkeypatch):
+    # each path walks its own stream in order however the draws are split
+    # into blocks; 3-step blocks do not divide the 100 steps
+    from stokin import solvers
+
+    p = six_group_params(rho=0.007)
+    x0 = equilibrium_state(p, n0=100.0)
+    grid = TimeGrid(0.0, 0.001, 1e-5)
+    n_paths = 40
+    budgets = (solvers._BLOCK_BUDGET, 3 * n_paths * (p.m + 3))
+    fields = ("states", "negative_steps", "clipped_small", "clipped_hard")
+    for method in ("euler-maruyama", "stochastic-pca"):
+        runs = []
+        for budget in budgets:
+            monkeypatch.setattr(solvers, "_BLOCK_BUDGET", budget)
+            gens = [np.random.default_rng(path_seed(8, i)) for i in range(n_paths)]
+            runs.append(run_sde_paths(p, x0, grid, method, gens, psd_policy="clamp"))
+        default, small = runs
+        assert default.clipped_hard.sum() > 0
+        for name in fields:
+            assert np.array_equal(getattr(default, name), getattr(small, name)), name
+
+
 @pytest.mark.parametrize("preset", ["table1", "table2", "table3", "linear-rho"])
 def test_zero_noise_reductions_every_preset(preset):
     from stokin import expm, load_scenario
