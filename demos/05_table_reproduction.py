@@ -11,7 +11,9 @@ gives the negative event rates of the noise factor zero weight instead of
 aborting, and reports how often that happened.
 """
 
-from stokin import EnsembleConfig, deterministic_solve, load_scenario, run_ensemble
+from dataclasses import replace
+
+from stokin import deterministic_solve, load_scenario, run_ensemble
 
 SAMPLES = 1000
 
@@ -21,17 +23,8 @@ x0 = scn.build_initial(p)
 
 rows = []
 for k, method in enumerate(("mc", "pca", "em")):
-    cfg = EnsembleConfig(
-        method=method,
-        master_seed=7 + k,
-        min_samples=SAMPLES,
-        max_samples=SAMPLES,
-        record_times=(0.0, scn.horizon),
-        psd_policy=scn.solver["psd_policy"],
-        mc=scn.mc_config(),
-    )
-    grid = scn.grid(method)
-    s = run_ensemble(p, x0, grid, cfg)
+    cfg = replace(scn.ensemble_config(method, 7 + k, SAMPLES), record_times=(0.0, scn.horizon))
+    s = run_ensemble(p, x0, scn.grid(method), cfg)
     rows.append(
         (
             s.method,

@@ -21,15 +21,13 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 
-from .ensemble import METHOD_LABELS, EnsembleConfig, EnsembleSummary, run_ensemble
-from .errors import StokinError
-from .event_mc import McConfig, mc_trajectory
-from .scenarios import ScenarioConfig, load_scenario
+from .ensemble import METHOD_LABELS, EnsembleSummary, run_ensemble
+from .errors import ParameterError, StokinError
+from .event_mc import mc_trajectory
+from .scenarios import load_scenario
 from .solvers import (
     NoiseSource,
-    TimeGrid,
     deterministic_solve,
     euler_maruyama_solve,
     stochastic_pca_solve,
@@ -59,49 +57,6 @@ def _component_header(dim) -> list:
     return ["t", "n"] + [f"c{i + 1}" for i in range(dim - 1)]
 
 
-def _scenario_mc_config(scn: ScenarioConfig, mode=None, yield_model=None, dt=None) -> McConfig:
-    """The scenario's MC settings with any command-line overrides applied."""
-    mc = scn.mc_config()
-    return replace(
-        mc,
-        mode=mode or mc.mode,
-        yield_model=yield_model or mc.yield_model,
-        dt=mc.dt if dt is None else dt,
-    )
-
-
-def _ensemble_config(
-    scn: ScenarioConfig,
-    method: str,
-    seed: int,
-    samples,
-    mc: McConfig,
-    zero_noise=False,
-    keep_paths=0,
-) -> EnsembleConfig:
-    ens = scn.ensemble
-    return EnsembleConfig(
-        method=method,
-        master_seed=seed,
-        min_samples=int(ens["min_samples"]) if samples is None else samples,
-        max_samples=int(ens["max_samples"]) if samples is None else samples,
-        target_rel_halfwidth=float(ens.get("target_rel_halfwidth", 5e-4)),
-        record_times=tuple(scn.record_times()),
-        zero_noise=zero_noise,
-        psd_policy=scn.solver.get("psd_policy", "strict"),
-        mc=mc,
-        keep_sample_paths=keep_paths,
-    )
-
-
-def _grid(scn: ScenarioConfig, method: str, dt) -> TimeGrid:
-    """The method's grid; ``--dt`` sets the solver step, except for mc, where
-    it is the MC step and the grid is the scenario's record grid."""
-    if dt is not None and method != "mc":
-        return TimeGrid(0.0, scn.horizon, dt)
-    return scn.grid(method)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -113,11 +68,13 @@ def _cmd_solve(args) -> int:
     record = scn.record_times()
 
     if args.method == "mc":
-        mc = _scenario_mc_config(scn, args.mode, args.yield_model, args.dt)
+        if args.zero_noise:
+            raise ParameterError("--zero-noise applies to the SDE methods, not to mc")
+        mc = scn.mc_config(args.mode, args.yield_model, args.dt)
         traj = mc_trajectory(p, x0, scn.horizon, mc, NoiseSource(args.seed), record)
         times, states = traj.times, traj.states
     else:
-        grid = _grid(scn, args.method, args.dt)
+        grid = scn.grid(args.method, args.dt)
         idx = grid.node_indices(record)
         if args.method == "det":
             traj = deterministic_solve(p, x0, grid)
@@ -129,7 +86,7 @@ def _cmd_solve(args) -> int:
                 grid,
                 NoiseSource(args.seed),
                 zero_noise=args.zero_noise,
-                psd_policy=scn.solver.get("psd_policy", "strict"),
+                psd_policy=scn.psd_policy,
             )
         times, states = traj.times[idx], traj.states[idx]
 
@@ -175,14 +132,18 @@ def _summary_json(summary: EnsembleSummary, scenario_name: str) -> dict:
     }
 
 
-def _cmd_ensemble(args) -> int:
+def _scenario_ensemble(args, keep_paths=0):
+    """Load the scenario and run the ensemble the flags ask for."""
     scn = load_scenario(args.scenario)
     p = scn.build_parameters()
-    x0 = scn.build_initial(p)
-    grid = _grid(scn, args.method, args.dt)
-    mc = _scenario_mc_config(scn, args.mode, args.yield_model, args.dt)
-    cfg = _ensemble_config(scn, args.method, args.seed, args.samples, mc, args.zero_noise)
-    summary = run_ensemble(p, x0, grid, cfg)
+    grid = scn.grid(args.method, args.dt)
+    mc = scn.mc_config(args.mode, args.yield_model, args.dt)
+    cfg = scn.ensemble_config(args.method, args.seed, args.samples, mc, args.zero_noise, keep_paths)
+    return scn, run_ensemble(p, scn.build_initial(p), grid, cfg)
+
+
+def _cmd_ensemble(args) -> int:
+    scn, summary = _scenario_ensemble(args)
 
     out_dir = _out_dir(args)
     base = f"{scn.name}_{args.method}_summary"
@@ -228,10 +189,8 @@ def _cmd_reproduce(args) -> int:
                 # full-horizon event MC at ~5e6 events/s per path: trim the
                 # default sample count to keep this a desk-scale run
                 samples, mode = 64, "exact"
-        mc = _scenario_mc_config(scn, mode=mode)
-        cfg = _ensemble_config(scn, method, args.seed, samples, mc)
-        grid = scn.grid(method)
-        summary = run_ensemble(p, x0, grid, cfg)
+        cfg = scn.ensemble_config(method, args.seed, samples, scn.mc_config(mode))
+        summary = run_ensemble(p, x0, scn.grid(method), cfg)
         means = []
         stds = []
         for comp, _ in quantities:
@@ -252,13 +211,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    scn = load_scenario(args.scenario)
-    p = scn.build_parameters()
-    x0 = scn.build_initial(p)
-    grid = _grid(scn, args.method, args.dt)
-    mc = _scenario_mc_config(scn, args.mode, args.yield_model, args.dt)
-    cfg = _ensemble_config(scn, args.method, args.seed, args.samples, mc, args.zero_noise, 2)
-    summary = run_ensemble(p, x0, grid, cfg)
+    scn, summary = _scenario_ensemble(args, keep_paths=2)
 
     j = summary.component_index("n")
     samples = summary.sample_paths

@@ -18,6 +18,7 @@ are discarded and counted; more than 1% of attempts failing aborts the run.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,12 +73,19 @@ class EnsembleConfig:
         if self.method not in _METHOD_ALIASES:
             raise ParameterError(f"unknown ensemble method {self.method!r}")
         object.__setattr__(self, "method", _METHOD_ALIASES[self.method])
+        for key in ("min_samples", "max_samples"):
+            n = getattr(self, key)  # JSON's integral floats (2000.0) count as integers
+            if not (isinstance(n, numbers.Integral) or isinstance(n, float) and n.is_integer()):
+                raise ParameterError(f"{key} must be an integer, got {n!r}")
+            object.__setattr__(self, key, int(n))
         if not (1 <= self.min_samples <= self.max_samples):
             raise ParameterError("need 1 <= min_samples <= max_samples")
         if not self.target_rel_halfwidth > 0:
             raise ParameterError("target_rel_halfwidth must be positive")
         if self.batch_size < 1:
             raise ParameterError("batch_size must be positive")
+        if self.zero_noise and self.method == METHOD_EVENT_MC:
+            raise ParameterError("zero_noise applies to the SDE methods, not to the event MC")
 
 
 @dataclass

@@ -6,6 +6,13 @@ settings.  Everything is stored JSON-native so a scenario round-trips
 losslessly through serialization (floats keep their shortest round-trip
 representation).
 
+A scenario also builds each run's configuration: :meth:`ScenarioConfig.grid`
+gives a method's time grid, :meth:`~ScenarioConfig.mc_config` the event-MC
+settings and :meth:`~ScenarioConfig.ensemble_config` a whole ensemble run, so
+the command line, the tests and the demos share one mapping.  Loading a file
+builds these once; any constructor's refusal becomes a ScenarioError naming
+the section at fault.
+
 Presets
 -------
 ``table1``
@@ -28,10 +35,12 @@ Presets
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
+from .ensemble import EnsembleConfig
 from .errors import ParameterError, ScenarioError
 from .event_mc import McConfig
 from .kinetics import (
@@ -46,6 +55,14 @@ from .kinetics import (
 from .solvers import TimeGrid
 
 __all__ = ["ScenarioConfig", "PRESETS", "load_scenario", "save_scenario"]
+
+# JSON type of each scenario field, by its annotation
+_JSON_TYPES = {
+    "str": (str, "a string"),
+    "dict": (dict, "an object"),
+    "float": ((int, float), "a number"),
+}
+_ENSEMBLE_KEYS = ("min_samples", "max_samples", "target_rel_halfwidth")
 
 
 @dataclass(frozen=True)
@@ -72,145 +89,145 @@ class ScenarioConfig:
                 f"scenario {self.name!r}: parameters.alpha is not supported, the "
                 "capture rate is (1 - rho - 1/nu)/l; remove the field or set it to null"
             )
-        try:
-            reactivity = _function_from_dict(par["reactivity"], kind="reactivity")
-            source = _function_from_dict(par["source"], kind="source")
+        with self._section("parameters"):
             return KineticsParameters(
                 decay_constants=tuple(par["decay_constants"]),
                 group_fractions=tuple(par["group_fractions"]),
                 nu=par["nu"],
                 gen_time=par["gen_time"],
-                reactivity=reactivity,
-                source=source,
+                reactivity=_function_from_dict(par["reactivity"], kind="reactivity"),
+                source=_function_from_dict(par["source"], kind="source"),
             )
-        except KeyError as exc:
-            raise ScenarioError(f"scenario {self.name!r}: missing parameter field {exc}")
-        except ParameterError as exc:
-            raise ScenarioError(f"scenario {self.name!r}: {exc}")
 
     def build_initial(self, p: KineticsParameters = None) -> np.ndarray:
         """Initial state as a read-only (m+1,) array."""
         p = p or self.build_parameters()
         init = self.initial
         kind = init.get("kind")
-        if kind == "vector":
-            vec = np.array(init["state"], dtype=float).ravel()
-            if vec.size != p.dim:
-                raise ScenarioError(
-                    f"scenario {self.name!r}: initial state has {vec.size} entries, "
-                    f"expected {p.dim}"
-                )
-            vec.setflags(write=False)
-            return vec
-        if kind == "source-free-equilibrium":
-            return equilibrium_state(p, n0=init["n0"])
-        if kind == "sourced-equilibrium":
-            return equilibrium_state(p, t=0.0)
-        raise ScenarioError(f"scenario {self.name!r}: unknown initial kind {kind!r}")
+        with self._section("initial"):
+            if kind == "vector":
+                vec = np.array(init["state"], dtype=float).ravel()
+                if vec.size != p.dim:
+                    raise ParameterError(f"state has {vec.size} entries, expected {p.dim}")
+                vec.setflags(write=False)
+                return vec
+            if kind == "source-free-equilibrium":
+                return equilibrium_state(p, n0=init["n0"])
+            if kind == "sourced-equilibrium":
+                return equilibrium_state(p, t=0.0)
+            raise ParameterError(f"unknown kind {kind!r}")
 
-    def grid(self, method: str) -> TimeGrid:
-        """Solver grid for one of det|em|pca (mc uses the record grid)."""
+    def grid(self, method: str, dt: float = None) -> TimeGrid:
+        """Time grid of det|em|pca, stepping ``dt`` in place of the solver step
+        when given.  For mc it is the record grid, and ``dt`` is instead the
+        MC step (see :meth:`mc_config`)."""
         if method not in ("det", "em", "pca", "mc"):
             raise ParameterError(f"unknown grid method {method!r}; expected det|em|pca|mc")
-        dt = self.record_dt if method == "mc" else self.solver[f"{method}_dt"]
-        return TimeGrid(0.0, self.horizon, dt)
+        if method == "mc":
+            return TimeGrid(0.0, self.horizon, self.record_dt)
+        return TimeGrid(0.0, self.horizon, self.solver[f"{method}_dt"] if dt is None else dt)
 
     def record_times(self) -> np.ndarray:
-        n = int(round(self.horizon / self.record_dt))
-        return self.record_dt * np.arange(n + 1)
+        return self.grid("mc").nodes
 
-    def mc_config(self) -> McConfig:
-        mc = self.monte_carlo
+    @property
+    def psd_policy(self) -> str:
+        """The SDE solvers' policy for negative event rates (strict|clamp)."""
+        return self.solver.get("psd_policy", "strict")
+
+    def mc_config(self, mode: str = None, yield_model: str = None, dt: float = None) -> McConfig:
+        """The ``monte_carlo`` section as an McConfig, with any given overrides."""
+        overrides = {"mode": mode, "yield_model": yield_model, "dt": dt}
         return McConfig(
-            mode=mc.get("mode", "fixed"),
-            yield_model=mc.get("yield_model", "fractional"),
-            dt=mc.get("dt"),
-            safety=mc.get("safety", 0.1),
+            **{**self.monte_carlo, **{k: v for k, v in overrides.items() if v is not None}}
+        )
+
+    def ensemble_config(
+        self,
+        method: str,
+        seed: int,
+        samples: int = None,
+        mc: McConfig = None,
+        zero_noise: bool = False,
+        keep_paths: int = 0,
+    ) -> EnsembleConfig:
+        """An ensemble run of ``method`` recorded on the record grid.
+
+        ``samples`` fixes the sample count (min = max) in place of the
+        ``ensemble`` section's; ``mc`` defaults to :meth:`mc_config`.
+        """
+        counts = {} if samples is None else {"min_samples": samples, "max_samples": samples}
+        return EnsembleConfig(
+            method=method,
+            master_seed=seed,
+            **{**self.ensemble, **counts},
+            record_times=tuple(self.record_times()),
+            zero_noise=zero_noise,
+            psd_policy=self.psd_policy,
+            mc=self.mc_config() if mc is None else mc,
+            keep_sample_paths=keep_paths,
         )
 
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "description": self.description,
-            "parameters": self.parameters,
-            "initial": self.initial,
-            "horizon": self.horizon,
-            "record_dt": self.record_dt,
-            "solver": self.solver,
-            "monte_carlo": self.monte_carlo,
-            "ensemble": self.ensemble,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        required = {
-            "name",
-            "description",
-            "parameters",
-            "initial",
-            "horizon",
-            "record_dt",
-            "solver",
-            "monte_carlo",
-            "ensemble",
-        }
-        missing = required - set(data)
+        if not isinstance(data, dict):
+            raise ScenarioError("a scenario file must hold a JSON object")
+        spec = {f.name: f for f in fields(cls)}
+        missing = {name for name, f in spec.items() if f.default is MISSING} - set(data)
         if missing:
             raise ScenarioError(f"scenario is missing fields: {sorted(missing)}")
-        cfg = cls(
-            name=data["name"],
-            description=data["description"],
-            parameters=data["parameters"],
-            initial=data["initial"],
-            horizon=float(data["horizon"]),
-            record_dt=float(data["record_dt"]),
-            solver=data["solver"],
-            monte_carlo=data["monte_carlo"],
-            ensemble=data["ensemble"],
-            notes=data.get("notes", ""),
-        )
+        unknown = set(data) - set(spec)
+        if unknown:
+            raise ScenarioError(f"scenario has unknown fields: {sorted(unknown)}")
+        values = {}
+        for name, value in data.items():
+            kind = spec[name].type
+            types, label = _JSON_TYPES[kind]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ScenarioError(f"scenario field {name!r} must be {label}")
+            values[name] = float(value) if kind == "float" else value
+        cfg = cls(**values)
         cfg.validate()
         return cfg
 
     def validate(self):
+        """Build every configuration the scenario feeds, so a bad file fails
+        at load with a ScenarioError naming its section."""
         p = self.build_parameters()  # raises ScenarioError naming the invariant
         self.build_initial(p)
-        if not self.horizon > 0:
-            raise ScenarioError(f"scenario {self.name!r}: horizon must be positive")
-        if not self.record_dt > 0:
-            raise ScenarioError(f"scenario {self.name!r}: record_dt must be positive")
-        ratio = self.horizon / self.record_dt
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            raise ScenarioError(
-                f"scenario {self.name!r}: record_dt must divide the horizon"
-            )
-        for key in ("det_dt", "em_dt", "pca_dt"):
-            if key not in self.solver:
-                raise ScenarioError(f"scenario {self.name!r}: solver.{key} missing")
-            if not self.solver[key] > 0:
-                raise ScenarioError(f"scenario {self.name!r}: solver.{key} must be positive")
-            try:
-                TimeGrid(0.0, self.horizon, self.solver[key]).node_indices(self.record_times())
-            except ParameterError as exc:
-                raise ScenarioError(f"scenario {self.name!r}: solver.{key}: {exc}")
-        if self.solver.get("psd_policy", "strict") not in ("strict", "clamp"):
+        with self._section("horizon and record_dt"):
+            record = self.record_times()
+        for method in ("det", "em", "pca"):
+            with self._section(f"solver.{method}_dt"):
+                self.grid(method).node_indices(record)
+        if self.psd_policy not in ("strict", "clamp"):
             raise ScenarioError(f"scenario {self.name!r}: unknown solver.psd_policy")
-        self.mc_config()
-        ens = self.ensemble
-        for key in ("min_samples", "max_samples"):
-            if key not in ens:
+        with self._section("monte_carlo"):
+            mc = self.mc_config()
+        for key in _ENSEMBLE_KEYS[:2]:
+            if key not in self.ensemble:
                 raise ScenarioError(f"scenario {self.name!r}: ensemble.{key} missing")
-        if not 1 <= int(ens["min_samples"]) <= int(ens["max_samples"]):
-            raise ScenarioError(
-                f"scenario {self.name!r}: ensemble min_samples must not exceed max_samples"
-            )
-        if not float(ens.get("target_rel_halfwidth", 5e-4)) > 0:
-            raise ScenarioError(
-                f"scenario {self.name!r}: ensemble.target_rel_halfwidth must be positive"
-            )
+        unknown = set(self.ensemble) - set(_ENSEMBLE_KEYS)
+        if unknown:
+            raise ScenarioError(f"scenario {self.name!r}: unknown ensemble keys {sorted(unknown)}")
+        with self._section("ensemble"):
+            self.ensemble_config("mc", 0, mc=mc)
+
+    @contextmanager
+    def _section(self, label: str):
+        """Re-raise a builder's refusal as a ScenarioError naming ``label``; a
+        wrong-typed value surfaces as TypeError or ValueError."""
+        try:
+            yield
+        except KeyError as exc:
+            raise ScenarioError(f"scenario {self.name!r}: {label}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"scenario {self.name!r}: {label}: {exc}") from None
 
 
 def _function_from_dict(spec: dict, kind: str):

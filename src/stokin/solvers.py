@@ -183,9 +183,6 @@ class Trajectory:
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
-    def component(self, index: int) -> np.ndarray:
-        return self.states[:, index]
-
 
 def _check_domain(p: KineticsParameters, grid: TimeGrid):
     for t in (grid.t0, grid.t_end, grid.midpoint(0)):

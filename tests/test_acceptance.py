@@ -13,12 +13,12 @@ against a 5% tolerance.  The assertions are kept at their stated values.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stokin import (
-    EnsembleConfig,
     TimeGrid,
     delta_table,
     deterministic_solve,
@@ -75,17 +75,10 @@ def _ensemble(scenario, method, samples, seed, record=None):
     scn = load_scenario(scenario)
     p = scn.build_parameters()
     x0 = scn.build_initial(p)
-    grid = scn.grid(method)
-    cfg = EnsembleConfig(
-        method=method,
-        master_seed=seed,
-        min_samples=samples,
-        max_samples=samples,
-        record_times=record or (0.0, scn.horizon),
-        psd_policy=scn.solver.get("psd_policy", "strict"),
-        mc=scn.mc_config(),
+    cfg = replace(
+        scn.ensemble_config(method, seed, samples), record_times=record or (0.0, scn.horizon)
     )
-    return run_ensemble(p, x0, grid, cfg)
+    return run_ensemble(p, x0, scn.grid(method), cfg)
 
 
 # ---------------------------------------------------------------------------

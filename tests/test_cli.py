@@ -1,8 +1,10 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from stokin import load_scenario, run_ensemble
 from stokin.cli import main
 
 
@@ -175,3 +177,56 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
     code = main(["solve", "--scenario", "table1", "--method", "det"])
     assert code == 0
     assert (target / "table1_det_trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["ensemble", "solve", "plotdata"])
+def test_zero_noise_refused_for_mc(command, tmp_path, capsys):
+    # the event MC has no diffusion term: the flag used to be ignored and a
+    # noisy result was written
+    args = [command, "--scenario", "table1", "--method", "mc", "--seed", "1", "--zero-noise"]
+    if command != "solve":
+        args += ["--samples", "20"]
+    code, out = run_cli(args, tmp_path, "a")
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ParameterError"
+    assert "zero" in payload["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ensemble", "plotdata"])
+@pytest.mark.parametrize(
+    "method, flags",
+    [("em", ["--dt", "0.002"]), ("mc", ["--mode", "exact"])],
+    ids=["em-dt", "mc-exact"],
+)
+def test_cli_runs_the_library_config(command, method, flags, tmp_path):
+    # the command line builds its run from the scenario's own builders and
+    # adds nothing: its output is the library run of the same configs
+    seed, samples = 4, 30
+    code, out = run_cli(
+        [command, "--scenario", "table1", "--method", method, "--seed", str(seed),
+         "--samples", str(samples)] + flags,
+        tmp_path,
+        "a",
+    )
+    assert code == 0
+    scn = load_scenario("table1")
+    p = scn.build_parameters()
+    opts = dict(zip(flags[::2], flags[1::2]))
+    dt = float(opts["--dt"]) if "--dt" in opts else None
+    mc = scn.mc_config(opts.get("--mode"), None, dt)
+    keep = 2 if command == "plotdata" else 0
+    cfg = scn.ensemble_config(method, seed, samples, mc, keep_paths=keep)
+    summary = run_ensemble(p, scn.build_initial(p), scn.grid(method, dt), cfg)
+    if command == "ensemble":
+        data = json.loads((out / f"table1_{method}_summary.json").read_text())
+        assert data["n_samples"] == samples
+        assert data["times"] == summary.times.tolist()
+        assert data["mean"] == summary.mean.tolist()
+        assert data["std"] == summary.std.tolist()
+    else:
+        rows = read_csv(out / f"table1_{method}_plotdata.csv")[1:]
+        expect = [summary.times, summary.mean[:, 0], summary.std[:, 0],
+                  summary.sample_paths[0][:, 0], summary.sample_paths[1][:, 0]]
+        assert [[float(v) for v in r[:5]] for r in rows] == np.array(expect).T.tolist()

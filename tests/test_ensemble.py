@@ -79,6 +79,17 @@ def test_config_validation():
         EnsembleConfig(method="em", target_rel_halfwidth=0.0)
     assert EnsembleConfig(method="em").method == "euler-maruyama"
     assert EnsembleConfig(method="mc").method == "event-mc"
+    # sample counts are integers; JSON's integral floats are taken as such
+    cfg = EnsembleConfig(method="em", min_samples=20.0, max_samples=np.int64(30))
+    assert (cfg.min_samples, cfg.max_samples) == (20, 30)
+    assert type(cfg.min_samples) is int and type(cfg.max_samples) is int
+    for bad in (2.7, "many", None):
+        with pytest.raises(ParameterError, match="min_samples must be an integer"):
+            EnsembleConfig(method="em", min_samples=bad)
+    # the event MC has no diffusion term; the flag used to be ignored and the
+    # run came back noisy
+    with pytest.raises(ParameterError, match="zero_noise"):
+        EnsembleConfig(method="mc", zero_noise=True)
 
 
 def test_zero_noise_ensemble_collapses_to_single_path():

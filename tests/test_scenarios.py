@@ -172,8 +172,74 @@ def test_record_times_and_grids():
     g = scn.grid("em")
     assert g.dt == 1e-5
     assert g.t_end == 0.1
+    assert scn.grid("em", 2e-5).dt == 2e-5
+    # for mc the grid is the record grid; a step override is the MC step
+    assert scn.grid("mc", 2e-5).dt == scn.record_dt
+    assert scn.grid("mc").nodes.tolist() == rec.tolist()
     mc = scn.mc_config()
     assert mc.mode == "fixed" and mc.yield_model == "fractional"
+    assert mc.dt is None and mc.safety == 0.1
+    mc = scn.mc_config("exact", "integer", 1e-6)
+    assert (mc.mode, mc.yield_model, mc.dt, mc.safety) == ("exact", "integer", 1e-6, 0.1)
+
+
+@pytest.mark.parametrize("name", ["table1", "table3"])
+def test_ensemble_config_carries_the_scenario(name, tmp_path):
+    data = load_scenario(name).to_dict()
+    # an integral float (7.0) loads as the integer count
+    data["ensemble"] = {"min_samples": 3, "max_samples": 7.0, "target_rel_halfwidth": 0.25}
+    path = tmp_path / "ens.json"
+    path.write_text(json.dumps(data))
+    scn = load_scenario(str(path))
+    cfg = scn.ensemble_config("pca", 11)
+    assert (cfg.min_samples, cfg.max_samples, cfg.target_rel_halfwidth) == (3, 7, 0.25)
+    assert (cfg.method, cfg.master_seed) == ("stochastic-pca", 11)
+    assert cfg.record_times == tuple(scn.record_times())
+    assert cfg.psd_policy == data["solver"]["psd_policy"]
+    assert cfg.mc == scn.mc_config()
+    assert not cfg.zero_noise and cfg.keep_sample_paths == 0
+    cfg = scn.ensemble_config("em", 11, 5, scn.mc_config("exact"), True, 2)
+    assert (cfg.min_samples, cfg.max_samples) == (5, 5)
+    assert cfg.mc.mode == "exact" and cfg.zero_noise and cfg.keep_sample_paths == 2
+    # without a psd_policy the solvers' strict default applies
+    del data["solver"]["psd_policy"]
+    path.write_text(json.dumps(data))
+    assert load_scenario(str(path)).ensemble_config("em", 0).psd_policy == "strict"
+
+
+def _set(data, dotted, value):
+    *parents, key = dotted.split(".")
+    for part in parents:
+        data = data[part]
+    data[key] = value
+
+
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("horizon", "two", "horizon"),
+        ("ensemble.min_samples", "many", "ensemble"),
+        ("ensemble.min_samples", 2.7, "ensemble"),
+        ("ensemble.batch_size", 8, "ensemble"),
+        ("solver.em_dt", "0.001", "solver.em_dt"),
+        ("monte_carlo.safty", 0.1, "monte_carlo"),
+        ("monte_carlo.safety", "0.1", "monte_carlo"),
+        ("solver", [], "solver"),
+        ("parameters", None, "parameters"),
+        ("parameters.nu", "2.5", "parameters"),
+        ("initial.state", "ab", "initial"),
+        ("horizon_s", 2.0, "horizon_s"),
+    ],
+)
+def test_wrong_typed_or_unknown_values_are_scenario_errors(field, value, named, tmp_path):
+    # each of these used to crash with a bare ValueError or TypeError, or to
+    # load with the value truncated or ignored
+    data = load_scenario("table1").to_dict()
+    _set(data, field, value)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError, match=named):
+        load_scenario(str(path))
 
 
 @pytest.mark.parametrize("method", ["euler-maruyama", "psd_policy"])
