@@ -14,6 +14,7 @@ aborting, and reports how often that happened.
 from dataclasses import replace
 
 from stokin import deterministic_solve, load_scenario, run_ensemble
+from stokin.ensemble import METHOD_LABELS
 
 SAMPLES = 1000
 
@@ -27,7 +28,7 @@ for k, method in enumerate(("mc", "pca", "em")):
     s = run_ensemble(p, x0, scn.grid(method), cfg)
     rows.append(
         (
-            s.method,
+            METHOD_LABELS[s.method],
             s.mean[-1, 0],
             s.std[-1, 0],
             s.mean[-1, -1],
@@ -43,6 +44,6 @@ print(f"{'method':<16} {'E(n)':>9} {'sigma(n)':>9} {'E(sum c)':>12} {'sigma':>8}
 for name, en, sn, ec, sc, clips in rows:
     print(f"{name:<16} {en:9.2f} {sn:9.2f} {ec:12.5e} {sc:8.2f} {clips:6d}")
 print(
-    f"{'deterministic':<16} {det.final_state[0]:9.2f} {'--':>9} "
+    f"{METHOD_LABELS['det']:<16} {det.final_state[0]:9.2f} {'--':>9} "
     f"{det.final_state[1:].sum():12.5e} {'--':>8}"
 )

@@ -117,7 +117,7 @@ def _summary_rows(summary: EnsembleSummary):
 def _summary_json(summary: EnsembleSummary, scenario_name: str) -> dict:
     return {
         "scenario": scenario_name,
-        "method": summary.method,
+        "method": METHOD_LABELS[summary.method],
         "master_seed": summary.master_seed,
         "n_samples": summary.n_samples,
         "converged": summary.converged,
@@ -202,7 +202,7 @@ def _cmd_reproduce(args) -> int:
     det = deterministic_solve(p, x0, scn.grid("det"))
     final = det.final_state
     det_vals = {"n": final[0], "c1": final[1], "c_sum": final[1:].sum()}
-    add_rows("deterministic", [det_vals[comp] for comp, _ in quantities], [None, None])
+    add_rows(METHOD_LABELS["det"], [det_vals[comp] for comp, _ in quantities], [None, None])
 
     out = os.path.join(_out_dir(args), f"table{args.table}_results.csv")
     _write_csv(out, ["quantity", "method", "mean", "std"], rows)
@@ -292,6 +292,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ParameterError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
     except StokinError as exc:
         json.dump(

@@ -1,7 +1,7 @@
 """Ensembles of sample paths with streaming statistics and a stopping rule.
 
-``run_ensemble`` drives many seeded paths of one stochastic method (the
-Euler-Maruyama or PCA SDE solvers, or the event Monte Carlo), accumulating
+``run_ensemble`` drives many seeded paths of one stochastic method (em or
+pca, the SDE solvers, or mc, the event Monte Carlo), accumulating
 per-record-time means and standard deviations in a single numerically stable
 pass (Welford updates, applied strictly in path-index order so the result is
 independent of how path generation was batched).  Alongside the state
@@ -14,6 +14,8 @@ the relative 95% confidence half-width of every tracked component at the
 final record time falls below the target, or at the sample-count cap; the
 summary records which.  Failed paths (strict-policy negative rates, overflow)
 are discarded and counted; more than 1% of attempts failing aborts the run.
+Methods go by their short names det|em|pca|mc; ``METHOD_LABELS`` holds
+the name written outputs print for each.
 """
 
 from __future__ import annotations
@@ -26,24 +28,15 @@ import numpy as np
 from .errors import EnsembleFailureError, ParameterError
 from .event_mc import McConfig, run_mc_paths
 from .kinetics import KineticsParameters, as_state_vector
-from .solvers import METHOD_EULER_MARUYAMA, METHOD_STOCHASTIC_PCA, TimeGrid, run_sde_paths
+from .solvers import TimeGrid, run_sde_paths
 
 __all__ = ["EnsembleConfig", "EnsembleSummary", "run_ensemble", "summarize_component"]
 
-METHOD_EVENT_MC = "event-mc"
-
-_METHOD_ALIASES = {
-    "em": METHOD_EULER_MARUYAMA,
-    "euler-maruyama": METHOD_EULER_MARUYAMA,
-    "pca": METHOD_STOCHASTIC_PCA,
-    "stochastic-pca": METHOD_STOCHASTIC_PCA,
-    "mc": METHOD_EVENT_MC,
-    "event-mc": METHOD_EVENT_MC,
-}
-METHOD_LABELS = {  # result-table label of each method
-    METHOD_EULER_MARUYAMA: METHOD_EULER_MARUYAMA,
-    METHOD_STOCHASTIC_PCA: METHOD_STOCHASTIC_PCA,
-    METHOD_EVENT_MC: "monte-carlo",
+METHOD_LABELS = {
+    "det": "deterministic",
+    "em": "euler-maruyama",
+    "pca": "stochastic-pca",
+    "mc": "monte-carlo",
 }
 
 _CONFIDENCE_FACTOR = 1.96  # 95% two-sided normal
@@ -53,8 +46,9 @@ _CONFIDENCE_FACTOR = 1.96  # 95% two-sided normal
 class EnsembleConfig:
     """Configuration for an ensemble run.
 
-    ``target_rel_halfwidth`` is the relative 95% confidence half-width of the
-    mean demanded at the final record time (default 5e-4, i.e. 0.05%).
+    ``method`` is em, pca or mc.  ``target_rel_halfwidth`` is the relative
+    95% confidence half-width of the mean demanded at the final record time
+    (default 5e-4, i.e. 0.05%).
     """
 
     method: str
@@ -70,9 +64,12 @@ class EnsembleConfig:
     keep_sample_paths: int = 0
 
     def __post_init__(self):
-        if self.method not in _METHOD_ALIASES:
-            raise ParameterError(f"unknown ensemble method {self.method!r}")
-        object.__setattr__(self, "method", _METHOD_ALIASES[self.method])
+        if self.method not in ("em", "pca", "mc"):
+            raise ParameterError(f"unknown ensemble method {self.method!r}; expected em|pca|mc")
+        if not (isinstance(self.master_seed, numbers.Integral) and self.master_seed >= 0):
+            raise ParameterError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
+        if self.record_times is not None and len(self.record_times) == 0:
+            raise ParameterError("record_times must hold at least one time")
         for key in ("min_samples", "max_samples"):
             n = getattr(self, key)  # JSON's integral floats (2000.0) count as integers
             if not (isinstance(n, numbers.Integral) or isinstance(n, float) and n.is_integer()):
@@ -84,7 +81,7 @@ class EnsembleConfig:
             raise ParameterError("target_rel_halfwidth must be positive")
         if self.batch_size < 1:
             raise ParameterError("batch_size must be positive")
-        if self.zero_noise and self.method == METHOD_EVENT_MC:
+        if self.zero_noise and self.method == "mc":
             raise ParameterError("zero_noise applies to the SDE methods, not to the event MC")
 
 
@@ -94,7 +91,7 @@ class EnsembleSummary:
 
     Components are the state entries plus the precursor sum; ``std`` is the
     unbiased (N-1) sample standard deviation of the population across paths,
-    and ``ci_halfwidth`` is 1.96 * std / sqrt(N).
+    ``ci_halfwidth`` is 1.96 * std / sqrt(N), and ``method`` is em|pca|mc.
     """
 
     times: np.ndarray
@@ -204,7 +201,7 @@ def run_ensemble(
             np.random.default_rng(path_seed(cfg.master_seed, attempted + i))
             for i in range(n_new)
         ]
-        if method == METHOD_EVENT_MC:
+        if method == "mc":
             res = run_mc_paths(p, x0, grid.t_end, cfg.mc, gens, record_times)
             batch_states = res.states
             batch_failed = np.zeros(n_new, dtype=bool)  # MC paths always finish

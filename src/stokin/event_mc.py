@@ -102,8 +102,8 @@ class McConfig:
             raise ParameterError(f"unknown MC mode {self.mode!r}")
         if self.yield_model not in (YIELD_FRACTIONAL, YIELD_INTEGER):
             raise ParameterError(f"unknown yield model {self.yield_model!r}")
-        if self.dt is not None and not self.dt > 0:
-            raise ParameterError("fixed-step dt must be positive")
+        if self.dt is not None and not 0 < self.dt < math.inf:
+            raise ParameterError(f"fixed-step dt must be positive and finite, got {self.dt!r}")
         if not 0 < self.safety <= 1:
             raise ParameterError("safety factor must be in (0, 1]")
 
@@ -362,7 +362,7 @@ def run_mc_paths(
             # record times strictly before this jump land on the pre-jump state
             landing = np.where(done, horizon * (1 + 1e-12), t_new)
             _record(out, X, rows, rec_ptr, np.searchsorted(record, landing, side="left"))
-            idx = np.minimum((u_sel * totals >= np.cumsum(rates, axis=0)).sum(axis=0), none - 1)
+            idx = np.minimum(_bernoulli_events(rates, u_sel * totals), none - 1)
             idx[done] = none
 
         fired = np.flatnonzero(idx < none)

@@ -1,7 +1,7 @@
 """Continuous-state solvers for the stochastic point kinetics system.
 
-Three methods map (parameters, initial state, time grid, noise) to a
-trajectory:
+Three methods, det, em and pca, map (parameters, initial state, time grid,
+noise) to a trajectory (``Trajectory.method`` holds the short name):
 
 ``deterministic_solve``
     Exact exponential stepping of the noise-free system, with reactivity and
@@ -80,10 +80,6 @@ __all__ = [
     "SdePathsResult",
 ]
 
-METHOD_DETERMINISTIC = "deterministic"
-METHOD_EULER_MARUYAMA = "euler-maruyama"
-METHOD_STOCHASTIC_PCA = "stochastic-pca"
-
 # size bound of the pregenerated noise block, in floats (4 MiB)
 _BLOCK_BUDGET = 1 << 19
 
@@ -97,11 +93,11 @@ class TimeGrid:
     dt: float
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ParameterError("grid step must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ParameterError(f"grid step must be positive and finite, got {self.dt!r}")
         span = self.t_end - self.t0
-        if not span > 0:
-            raise ParameterError("grid must have t_end > t0")
+        if not 0 < span < math.inf:
+            raise ParameterError("grid must have t_end > t0, both finite")
         ratio = span / self.dt
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ParameterError(
@@ -136,14 +132,14 @@ class TimeGrid:
 
 def check_record_times(times, horizon: float = None) -> np.ndarray:
     """Record times as a float array; raises ParameterError unless they are
-    sorted, nonnegative and (with ``horizon`` given) not past the horizon.
+    finite, sorted, nonnegative and not past the ``horizon`` (when given).
 
     Every engine writes its record rows in order, so unsorted times would
     label rows with states from other times.
     """
     times = np.asarray(times, dtype=float)
-    if np.any(np.diff(times) < 0) or np.any(times < 0):
-        raise ParameterError("record times must be sorted and nonnegative")
+    if not np.isfinite(times).all() or np.any(np.diff(times) < 0) or np.any(times < 0):
+        raise ParameterError("record times must be finite, sorted and nonnegative")
     if horizon is not None and times.size and times[-1] > horizon * (1 + 1e-12):
         raise ParameterError(f"record time {times[-1]:g} lies past the horizon {horizon:g}")
     return times
@@ -166,8 +162,8 @@ class NoiseSource:
 
 @dataclass
 class Trajectory:
-    """One sample path: node times, states, the method tag, and the seed
-    (None for the deterministic solver)."""
+    """One sample path: node times, states, the method (det|em|pca), and the
+    seed (None for the deterministic solver)."""
 
     times: np.ndarray
     states: np.ndarray
@@ -196,6 +192,25 @@ def _check_domain(p: KineticsParameters, grid: TimeGrid):
 # deterministic exponential integrator
 # ---------------------------------------------------------------------------
 
+def _midpoint_table(p: KineticsParameters, grid: TimeGrid, propagator):
+    """Reactivity and source frozen at each interval midpoint, as (n_steps,)
+    arrays, and each step's ``propagator(A_mid, q_mid)``, built once per
+    distinct (rho, q).  Each scheme brings its own propagator: the augmented
+    exponential's top-left block differs from ``expm(A dt)`` in the last bits."""
+    rho = np.empty(grid.n_steps)
+    q = np.empty(grid.n_steps)
+    cache = {}
+    steps = []
+    for k in range(grid.n_steps):
+        tm = grid.midpoint(k)
+        key = (float(p.reactivity(tm)), float(p.source(tm)))
+        rho[k], q[k] = key
+        if key not in cache:
+            cache[key] = propagator(drift_matrix(p, tm), key[1])
+        steps.append(cache[key])
+    return rho, q, steps
+
+
 def deterministic_solve(p: KineticsParameters, x0, grid: TimeGrid) -> Trajectory:
     """Integrate the noise-free system with exact affine propagators.
 
@@ -207,29 +222,18 @@ def deterministic_solve(p: KineticsParameters, x0, grid: TimeGrid) -> Trajectory
     _check_domain(p, grid)
     x = as_state_vector(x0, p)
     d = p.dim
-    n_steps = grid.n_steps
-    states = np.empty((n_steps + 1, d))
+    rho_steps, _, steps = _midpoint_table(
+        p, grid, lambda A, q: propagator_with_source(A, np.array([q] + [0.0] * (d - 1)), grid.dt)
+    )
+    states = np.empty((grid.n_steps + 1, d))
     states[0] = x
-    cache = {}
-    rho_steps = np.empty(n_steps)
-    for k in range(n_steps):
-        tm = grid.midpoint(k)
-        rho = float(p.reactivity(tm))
-        q = float(p.source(tm))
-        rho_steps[k] = rho
-        key = (rho, q)
-        if key not in cache:
-            A = drift_matrix(p, tm)
-            forcing = np.zeros(d)
-            forcing[0] = q
-            cache[key] = propagator_with_source(A, forcing, grid.dt)
-        E, g = cache[key]
+    for k, (E, g) in enumerate(steps):
         x = E @ x + g
         states[k + 1] = x
     return Trajectory(
         times=grid.nodes,
         states=states,
-        method=METHOD_DETERMINISTIC,
+        method="det",
         seed=None,
         diagnostics={"rho_steps": rho_steps},
     )
@@ -238,27 +242,6 @@ def deterministic_solve(p: KineticsParameters, x0, grid: TimeGrid) -> Trajectory
 # ---------------------------------------------------------------------------
 # stochastic steppers (shared by single-path solvers and the ensemble engine)
 # ---------------------------------------------------------------------------
-
-class _PcaPropagators:
-    """Per-step matrix exponentials and source increments for the PCA scheme,
-    cached on the midpoint reactivity/source values."""
-
-    def __init__(self, p: KineticsParameters, grid: TimeGrid):
-        d = p.dim
-        dt = grid.dt
-        cache = {}
-        self.E = []
-        self.F_dt = np.zeros((grid.n_steps, d))
-        self.rho_mid = np.empty(grid.n_steps)
-        for k in range(grid.n_steps):
-            tm = grid.midpoint(k)
-            rho = float(p.reactivity(tm))
-            self.rho_mid[k] = rho
-            if rho not in cache:
-                cache[rho] = expm(drift_matrix(p, tm) * dt)
-            self.E.append(cache[rho])
-            self.F_dt[k, 0] = float(p.source(tm)) * dt
-
 
 @dataclass
 class SdePathsResult:
@@ -320,7 +303,7 @@ def run_sde_paths(
     zero_noise: bool = False,
     psd_policy: str = "strict",
 ) -> SdePathsResult:
-    """Advance a batch of sample paths, one numpy Generator per path.
+    """Advance a batch of em or pca sample paths, one Generator per path.
 
     Every path consumes its generator exactly as the single-path solvers do
     (one (m+3,) standard-normal block per step, one normal per elementary
@@ -342,8 +325,8 @@ def run_sde_paths(
     rate below the roundoff band is frozen and flagged in ``failed`` rather
     than raising, so the remaining paths finish.
     """
-    if method not in (METHOD_EULER_MARUYAMA, METHOD_STOCHASTIC_PCA):
-        raise ParameterError(f"unknown SDE method {method!r}")
+    if method not in ("em", "pca"):
+        raise ParameterError(f"unknown SDE method {method!r}; expected em|pca")
     if psd_policy not in ("strict", "clamp"):
         raise ParameterError(f"unknown psd policy {psd_policy!r}")
     _check_domain(p, grid)
@@ -363,8 +346,11 @@ def run_sde_paths(
         record_indices = grid.node_indices(record_times)
     n_rec = len(record_indices)
 
-    if method == METHOD_STOCHASTIC_PCA:
-        propagators = _PcaPropagators(p, grid)
+    rho_steps = None
+    if method == "pca":  # source increment as a full row: +0.0 turns a -0.0 into +0.0
+        rho_steps, _, pca_steps = _midpoint_table(
+            p, grid, lambda A, q: (expm(A * dt), np.array([q * dt] + [0.0] * (d - 1)))
+        )
 
     X = np.tile(x0[:, None], (1, n_paths))  # (d, N): paths on the inner axis
     ia = np.arange(n_paths)  # surviving paths
@@ -405,16 +391,17 @@ def run_sde_paths(
                         if psd_policy == "clamp":
                             clipped_hard[rows] += hard
                             hard = None  # clipped and counted, not fatal
-                if method == METHOD_EULER_MARUYAMA:
+                if method == "em":
                     weights = rates * dt
                     if not zero_noise:
                         weights += np.sqrt(clipped * dt) * eta
                     Xn = Xa + _col_matvec(deltas, weights)
                 else:
-                    inner = Xa + propagators.F_dt[step][:, None]
+                    E, f_dt = pca_steps[step]
+                    inner = Xa + f_dt[:, None]
                     if not zero_noise:
                         inner += _col_matvec(deltas, np.sqrt(clipped) * eta) * sqrt_dt
-                    Xn = _col_matvec(propagators.E[step], inner)
+                    Xn = _col_matvec(E, inner)
                 bad = hard
                 if not np.isfinite(Xn).all():
                     overflow = ~np.isfinite(Xn).all(axis=0)
@@ -441,7 +428,7 @@ def run_sde_paths(
         negative_steps=negative_steps,
         clipped_small=clipped_small,
         clipped_hard=clipped_hard,
-        rho_steps=propagators.rho_mid if method == METHOD_STOCHASTIC_PCA else None,
+        rho_steps=rho_steps,
     )
 
 
@@ -490,7 +477,7 @@ def euler_maruyama_solve(
 ) -> Trajectory:
     """Euler-Maruyama path: drift and diffusion at the left endpoint, Wiener
     increments as sqrt(dt) times independent standard normals."""
-    return _single_path(p, x0, grid, noise, METHOD_EULER_MARUYAMA, zero_noise, psd_policy)
+    return _single_path(p, x0, grid, noise, "em", zero_noise, psd_policy)
 
 
 def stochastic_pca_solve(
@@ -506,4 +493,4 @@ def stochastic_pca_solve(
     increment, and noise increment are pushed through the matrix exponential
     of the drift frozen at the interval midpoint.  The midpoint reactivity
     used at each step is recorded in ``diagnostics["rho_steps"]``."""
-    return _single_path(p, x0, grid, noise, METHOD_STOCHASTIC_PCA, zero_noise, psd_policy)
+    return _single_path(p, x0, grid, noise, "pca", zero_noise, psd_policy)

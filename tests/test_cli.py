@@ -171,6 +171,18 @@ def test_zero_is_a_value_not_a_default(args, tmp_path, capsys):
     assert payload["error"] == "ParameterError"
 
 
+@pytest.mark.parametrize("command", ["solve", "ensemble"])
+def test_negative_seed_refused(command, tmp_path, capsys):
+    # a negative seed used to end in a ValueError traceback
+    args = [command, "--scenario", "table1", "--method", "em", "--seed", "-1"]
+    code, out = run_cli(args, tmp_path, "a")
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ParameterError"
+    assert "seed" in payload["message"]
+    assert not out.exists()
+
+
 def test_out_dir_env_var(tmp_path, monkeypatch):
     target = tmp_path / "envout"
     monkeypatch.setenv("STOKIN_OUT_DIR", str(target))

@@ -77,8 +77,22 @@ def test_config_validation():
         EnsembleConfig(method="em", min_samples=10, max_samples=5)
     with pytest.raises(ParameterError):
         EnsembleConfig(method="em", target_rel_halfwidth=0.0)
-    assert EnsembleConfig(method="em").method == "euler-maruyama"
-    assert EnsembleConfig(method="mc").method == "event-mc"
+    # one method vocabulary: the short name is kept, a long name is refused
+    assert EnsembleConfig(method="em").method == "em"
+    for long_name in ("euler-maruyama", "event-mc"):
+        with pytest.raises(ParameterError, match="em|pca|mc"):
+            EnsembleConfig(method=long_name)
+    # an empty record grid used to end in an IndexError, a negative seed in
+    # a bare ValueError from the seed sequence, an infinite MC step in a
+    # halving loop that never ends
+    with pytest.raises(ParameterError, match="record_times"):
+        EnsembleConfig(method="em", record_times=())
+    for seed in (-1, 1.5):
+        with pytest.raises(ParameterError, match="master_seed"):
+            EnsembleConfig(method="em", master_seed=seed)
+    for dt in (np.inf, np.nan):
+        with pytest.raises(ParameterError, match="finite"):
+            McConfig(dt=dt)
     # sample counts are integers; JSON's integral floats are taken as such
     cfg = EnsembleConfig(method="em", min_samples=20.0, max_samples=np.int64(30))
     assert (cfg.min_samples, cfg.max_samples) == (20, 30)

@@ -193,7 +193,7 @@ def test_ensemble_config_carries_the_scenario(name, tmp_path):
     scn = load_scenario(str(path))
     cfg = scn.ensemble_config("pca", 11)
     assert (cfg.min_samples, cfg.max_samples, cfg.target_rel_halfwidth) == (3, 7, 0.25)
-    assert (cfg.method, cfg.master_seed) == ("stochastic-pca", 11)
+    assert (cfg.method, cfg.master_seed) == ("pca", 11)
     assert cfg.record_times == tuple(scn.record_times())
     assert cfg.psd_policy == data["solver"]["psd_policy"]
     assert cfg.mc == scn.mc_config()
@@ -229,6 +229,9 @@ def _set(data, dotted, value):
         ("parameters.nu", "2.5", "parameters"),
         ("initial.state", "ab", "initial"),
         ("horizon_s", 2.0, "horizon_s"),
+        ("horizon", float("inf"), "horizon"),
+        ("solver.em_dt", float("inf"), "solver.em_dt"),
+        ("monte_carlo.dt", float("inf"), "monte_carlo"),
     ],
 )
 def test_wrong_typed_or_unknown_values_are_scenario_errors(field, value, named, tmp_path):

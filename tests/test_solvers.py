@@ -72,6 +72,11 @@ def test_time_grid_node_indices():
         g.node_indices([0.0, 2.1])  # past t_end
     with pytest.raises(ParameterError, match="sorted"):
         g.node_indices([0.2, 0.1])
+    with pytest.raises(ParameterError, match="finite"):
+        g.node_indices([0.0, np.nan])
+    for bad in ((0.0, np.inf, 0.1), (0.0, 2.0, np.inf), (np.nan, 2.0, 0.1)):
+        with pytest.raises(ParameterError, match="finite"):
+            TimeGrid(*bad)
 
 
 def test_noise_source_reproducible():
@@ -228,8 +233,8 @@ def test_batch_paths_bit_equal_single_paths():
     grid = TimeGrid(0.0, 0.2, 0.002)
     seeds = [path_seed(31, i) for i in range(5)]
     for method, solver in (
-        ("euler-maruyama", euler_maruyama_solve),
-        ("stochastic-pca", stochastic_pca_solve),
+        ("em", euler_maruyama_solve),
+        ("pca", stochastic_pca_solve),
     ):
         gens = [np.random.default_rng(s) for s in seeds]
         batch = run_sde_paths(p, x0, grid, method, gens)
@@ -246,8 +251,8 @@ def test_batch_paths_bit_equal_single_paths_six_group_clamp():
     grid = TimeGrid(0.0, 2e-4, 1e-5)
     seeds = [path_seed(37, i) for i in range(6)]
     for method, solver in (
-        ("euler-maruyama", euler_maruyama_solve),
-        ("stochastic-pca", stochastic_pca_solve),
+        ("em", euler_maruyama_solve),
+        ("pca", stochastic_pca_solve),
     ):
         gens = [np.random.default_rng(s) for s in seeds]
         batch = run_sde_paths(p, x0, grid, method, gens, psd_policy="clamp")
@@ -287,7 +292,7 @@ def test_unknown_psd_policy_rejected():
     p = one_group_params(beta1=0.05)
     grid = TimeGrid(0.0, 0.01, 0.001)
     with pytest.raises(ParameterError):
-        run_sde_paths(p, [400.0, 300.0], grid, "euler-maruyama", [np.random.default_rng(0)],
+        run_sde_paths(p, [400.0, 300.0], grid, "em", [np.random.default_rng(0)],
                       psd_policy="eigen")
 
 
@@ -328,7 +333,7 @@ def test_em_negative_step_diagnostic_counts():
     x0 = equilibrium_state(p, n0=100.0)
     grid = TimeGrid(0.0, 0.001, 1e-5)
     gens = [np.random.default_rng(path_seed(8, i)) for i in range(400)]
-    res = run_sde_paths(p, x0, grid, "euler-maruyama", gens, psd_policy="clamp")
+    res = run_sde_paths(p, x0, grid, "em", gens, psd_policy="clamp")
     assert not res.failed.any()
     assert res.negative_steps.sum() > 0
     assert res.clipped_hard.sum() > 0
@@ -345,8 +350,8 @@ def test_strict_failures_mid_batch_match_single_paths():
     grid = TimeGrid(0.0, 0.001, 1e-5)
     seeds = [path_seed(8, i) for i in range(400)]
     for method, solver in (
-        ("euler-maruyama", euler_maruyama_solve),
-        ("stochastic-pca", stochastic_pca_solve),
+        ("em", euler_maruyama_solve),
+        ("pca", stochastic_pca_solve),
     ):
         gens = [np.random.default_rng(s) for s in seeds]
         batch = run_sde_paths(p, x0, grid, method, gens, psd_policy="strict")
@@ -386,7 +391,7 @@ def test_noise_block_length_does_not_change_paths(monkeypatch):
     n_paths = 40
     budgets = (solvers._BLOCK_BUDGET, 3 * n_paths * (p.m + 3))
     fields = ("states", "negative_steps", "clipped_small", "clipped_hard")
-    for method in ("euler-maruyama", "stochastic-pca"):
+    for method in ("em", "pca"):
         runs = []
         for budget in budgets:
             monkeypatch.setattr(solvers, "_BLOCK_BUDGET", budget)
@@ -442,7 +447,7 @@ def test_zero_noise_reductions_every_preset(preset):
 # weak consistency over one step (ensemble mean/covariance of the increment)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("method", ["euler-maruyama", "stochastic-pca"])
+@pytest.mark.parametrize("method", ["em", "pca"])
 @pytest.mark.parametrize("preset", ["table1", "table2", "table3", "linear-rho"])
 def test_one_step_weak_consistency(preset, method):
     # one step of the scheme from the preset's initial state at its solver dt:
@@ -453,7 +458,7 @@ def test_one_step_weak_consistency(preset, method):
     scn = load_scenario(preset)
     p = scn.build_parameters()
     x0 = scn.build_initial(p)
-    dt = scn.solver["em_dt" if method == "euler-maruyama" else "pca_dt"]
+    dt = scn.solver[f"{method}_dt"]
     grid = TimeGrid(0.0, dt, dt)
     n_samples = 100_000
     gens = [np.random.default_rng(path_seed(404, i)) for i in range(n_samples)]
@@ -462,7 +467,7 @@ def test_one_step_weak_consistency(preset, method):
     increments = res.states[:, -1, :] - x0
 
     B = diffusion_matrix(p, x0, 0.0) * dt
-    if method == "euler-maruyama":
+    if method == "em":
         drift = drift_matrix(p, 0.0) @ x0
         drift[0] += p.source(0.0)
         expected_mean = drift * dt
