@@ -33,7 +33,7 @@ for k, method in enumerate(("mc", "pca", "em")):
             s.std[-1, 0],
             s.mean[-1, -1],
             s.std[-1, -1],
-            s.diagnostics["clipped_hard"],
+            s.diagnostics.get("clipped_hard", "--"),  # the MC has no clip counter
         )
     )
 
@@ -42,7 +42,7 @@ det = deterministic_solve(p, x0, scn.grid("det"))
 print(f"six groups, rho = 0.007, t = {scn.horizon} s, {SAMPLES} paths per method\n")
 print(f"{'method':<16} {'E(n)':>9} {'sigma(n)':>9} {'E(sum c)':>12} {'sigma':>8} {'clips':>6}")
 for name, en, sn, ec, sc, clips in rows:
-    print(f"{name:<16} {en:9.2f} {sn:9.2f} {ec:12.5e} {sc:8.2f} {clips:6d}")
+    print(f"{name:<16} {en:9.2f} {sn:9.2f} {ec:12.5e} {sc:8.2f} {clips:>6}")
 print(
     f"{METHOD_LABELS['det']:<16} {det.final_state[0]:9.2f} {'--':>9} "
     f"{det.final_state[1:].sum():12.5e} {'--':>8}"

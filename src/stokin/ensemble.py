@@ -92,6 +92,9 @@ class EnsembleSummary:
     Components are the state entries plus the precursor sum; ``std`` is the
     unbiased (N-1) sample standard deviation of the population across paths,
     ``ci_halfwidth`` is 1.96 * std / sqrt(N), and ``method`` is em|pca|mc.
+    ``diagnostics`` sums the engine's own per-path counters: negative_steps,
+    clipped_small and clipped_hard for em and pca; negative_captures and
+    halvings for mc.
     """
 
     times: np.ndarray
@@ -182,12 +185,10 @@ def run_ensemble(
     kept = []
     attempted = 0
     failures = 0
-    diagnostics = {
-        "negative_steps": 0,
-        "clipped_small": 0,
-        "clipped_hard": 0,
-        "halvings": 0,
-    }
+    if method == "mc":
+        diagnostics = {"negative_captures": 0, "halvings": 0}
+    else:
+        diagnostics = {"negative_steps": 0, "clipped_small": 0, "clipped_hard": 0}
     stop_reason = None
 
     while attempted < cfg.max_samples:
@@ -205,7 +206,7 @@ def run_ensemble(
             res = run_mc_paths(p, x0, grid.t_end, cfg.mc, gens, record_times)
             batch_states = res.states
             batch_failed = np.zeros(n_new, dtype=bool)  # MC paths always finish
-            diagnostics["negative_steps"] += int(res.negative_captures.sum())
+            diagnostics["negative_captures"] += int(res.negative_captures.sum())
             diagnostics["halvings"] += len(res.halvings)
         else:
             res = run_sde_paths(

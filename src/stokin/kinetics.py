@@ -23,6 +23,11 @@ reproduces the diffusion matrix.  The closed forms :func:`drift_matrix` and
 :func:`diffusion_matrices` are kept as the oracles of those identities,
 which the test suite exercises.
 
+Reactivity and source are the package's coefficient types, three
+reactivities and two sources; :class:`KineticsParameters` refuses any other.
+Each owns its domain: a piecewise one raises ReactivityDomainError, naming
+its first breakpoint, when evaluated before it; the others hold for all times.
+
 The parameter and coefficient types are immutable after construction; the
 arrays returned for a single state, matrix or table are read-only; the
 functions are pure.
@@ -58,18 +63,6 @@ __all__ = [
 # time-dependent coefficient functions
 # ---------------------------------------------------------------------------
 
-def _check_breakpoints(times, values, what):
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ParameterError(f"{what}: breakpoints must be a non-empty 1-d sequence")
-    if values.shape != times.shape:
-        raise ParameterError(f"{what}: breakpoints and values must have equal length")
-    if not np.all(np.diff(times) > 0):
-        raise ParameterError(f"{what}: breakpoints must be strictly increasing")
-    return times, values
-
-
 @dataclass(frozen=True)
 class ConstantReactivity:
     """Reactivity held at a fixed value for all times."""
@@ -78,9 +71,6 @@ class ConstantReactivity:
 
     def __call__(self, t):
         return self.value
-
-    def defined_at(self, t) -> bool:
-        return True
 
 
 @dataclass(frozen=True)
@@ -92,35 +82,44 @@ class LinearReactivity:
     def __call__(self, t):
         return self.slope * t
 
-    def defined_at(self, t) -> bool:
-        return True
-
 
 @dataclass(frozen=True)
-class PiecewiseConstantReactivity:
-    """Step function: value i holds on [times[i], times[i+1]); the last value
-    holds from times[-1] onward.  Evaluation before the first breakpoint is
-    undefined and raises.
-    """
+class _StepFunction:
+    """The step function behind both piecewise coefficients; ``_label``
+    names the coefficient in error messages."""
 
     times: tuple
     values: tuple
 
     def __init__(self, times, values):
-        times, values = _check_breakpoints(times, values, "reactivity")
+        what = self._label
+        times = np.asarray(times, dtype=float)
+        values = np.asarray(values, dtype=float)
+        if times.ndim != 1 or times.size == 0:
+            raise ParameterError(f"{what}: breakpoints must be a non-empty 1-d sequence")
+        if values.shape != times.shape:
+            raise ParameterError(f"{what}: breakpoints and values must have equal length")
+        if not np.all(np.diff(times) > 0):
+            raise ParameterError(f"{what}: breakpoints must be strictly increasing")
         object.__setattr__(self, "times", tuple(times))
         object.__setattr__(self, "values", tuple(values))
 
     def __call__(self, t):
-        if not self.defined_at(t):
+        if not t >= self.times[0]:
             raise ReactivityDomainError(
-                f"reactivity undefined at t={t!r}: first breakpoint is {self.times[0]}"
+                f"{self._label} undefined at t={float(t)!r}: first breakpoint is {self.times[0]}"
             )
         idx = int(np.searchsorted(self.times, t, side="right")) - 1
         return self.values[idx]
 
-    def defined_at(self, t) -> bool:
-        return t >= self.times[0]
+
+class PiecewiseConstantReactivity(_StepFunction):
+    """Step function: value i holds on [times[i], times[i+1]); the last value
+    holds from times[-1] onward.  Evaluation before the first breakpoint is
+    undefined and raises ReactivityDomainError.
+    """
+
+    _label = "reactivity"
 
 
 @dataclass(frozen=True)
@@ -136,34 +135,21 @@ class ConstantSource:
     def __call__(self, t):
         return self.value
 
-    def defined_at(self, t) -> bool:
-        return True
 
+class PiecewiseConstantSource(_StepFunction):
+    """Step-function source (neutrons/s), all values nonnegative; same
+    breakpoint discipline as the reactivity."""
 
-@dataclass(frozen=True)
-class PiecewiseConstantSource:
-    """Step-function source; same breakpoint discipline as the reactivity."""
-
-    times: tuple
-    values: tuple
+    _label = "source"
 
     def __init__(self, times, values):
-        times, values = _check_breakpoints(times, values, "source")
-        if np.any(np.asarray(values) < 0):
+        super().__init__(times, values)
+        if np.any(np.asarray(self.values) < 0):
             raise ParameterError("source values must be nonnegative")
-        object.__setattr__(self, "times", tuple(times))
-        object.__setattr__(self, "values", tuple(values))
 
-    def __call__(self, t):
-        if not self.defined_at(t):
-            raise ReactivityDomainError(
-                f"source undefined at t={t!r}: first breakpoint is {self.times[0]}"
-            )
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return self.values[idx]
 
-    def defined_at(self, t) -> bool:
-        return t >= self.times[0]
+_REACTIVITY_TYPES = (ConstantReactivity, LinearReactivity, PiecewiseConstantReactivity)
+_SOURCE_TYPES = (ConstantSource, PiecewiseConstantSource)
 
 
 # ---------------------------------------------------------------------------
@@ -184,10 +170,14 @@ class KineticsParameters:
         Mean number of neutrons released per fission.
     gen_time : float
         Neutron generation time (s).
-    reactivity : callable
+    reactivity : ConstantReactivity, LinearReactivity or PiecewiseConstantReactivity
         Reactivity as a function of time.
-    source : callable
+    source : ConstantSource or PiecewiseConstantSource
         External source intensity as a function of time (neutrons/s).
+
+    Any other reactivity or source, a plain callable included, is refused
+    with a ParameterError naming the field.  Each coefficient raises
+    ReactivityDomainError when evaluated outside its domain.
 
     Attributes
     ----------
@@ -221,6 +211,13 @@ class KineticsParameters:
             raise ParameterError("nu must be positive")
         if not self.gen_time > 0:
             raise ParameterError("gen_time must be positive")
+        for name, kinds in (("reactivity", _REACTIVITY_TYPES), ("source", _SOURCE_TYPES)):
+            value = getattr(self, name)
+            if not isinstance(value, kinds):
+                expected = ", ".join(k.__name__ for k in kinds)
+                raise ParameterError(
+                    f"{name} must be one of {expected}; got {type(value).__name__}"
+                )
         object.__setattr__(self, "decay_constants", tuple(lam))
         object.__setattr__(self, "group_fractions", tuple(beta))
         object.__setattr__(self, "beta_total", float(beta.sum()))
@@ -263,8 +260,6 @@ def drift_matrix(p: KineticsParameters, t: float = 0.0) -> np.ndarray:
     rows 1..m: beta_i/l in column 0 and -lambda_i on the diagonal.  Column
     sums are (rho/l, 0, ..., 0).
     """
-    if not p.reactivity.defined_at(t):
-        raise ReactivityDomainError(f"reactivity undefined at t={t!r}")
     rho = float(p.reactivity(t))
     m = p.m
     A = np.zeros((m + 1, m + 1))
@@ -284,8 +279,6 @@ def drift_apply(p: KineticsParameters, states: np.ndarray, t: float) -> np.ndarr
     multiplying each state by the drift matrix, but O(N m) instead of a
     matrix product.
     """
-    if not p.reactivity.defined_at(t):
-        raise ReactivityDomainError(f"reactivity undefined at t={t!r}")
     rho = float(p.reactivity(t))
     l = p.gen_time
     n = states[:, 0]
@@ -305,8 +298,6 @@ def diffusion_matrices(p: KineticsParameters, states: np.ndarray, t: float) -> n
     decay contributions, and off-diagonal precursor pairs carry the shared
     fission yield term.  Exactly symmetric by construction.
     """
-    if not p.reactivity.defined_at(t):
-        raise ReactivityDomainError(f"reactivity undefined at t={t!r}")
     rho = float(p.reactivity(t))
     q = float(p.source(t))
     l = p.gen_time
@@ -365,8 +356,6 @@ def _capture_coefficient(p: KineticsParameters, rho):
 
 
 def _rho_and_source(p: KineticsParameters, t: float):
-    if not p.reactivity.defined_at(t):
-        raise ReactivityDomainError(f"reactivity undefined at t={t!r}")
     return float(p.reactivity(t)), float(p.source(t))
 
 

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, ReactivityDomainError, SolverError
+from .errors import ParameterError, SolverError
 from .kinetics import (
     KineticsParameters,
     as_state_vector,
@@ -181,11 +181,9 @@ class Trajectory:
 
 
 def _check_domain(p: KineticsParameters, grid: TimeGrid):
-    for t in (grid.t0, grid.t_end, grid.midpoint(0)):
-        if not p.reactivity.defined_at(t):
-            raise ReactivityDomainError(f"reactivity undefined at t={t!r}")
-        if not p.source.defined_at(t):
-            raise ReactivityDomainError(f"source undefined at t={t!r}")
+    # every coefficient domain is [first breakpoint, inf): only t0 can fail
+    p.reactivity(grid.t0)
+    p.source(grid.t0)
 
 
 # ---------------------------------------------------------------------------

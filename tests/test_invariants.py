@@ -2,12 +2,15 @@
 
 A path's result does not depend on the batch it runs in: a single path
 equals the same seed inside a batch, diagnostics included, and an ensemble
-is bit-equal at any batch size.  The matrix runs {em, pca, mc fixed, mc
+is bit-equal at any batch size.  Every engine honours its record times: one
+row per requested time, labelled with it.  The matrix runs {em, pca, mc fixed, mc
 exact}, the MC with both yield models, over four scenarios: table1, table3
 with the clamp policy, the linear reactivity ramp on a truncated horizon, and
 a piecewise-constant reactivity schedule.  Sizes are kept small; the fixed
 MC steps at safety 0.9, so growing rates halve a path's step early.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from stokin import (
     KineticsParameters,
     McConfig,
     NoiseSource,
+    ParameterError,
     PiecewiseConstantReactivity,
     TimeGrid,
     equilibrium_state,
@@ -143,3 +147,34 @@ def test_ensemble_independent_of_batch_size(method_id, scenario):
             assert np.array_equal(getattr(run, key), getattr(full, key)), key
         assert (run.n_samples, run.failures) == (full.n_samples, full.failures)
         assert run.diagnostics == full.diagnostics
+
+
+@matrix
+def test_rows_land_at_the_record_times(method_id, scenario):
+    method, mc = METHODS[method_id]
+    p, x0, grid, policy = SCENARIOS[scenario]()
+    record = _record(grid)
+
+    def run(times):
+        gens = [np.random.default_rng(path_seed(MASTER_SEED, i)) for i in range(N_PATHS)]
+        if method == "mc":
+            return run_mc_paths(p, x0, grid.t_end, mc, gens, times)
+        return run_sde_paths(p, x0, grid, method, gens, record_times=times, psd_policy=policy)
+
+    res = run(record)
+    assert res.record_times.tolist() == list(record)
+    assert res.states.shape == (N_PATHS, len(record), p.dim)
+    # integer yields start from the rounded state
+    start = np.rint(x0) if mc is not None and mc.yield_model == "integer" else x0
+    assert np.array_equal(res.states[:, 0], np.broadcast_to(start, (N_PATHS, p.dim)))
+    if method != "mc":
+        every_node = run(None)
+        nodes = [0, grid.n_steps // 2, grid.n_steps]
+        assert np.array_equal(res.states, every_node.states[:, nodes])
+        off_node = 0.5 * grid.dt
+        with pytest.raises(ParameterError, match=re.escape(f"record time {off_node!r}")):
+            run((0.0, off_node, grid.t_end))
+    elif mc.mode == "exact":
+        # jumps do not depend on the record times: more rows leave these alone
+        denser = run(sorted(record + (0.3 * grid.t_end, 0.7 * grid.t_end)))
+        assert np.array_equal(res.states, denser.states[:, [0, 2, 4]])

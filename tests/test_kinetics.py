@@ -55,7 +55,6 @@ def test_piecewise_reactivity_holds_last_value():
 
 def test_piecewise_reactivity_undefined_before_first_breakpoint():
     rho = PiecewiseConstantReactivity([1.0, 2.0], [0.1, 0.2])
-    assert not rho.defined_at(0.5)
     with pytest.raises(ReactivityDomainError):
         rho(0.5)
 
@@ -93,6 +92,29 @@ def test_parameter_validation():
             gen_time=1.0,
             reactivity=ConstantReactivity(0.0),
             source=ConstantSource(0.0),
+        )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("reactivity", lambda t: 0.1),
+        ("source", lambda t: 1.0),
+        # a reactivity type as the source could go negative, which the event
+        # Monte Carlo would turn into negative probabilities
+        ("source", LinearReactivity(-1.0)),
+    ],
+)
+def test_parameters_accept_only_package_coefficients(field, value):
+    coefficients = {"reactivity": ConstantReactivity(0.0), "source": ConstantSource(0.0)}
+    coefficients[field] = value
+    with pytest.raises(ParameterError, match=f"^{field} must be one of"):
+        KineticsParameters(
+            decay_constants=(0.1,),
+            group_fractions=(0.005,),
+            nu=2.5,
+            gen_time=1.0,
+            **coefficients,
         )
 
 

@@ -3,11 +3,16 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from stokin import (
+    ConstantReactivity,
     ConstantSource,
     KineticsParameters,
     LinearReactivity,
+    McConfig,
     NoiseSource,
     ParameterError,
+    PiecewiseConstantReactivity,
+    PiecewiseConstantSource,
+    ReactivityDomainError,
     SolverError,
     TimeGrid,
     Trajectory,
@@ -16,6 +21,7 @@ from stokin import (
     equilibrium_state,
     euler_maruyama_solve,
     event_rates,
+    run_mc_paths,
     run_sde_paths,
     stochastic_pca_solve,
 )
@@ -489,3 +495,40 @@ def test_one_step_weak_consistency(preset, method):
     cov = prods.sum(axis=0) / (n_samples - 1)
     se_cov = prods.std(axis=0, ddof=1) / np.sqrt(n_samples)
     assert np.all(np.abs(cov - expected_cov) <= 4.0 * se_cov)
+
+
+# ---------------------------------------------------------------------------
+# coefficient domains
+# ---------------------------------------------------------------------------
+
+SCHEMES = {
+    "det": lambda p, x0, grid: deterministic_solve(p, x0, grid),
+    "em": lambda p, x0, grid: euler_maruyama_solve(p, x0, grid, NoiseSource(1)),
+    "pca": lambda p, x0, grid: stochastic_pca_solve(p, x0, grid, NoiseSource(1)),
+    **{
+        f"mc-{mode}": lambda p, x0, grid, mode=mode: run_mc_paths(
+            p, x0, grid.t_end, McConfig(mode), [np.random.default_rng(1)], (grid.t_end,)
+        )
+        for mode in ("fixed", "exact")
+    },
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("coefficient", ["reactivity", "source"])
+@pytest.mark.parametrize("breakpoint_", [0.004, 0.05])
+def test_every_scheme_refuses_a_schedule_starting_after_t0(scheme, coefficient, breakpoint_):
+    # 0.004 lies inside the first half step, so the first midpoint (0.005)
+    # is in the domain while t0 is not
+    coefficients = {"reactivity": ConstantReactivity(-1.0 / 3.0), "source": ConstantSource(200.0)}
+    if coefficient == "reactivity":
+        coefficients["reactivity"] = PiecewiseConstantReactivity((breakpoint_,), (-1.0 / 3.0,))
+    else:
+        coefficients["source"] = PiecewiseConstantSource((breakpoint_,), (200.0,))
+    p = KineticsParameters(
+        decay_constants=(0.1,), group_fractions=(0.05,), nu=2.5, gen_time=2.0 / 3.0, **coefficients
+    )
+    message = f"{coefficient} undefined at t=0.0: first breakpoint is {breakpoint_}"
+    with pytest.raises(ReactivityDomainError) as info:
+        SCHEMES[scheme](p, np.array([400.0, 300.0]), TimeGrid(0.0, 0.1, 0.01))
+    assert str(info.value) == message
