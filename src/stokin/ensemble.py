@@ -172,11 +172,16 @@ def run_ensemble(
     ~21-node thinning of ``grid``; either engine checks them.  For the SDE
     methods ``grid`` is the solver grid and the record times must be its
     nodes.  For the event Monte Carlo the grid supplies the horizon and the
-    default record times; stepping is governed by ``cfg.mc``.
+    default record times; stepping is governed by ``cfg.mc``.  Its paths
+    start from x0 at t = 0, so a grid with t0 != 0 is refused for mc.
     """
     x0 = as_state_vector(x0, p)
     d = p.dim
     method = cfg.method
+    if method == "mc" and grid.t0 != 0.0:
+        raise ParameterError(
+            f"the event MC starts at t=0, but the grid starts at t0={grid.t0!r}"
+        )
     record_times = cfg.record_times
     if record_times is None:
         record_times = _default_record_times(grid)

@@ -3,11 +3,20 @@
 One engine, :func:`run_mc_paths`, advances a batch of paths; each path has
 its own Generator and its own clock, so a path's result does not depend on
 the batch it runs in, and :func:`mc_trajectory` is a batch of one.  Event
-rates are :func:`~stokin.kinetics.event_rates` of the states clipped at zero,
-so a population below zero contributes zero rate; a negative capture
-coefficient (rho > 1 - 1/nu) is a ParameterError.  Events are applied with
-one gather-add from :func:`~stokin.kinetics.delta_table` plus a zero row for
-"no event".
+rates are the rate law of :func:`~stokin.kinetics.event_rates` applied to the
+states clipped at zero, so a population below zero contributes zero rate; a
+negative capture coefficient (rho > 1 - 1/nu) is a ParameterError.  Events
+are applied with one gather-add from :func:`~stokin.kinetics.delta_table`
+plus a zero column for "no event".
+
+The engine steps the batch in lock step, one iteration per path per loop
+pass, and keeps the paths still stepping in a contiguous prefix of slots, in
+path order, so each iteration works on slices whatever the number of paths
+left.  The rate coefficients are bound once per distinct time in an
+iteration (one per iteration when reactivity and source are constant) and
+fill a preallocated rate buffer.  Bookkeeping that most iterations do not
+need (recording, halving, refilling uniforms) runs only when some path needs
+it.
 
 Two stepping modes:
 
@@ -59,7 +68,9 @@ from .kinetics import (
     ConstantReactivity,
     ConstantSource,
     KineticsParameters,
-    _capture_coefficient,
+    _coefficients_per_row,
+    _event_rates_into,
+    _rate_coefficients,
     as_state_vector,
     delta_table,
     event_rates,
@@ -132,11 +143,19 @@ def _event_count_dict(p: KineticsParameters, counts: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 
 def _rate_constants(p: KineticsParameters, t: float):
-    """Check the capture coefficient at time t: a negative one would make
-    capture a birth, which no event process has."""
-    rho = float(p.reactivity(t))
-    if _capture_coefficient(p, rho) < 0:
+    """The rate coefficients at time t, after checking the capture
+    coefficient: a negative one would make capture a birth, which no event
+    process has."""
+    coefs = _rate_coefficients(p, t)
+    if coefs[0] < 0:
+        rho = float(p.reactivity(t))
         raise ParameterError(f"negative capture rate coefficient at rho={rho:g}")
+    return coefs
+
+
+def _padded_deltas(p: KineticsParameters) -> np.ndarray:
+    """:func:`~stokin.kinetics.delta_table` plus a zero row m+3: no event."""
+    return np.vstack([delta_table(p), np.zeros(p.dim)])
 
 
 def _bernoulli_events(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -147,30 +166,36 @@ def _bernoulli_events(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (u >= cum.reshape(cum.shape[0], -1)).sum(axis=0)
 
 
-def _geometric_skip(u, totals, step, gap):
+def _geometric_skip(u, totals, prob, step, gap):
     """Fixed-mode skip-ahead for rates that change only at events.
 
     A path takes full steps while its gap to the record target exceeds dt,
     then one last step onto the target (``step`` is dt, or that last step).
     Over the n_full full steps, the count K of empty steps before an event
-    is Geometric(P), P = total * dt, drawn by inversion from u: the event
-    fires at step K+1 when K < n_full, else the path moves n_full steps with
-    none.  The position of u inside its geometric cell, 1 - (1-u)/(1-P)^K,
-    is uniform on [0, P) and selects the event against the step
-    probabilities; at K = 0 it is u itself.  The last step onto a target is
-    the plain Bernoulli step with u, and a path with zero total rate moves
-    straight to the target.  Returns the selection value (inf: no event)
-    and the time to advance.
+    is Geometric(P), P = ``prob`` = ``totals`` * dt, drawn by inversion from u
+    and capped at n_full: the event fires at step K+1 when K < n_full, else
+    the path moves n_full steps with none.  The position of u inside its
+    geometric cell, 1 - (1-u)/(1-P)^K, is uniform on [0, P) and selects the
+    event against the step probabilities; at K = 0 it is u itself.  The last
+    step onto a target is the plain Bernoulli step with u, and a path with
+    zero total rate moves straight to the target.  Returns the selection
+    value (inf: no event) and the time to advance.
     """
     n_full = np.ceil(gap / step) - 1.0
     n = np.maximum(n_full, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # P = 0 or P = 1, masked below
-        lq = np.log1p(-totals * step)
+    # P = 0 divides a by log1p(-0) = -0, and P = 1 multiplies K = 0 by
+    # log1p(-1) = -inf: both results are masked below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lq = np.log1p(-prob)
         a = np.log1p(-u)
-        K = np.where(n_full >= 1.0, np.floor(a / lq), 0.0)
+        K = np.minimum(np.floor(a / lq), n_full)
         cell = -np.expm1(a - K * lq)
-    v = np.where(K >= n, np.inf, np.where(K > 0.0, cell, u))
-    advance = np.where(totals > 0.0, np.minimum(K + 1.0, n) * step, gap)
+    v = np.where(K > 0.0, cell, u)
+    v[K >= n] = np.inf
+    advance = np.minimum(K + 1.0, n) * step
+    zero = totals <= 0.0
+    if np.count_nonzero(zero):
+        advance[zero] = gap[zero]
     return v, advance
 
 
@@ -219,7 +244,7 @@ def sample_increments(
             max_allowed_dt=1.0 / rates.sum(),
         )
     idx = _bernoulli_events(probs, rng.random(n_samples))
-    out = np.vstack([delta_table(p), np.zeros(p.dim)])[idx]  # m+3: no event
+    out = _padded_deltas(p)[idx]
     if yield_model == YIELD_INTEGER:
         for j in np.flatnonzero(idx == 1):
             out[j] = _integer_fission(p, rng)
@@ -239,12 +264,12 @@ class McPathsResult:
     negative_captures: np.ndarray
 
 
-def _record(out, X, rows, rec_ptr, new_ptr):
-    """Write each path's current state into its record slots up to new_ptr."""
-    for j in np.flatnonzero(new_ptr > rec_ptr[rows]):
-        i = rows[j]
-        out[i, rec_ptr[i] : new_ptr[j]] = X[i]
-        rec_ptr[i] = new_ptr[j]
+def _record(out, X, path, rec_ptr, new_ptr, slots):
+    """Write the state of each listed slot into its path's record rows up to
+    new_ptr."""
+    for j in slots:
+        out[path[j], rec_ptr[j] : new_ptr[j]] = X[:, j]
+        rec_ptr[j] = new_ptr[j]
 
 
 def run_mc_paths(
@@ -266,6 +291,18 @@ def run_mc_paths(
     bit-identical alone and in any batch.
     ``record_times`` must be sorted, nonnegative and within the horizon;
     times at zero see the initial state.
+
+    The loop works on slots, not paths: the per-path arrays (state, held
+    component-major as (m+1, slots), clock, step, record pointer, uniform
+    position, event counts, negative captures) are indexed by slot, and
+    ``path`` maps a slot to its path.  The paths still stepping occupy the
+    prefix [0, k), in path order, so every iteration works on slices; when
+    paths finish, a stable partition moves them behind the prefix.  Results
+    are mapped back to path order once, at the end, and halvings are logged
+    with the path index.  Rates are bound per time: one
+    :func:`_rate_constants` call per distinct time in an iteration, and its
+    coefficients fill a preallocated rate buffer through the rate law's
+    kernel.
     """
     if horizon < 0:
         raise ParameterError("horizon must be nonnegative")
@@ -282,11 +319,13 @@ def run_mc_paths(
     )
     n_paths = len(generators)
     none = p.m + 3  # event index of "no event"
-    deltas = np.vstack([delta_table(p), np.zeros(p.dim)])  # row `none`: no event
+    deltas = np.ascontiguousarray(_padded_deltas(p).T)  # (d, m+4)
 
-    X = np.tile(vec0, (n_paths, 1))
+    # per-slot arrays; slot j holds path path[j]
+    path = np.arange(n_paths)
+    X = np.tile(vec0[:, None], (1, n_paths))
     t = np.zeros(n_paths)
-    counts = np.zeros((n_paths, none), dtype=np.int64)
+    counts = np.zeros((none + 1, n_paths), dtype=np.int64)  # row `none`: no event
     neg_cap = np.zeros(n_paths, dtype=np.int64)
     halvings = []
     out = np.empty((n_paths, record.size, p.dim))
@@ -296,8 +335,8 @@ def run_mc_paths(
 
     if fixed:
         t_end = horizon - 1e-15 * max(1.0, horizon)
-        _rate_constants(p, 0.0)
-        total0 = event_rates(p, vec0, 0.0).sum()
+        coefs = _rate_constants(p, 0.0)
+        total0 = _event_rates_into(np.empty((none, 1)), vec0[:, None], *coefs).sum()
         if cfg.dt is not None:
             dt0 = cfg.dt
         elif total0 > 0:
@@ -305,92 +344,124 @@ def run_mc_paths(
         else:
             dt0 = horizon if horizon > 0 else 1.0
         dt = np.full(n_paths, dt0)
-        targets = np.append(record, horizon)  # each path steps onto its next record time
         draws = 1
     else:
         t_end = horizon
         draws = 2
-    active = t < t_end
+    # a slot's next record time, then the horizon: a fixed step never passes
+    # it, and no slot records before its landing time reaches it
+    targets = np.append(record, horizon)
 
+    # uniforms: path i's block is buf[i]; pos is a slot's next flat index
+    # and end the end of its block (_BUFFER is even, so pos >= end is also
+    # the refill test for exact mode's pairs)
     buf = np.empty((n_paths, _BUFFER))
-    cursor = np.zeros(n_paths, dtype=np.int64)
     for i, g in enumerate(generators):
         buf[i] = g.random(_BUFFER)
-    all_paths = np.arange(n_paths)
+    flat = buf.reshape(-1)
+    pos = path * _BUFFER
+    end = pos + _BUFFER
+    per_slot = [path, t, rec_ptr, pos, end, neg_cap] + ([dt] if fixed else [])
 
-    while active.any():
-        # rows: the stepping paths; ia indexes them, as a view when all step
-        if active.all():
-            rows, ia = all_paths, slice(None)
-        else:
-            rows = ia = np.flatnonzero(active)
-        for i in rows[cursor[ia] + draws > _BUFFER]:
-            buf[i] = generators[i].random(_BUFFER)
-            cursor[i] = 0
-        u = buf[rows, cursor[ia]]
+    slots = np.arange(n_paths)
+    clipped = np.empty((p.dim, n_paths))
+    rate_buf = np.empty((none, n_paths))
+    k = n_paths if 0.0 < t_end else 0  # every path starts at t = 0
+    while k:
+        pk = pos[:k]
+        spent = pk >= end[:k]
+        if np.count_nonzero(spent):
+            for j in np.flatnonzero(spent):
+                i = path[j]
+                buf[i] = generators[i].random(_BUFFER)
+                pk[j] = end[j] - _BUFFER
+        u = flat[pk]
         if not fixed:
-            u_sel = buf[rows, cursor[ia] + 1]
-        cursor[ia] += draws
-        Xa = X[ia]
-        ta = t[ia]
-        times = [0.0] if autonomous else np.unique(ta)
-        for s in times:
-            _rate_constants(p, s)
-        rates = event_rates(p, np.clip(Xa, 0.0, None), times[0] if len(times) == 1 else ta)
+            u_sel = flat[pk + 1]
+        pk += draws
+        Xa = X[:, :k]
+        ta = t[:k]
+        rp = rec_ptr[:k]
+        if autonomous:
+            coefs = _rate_constants(p, 0.0)
+        else:
+            coefs = _coefficients_per_row(p, ta, _rate_constants)
+        rates = rate_buf[:, :k]
+        _event_rates_into(rates, np.maximum(Xa, 0.0, out=clipped[:, :k]), *coefs)
         totals = rates.sum(axis=0)
 
         if fixed:
-            gap = targets[rec_ptr[ia]] - ta
-            step = np.minimum(dt[ia], gap)
-            for j in np.flatnonzero(totals * step > 1.0):
-                i = rows[j]
-                while totals[j] * step[j] > 1.0:
-                    dt[i] *= 0.5
-                    step[j] = min(dt[i], gap[j])
-                    halvings.append((int(i), float(ta[j]), float(dt[i])))
+            dta = dt[:k]
+            target = targets[rp]
+            gap = target - ta
+            step = np.minimum(dta, gap)
+            prob = totals * step
+            over = prob > 1.0
+            if np.count_nonzero(over):
+                for j in np.flatnonzero(over):
+                    while totals[j] * step[j] > 1.0:
+                        dta[j] *= 0.5
+                        step[j] = min(dta[j], gap[j])
+                        halvings.append((int(path[j]), float(ta[j]), float(dta[j])))
+                    prob[j] = totals[j] * step[j]
             advance = step
             if autonomous:
-                u, advance = _geometric_skip(u, totals, step, gap)
+                u, advance = _geometric_skip(u, totals, prob, step, gap)
             idx = _bernoulli_events(rates * step, u)
-            t_new = ta + advance
         else:
             dead = totals <= 0.0
             with np.errstate(divide="ignore"):
                 tau = np.where(dead, np.inf, -np.log1p(-u) / np.where(dead, 1.0, totals))
-            t_new = ta + tau
-            done = (t_new > horizon) | dead
+            ta += tau
+            done = (ta > horizon) | dead
             # record times strictly before this jump land on the pre-jump state
-            landing = np.where(done, horizon * (1 + 1e-12), t_new)
-            _record(out, X, rows, rec_ptr, np.searchsorted(record, landing, side="left"))
+            landing = np.where(done, horizon * (1 + 1e-12), ta)
+            if np.count_nonzero(landing > targets[rp]):
+                reached = record.searchsorted(landing, side="left")
+                _record(out, Xa, path, rp, reached, np.flatnonzero(reached > rp))
             idx = np.minimum(_bernoulli_events(rates, u_sel * totals), none - 1)
             idx[done] = none
 
-        fired = np.flatnonzero(idx < none)
-        counts[rows[fired], idx[fired]] += 1
-        neg_cap[ia] += (idx == 0) & (Xa[:, 0] < 1.0)
-        step_deltas = deltas[idx]
+        counts[idx, slots[:k]] += 1
+        low = Xa[0] < 1.0
+        if np.count_nonzero(low):
+            neg_cap[:k] += (idx == 0) & low
+        step_deltas = deltas.take(idx, axis=1)
         if integer:
             for j in np.flatnonzero(idx == 1):
-                step_deltas[j] = _integer_fission(p, generators[rows[j]])
-        X[ia] = Xa + step_deltas
+                step_deltas[:, j] = _integer_fission(p, generators[path[j]])
+        Xa += step_deltas
 
         if fixed:
-            t[ia] = t_new
-            reached = np.searchsorted(record, t_new * (1 + 1e-12), side="right")
-            _record(out, X, rows, rec_ptr, reached)
-            active[ia] = t_new < t_end
+            ta += advance
+            landing = ta * (1 + 1e-12)
+            if np.count_nonzero(landing >= target):
+                reached = record.searchsorted(landing, side="right")
+                _record(out, Xa, path, rp, reached, np.flatnonzero(reached > rp))
+            live = ta < t_end
         else:
-            t[rows[~done]] = t_new[~done]
-            active[rows[done]] = False
+            live = ~done
+        stepping = np.count_nonzero(live)
+        if stepping < k:
+            # stable partition: stepping slots first, both parts in path order
+            order = np.concatenate((np.flatnonzero(live), np.flatnonzero(~live)))
+            for a in per_slot:
+                a[:k] = a[order]
+            X[:, :k] = Xa[:, order]
+            counts[:, :k] = counts[:, order]
+            k = stepping
 
     # finished and absorbed paths: fill any remaining record slots
-    _record(out, X, all_paths, rec_ptr, np.full(n_paths, record.size))
+    unfilled = np.flatnonzero(rec_ptr < record.size)
+    _record(out, X, path, rec_ptr, np.full(n_paths, record.size), unfilled)
+    by_path = np.empty_like(path)
+    by_path[path] = slots
     return McPathsResult(
         states=out,
         record_times=record,
-        event_counts=counts,
+        event_counts=counts[:none, by_path].T,
         halvings=halvings,
-        negative_captures=neg_cap,
+        negative_captures=neg_cap[by_path],
     )
 
 

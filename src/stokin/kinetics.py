@@ -15,8 +15,9 @@ Every quantity is a plain float ndarray:
   (:func:`event_rates`).
 
 :func:`event_rates` is the package's one rate law: the SDE solvers build
-their drift and noise from it and the event Monte Carlo draws its events
-from it.  The drift/diffusion pair and the event table describe the same
+their drift and noise from it, and the event Monte Carlo draws its events
+from its kernel, ``_event_rates_into``, with the coefficients bound once per
+time.  The drift/diffusion pair and the event table describe the same
 process: the rate-weighted sum of the event vectors reproduces the drift
 applied to the state, and the rate-weighted sum of their outer products
 reproduces the diffusion matrix.  The closed forms :func:`drift_matrix` and
@@ -350,13 +351,39 @@ def delta_table(p: KineticsParameters) -> np.ndarray:
     return D
 
 
-def _capture_coefficient(p: KineticsParameters, rho):
-    """Capture rate per neutron, (1 - rho - 1/nu)/l."""
-    return (-rho + 1.0 - 1.0 / p.nu) / p.gen_time
+def _rate_coefficients(p: KineticsParameters, t: float):
+    """The rate law's coefficients at one time t: the capture rate per
+    neutron (1 - rho - 1/nu)/l, nu*l, the decay constants as an (m, 1)
+    column and the source q."""
+    rho = float(p.reactivity(t))
+    q = float(p.source(t))
+    return (-rho + 1.0 - 1.0 / p.nu) / p.gen_time, p.nu * p.gen_time, p.lam[:, None], q
 
 
-def _rho_and_source(p: KineticsParameters, t: float):
-    return float(p.reactivity(t)), float(p.source(t))
+def _coefficients_per_row(p: KineticsParameters, t: np.ndarray, lookup=_rate_coefficients):
+    """The coefficients for states at times t, from ``lookup(p, s)`` once
+    per distinct time s: the capture coefficient and q hold one value per
+    state unless every time is the same."""
+    times, inverse = np.unique(t, return_inverse=True)
+    coefs = [lookup(p, s) for s in times]
+    if len(coefs) == 1:
+        return coefs[0]
+    _, nu_l, lam, _ = coefs[0]
+    cap, q = np.array([(c[0], c[3]) for c in coefs])[inverse].T
+    return cap, nu_l, lam, q
+
+
+def _event_rates_into(out: np.ndarray, X: np.ndarray, cap, nu_l, lam, q) -> np.ndarray:
+    """Write the event rates of component-major states X, (m+1, N), into
+    ``out``, (m+3, N), from the coefficients of :func:`_rate_coefficients`;
+    ``cap`` and ``q`` are one value or one per state.  This is the rate law
+    itself: :func:`event_rates` and the event Monte Carlo both call it."""
+    n = X[0]
+    np.multiply(cap, n, out=out[0])
+    np.divide(n, nu_l, out=out[1])
+    np.multiply(X[1:], lam, out=out[2:-1])
+    out[-1] = q
+    return out
 
 
 def event_rates(p: KineticsParameters, X, t=0.0) -> np.ndarray:
@@ -380,17 +407,12 @@ def event_rates(p: KineticsParameters, X, t=0.0) -> np.ndarray:
         raise ParameterError(f"state dimension {X.shape[-1]} does not match m+1={p.dim}")
     t = np.asarray(t, dtype=float)
     if t.ndim == 0:
-        rho, q = _rho_and_source(p, float(t))
+        coefs = _rate_coefficients(p, float(t))
     else:
-        times, inverse = np.unique(t, return_inverse=True)
-        rho, q = np.array([_rho_and_source(p, s) for s in times])[inverse].T
-    n = X[..., 0]
-    rates = np.empty((p.m + 3,) + n.shape)
-    rates[0] = _capture_coefficient(p, rho) * n
-    rates[1] = n / (p.nu * p.gen_time)
-    rates[2:-1] = (X[..., 1:] * p.lam).T
-    rates[-1] = q
-    return rates
+        coefs = _coefficients_per_row(p, t)
+    states = X.reshape(-1, p.dim).T
+    rates = _event_rates_into(np.empty((p.m + 3, states.shape[1])), states, *coefs)
+    return rates.reshape((p.m + 3,) + X.shape[:-1])
 
 
 def equilibrium_state(p: KineticsParameters, t: float = 0.0, n0: float = None) -> np.ndarray:

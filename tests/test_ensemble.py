@@ -233,6 +233,20 @@ def test_mc_ensemble_records_at_given_times():
     assert summary.mean.shape == (len(record), 3)
 
 
+def test_mc_ensemble_refuses_a_grid_not_starting_at_zero():
+    # the MC starts x0 at t=0; em and pca start it at t0, where their first
+    # row is x0 itself
+    p, x0 = table1_setup()
+    grid = TimeGrid(0.5, 1.0, 0.1)
+    cfg = EnsembleConfig(method="mc", master_seed=1, min_samples=4, max_samples=4)
+    with pytest.raises(ParameterError, match=r"t0=0\.5"):
+        run_ensemble(p, x0, grid, cfg)
+    em = run_ensemble(p, x0, grid, EnsembleConfig(method="em", master_seed=1, min_samples=4,
+                                                  max_samples=4))
+    assert em.times[0] == 0.5
+    assert np.array_equal(em.mean[0, :2], x0)
+
+
 def halving_case():
     # supercritical one-group burst from 20 neutrons: with safety 1 the
     # fixed-step paths outgrow their step and halve it

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stokin import (
+    LinearReactivity,
     McConfig,
     NoiseSource,
     ParameterError,
@@ -14,10 +15,12 @@ from stokin import (
     diffusion_matrix,
     drift_matrix,
     equilibrium_state,
+    load_scenario,
     mc_trajectory,
     run_mc_paths,
     sample_increments,
 )
+from stokin import event_mc
 from stokin.ensemble import path_seed
 
 from conftest import one_group_params, six_group_params
@@ -344,6 +347,96 @@ def test_batched_paths_bit_equal_single_paths(mode):
         assert np.array_equal(batch.states[i], traj.states), f"path {i} diverged"
         counts = np.array([traj.event_counts[k] for k in traj.event_counts])
         assert np.array_equal(batch.event_counts[i], counts)
+
+
+@pytest.mark.parametrize("yield_model", ["fractional", "integer"])
+@pytest.mark.parametrize("schedule", ["constant", "one-piece"])
+def test_finished_paths_leave_results_in_path_order(schedule, yield_model, monkeypatch):
+    # table3 from n0 = 2 at safety 0.9: paths halve their steps and finish
+    # out of index order, so the engine's slots stop matching the paths.
+    # Per-path results must still come back in path order, and the halving
+    # log in iteration order, then path order.  A one-piece schedule takes
+    # the per-step branch, where each iteration of a single path checks the
+    # rate constants at that path's own time: that names the iteration of
+    # each halving.
+    p = load_scenario("table3").build_parameters()
+    if schedule == "one-piece":
+        p = replace(p, reactivity=PiecewiseConstantReactivity((0.0,), (p.reactivity.value,)))
+    x0 = equilibrium_state(p, n0=2.0)
+    cfg = McConfig(yield_model=yield_model, safety=0.9)
+    horizon = 2e-4
+    record = (0.0, 1e-4, horizon)
+    seeds = [path_seed(2014, i) for i in range(12)]
+    batch = run_mc_paths(p, x0, horizon, cfg, [np.random.default_rng(s) for s in seeds], record)
+
+    times = []
+    checked = event_mc._rate_constants
+    monkeypatch.setattr(
+        event_mc, "_rate_constants", lambda p, t: times.append(float(t)) or checked(p, t)
+    )
+    expected, iterations = [], []
+    for i, seed in enumerate(seeds):
+        times.clear()
+        single = run_mc_paths(p, x0, horizon, cfg, [np.random.default_rng(seed)], record)
+        assert np.array_equal(batch.states[i], single.states[0]), f"path {i} diverged"
+        assert np.array_equal(batch.event_counts[i], single.event_counts[0])
+        assert batch.negative_captures[i] == single.negative_captures[0]
+        steps = times[1:]  # after the check before the first step: one per iteration
+        iterations.append(len(steps))
+        for k, (_, t, dt) in enumerate(single.halvings):
+            iteration = steps.index(t) if schedule == "one-piece" else 0
+            expected.append((iteration, i, k, (i, t, dt)))
+    assert iterations != sorted(iterations)  # paths finish out of index order
+    assert len(expected) > 0
+    if yield_model == "fractional":
+        assert batch.negative_captures.sum() > 0
+    if schedule == "one-piece":
+        assert batch.halvings == [entry for *_, entry in sorted(expected)]
+    else:
+        by_path = sorted(batch.halvings, key=lambda h: h[0])  # stable: keeps each path's order
+        assert by_path == [entry for *_, entry in sorted(expected, key=lambda e: e[1:3])]
+
+
+def test_halvings_after_a_path_finishes_keep_path_order():
+    # scripted one-group paths on the per-step branch (one-piece schedule),
+    # dt = 1/8 from n = 3.8: P = 7.9 dt = 0.9875 and a fission lifts P past
+    # one.  Path 1 never fires and finishes first, after 8 iterations; paths
+    # 2 and 3 halve together again two iterations later, so their entries
+    # must still be logged in path order
+    p = one_group_params(beta1=0.05, q=0.0)
+    p = replace(p, reactivity=PiecewiseConstantReactivity((0.0,), (p.reactivity.value,)))
+    none = 0.9999
+    late = [0.7] + [none] * 7 + [0.55, 0.7]  # fission, halve; two fissions, halve
+    gens = [
+        StubGenerator([0.7], fill=none),
+        StubGenerator([], fill=none),
+        StubGenerator(late, fill=none),
+        StubGenerator(late, fill=none),
+    ]
+    res = run_mc_paths(p, [3.8, 3.0], 1.0, McConfig(dt=0.125), gens, [1.0])
+    assert res.halvings == [
+        (0, 0.125, 0.0625), (2, 0.125, 0.0625), (3, 0.125, 0.0625),
+        (2, 0.6875, 0.03125), (3, 0.6875, 0.03125),
+    ]
+    assert res.event_counts.tolist() == [[0, 1, 0, 0], [0, 0, 0, 0], [0, 3, 0, 0], [0, 3, 0, 0]]
+    assert res.states[1, -1].tolist() == [3.8, 3.0]
+
+
+def test_rate_constants_refuse_a_negative_capture_coefficient():
+    # rho > 1 - 1/nu = 0.6 would make capture a birth
+    p = one_group_params(rho=0.7)
+    with pytest.raises(ParameterError, match="negative capture rate coefficient at rho=0.7"):
+        event_mc._rate_constants(p, 0.0)
+    for mode in ("fixed", "exact"):
+        with pytest.raises(ParameterError, match="negative capture"):
+            run_mc_paths(
+                p, [400.0, 300.0], 1e-3, McConfig(mode=mode), [np.random.default_rng(1)], [1e-3]
+            )
+    # a ramp crosses 0.6 at t = 0.6 s, after the run has started
+    ramp = replace(p, reactivity=LinearReactivity(1.0))
+    with pytest.raises(ParameterError, match="negative capture"):
+        run_mc_paths(ramp, [1.0, 0.0], 1.0, McConfig(dt=0.05), [np.random.default_rng(1)], [1.0])
+    assert event_mc._rate_constants(ramp, 0.5)[0] > 0.0
 
 
 def test_exact_and_fixed_means_agree():

@@ -17,7 +17,7 @@ from stokin import (
     equilibrium_state,
     event_rates,
 )
-from stokin.kinetics import as_state_vector
+from stokin.kinetics import _event_rates_into, _rate_coefficients, as_state_vector
 
 from conftest import (
     SIX_GROUP_BETA,
@@ -332,6 +332,50 @@ def test_event_rates_per_row_times_match_scalar_calls():
     for i in range(len(X)):
         assert np.array_equal(rates[:, i], event_rates(p, X[i], float(t[i])))
     assert rates[0, 0] != rates[0, 1]  # capture follows the ramp
+
+
+def test_event_rates_is_the_component_major_kernel(rng):
+    # the event MC binds the coefficients once per time and fills its own
+    # buffer through the kernel; event_rates goes through the same kernel, so
+    # both give the same bits on every layout, and the kernel writes the
+    # documented expressions
+    p = six_group_params(rho=0.003, q=5.0)
+    X = np.array([random_state(rng, p.m) for _ in range(5)])
+    X[1, 0] = -3.0
+    coefs = _rate_coefficients(p, 0.0)
+
+    def kernel(states, cap, nu_l, lam, q):
+        out = np.empty((lam.size + 3, states.shape[1]))
+        return _event_rates_into(out, states, cap, nu_l, lam, q)
+
+    expected = np.empty((p.m + 3, len(X)))
+    expected[0] = ((-0.003 + 1.0 - 1.0 / p.nu) / p.gen_time) * X[:, 0]
+    expected[1] = X[:, 0] / (p.nu * p.gen_time)
+    expected[2:-1] = (X[:, 1:] * p.lam).T
+    expected[-1] = 5.0
+    assert np.array_equal(kernel(X.T, *coefs), expected)
+    assert np.array_equal(kernel(np.ascontiguousarray(X.T), *coefs), expected)
+    assert np.array_equal(event_rates(p, X, 0.0), expected)
+    assert np.array_equal(event_rates(p, np.asfortranarray(X), 0.0), expected)
+    assert np.array_equal(event_rates(p, X[2], 0.0), kernel(X[2][:, None], *coefs)[:, 0])
+
+    # per-row times on the linear ramp: one coefficient set per time
+    p = KineticsParameters(
+        decay_constants=(0.1,),
+        group_fractions=(0.005,),
+        nu=2.5,
+        gen_time=1e-5,
+        reactivity=LinearReactivity(0.25),
+        source=ConstantSource(3.0),
+    )
+    X = np.array([[100.0, 5e5], [80.0, 4e5], [120.0, 6e5], [0.0, 1e5]])
+    t = np.array([0.02, 0.0, 0.02, 0.07])
+    coefs = [_rate_coefficients(p, float(s)) for s in t]
+    _, nu_l, lam, q = coefs[0]
+    rates = event_rates(p, X, t)
+    assert np.array_equal(rates, kernel(X.T, np.array([c[0] for c in coefs]), nu_l, lam, q))
+    for i in range(len(X)):
+        assert np.array_equal(rates[:, [i]], kernel(X[i][:, None], *coefs[i]))
 
 
 # ---------------------------------------------------------------------------
