@@ -57,19 +57,30 @@ def _component_header(dim) -> list:
     return ["t", "n"] + [f"c{i + 1}" for i in range(dim - 1)]
 
 
+def _check_method_flags(args):
+    """Refuse a flag the chosen method would ignore: ``--mode`` and
+    ``--yield`` steer only mc, ``--zero-noise`` only the SDE methods."""
+    if args.method == "mc":
+        if args.zero_noise:
+            raise ParameterError("--zero-noise applies to the SDE methods, not to mc")
+        return
+    for flag, value in (("--mode", args.mode), ("--yield", args.yield_model)):
+        if value is not None:
+            raise ParameterError(f"{flag} applies to mc, not to {args.method}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args) -> int:
+    _check_method_flags(args)
     scn = load_scenario(args.scenario)
     p = scn.build_parameters()
     x0 = scn.build_initial(p)
     record = scn.record_times()
 
     if args.method == "mc":
-        if args.zero_noise:
-            raise ParameterError("--zero-noise applies to the SDE methods, not to mc")
         mc = scn.mc_config(args.mode, args.yield_model, args.dt)
         traj = mc_trajectory(p, x0, scn.horizon, mc, NoiseSource(args.seed), record)
         times, states = traj.times, traj.states
@@ -134,10 +145,11 @@ def _summary_json(summary: EnsembleSummary, scenario_name: str) -> dict:
 
 def _scenario_ensemble(args, keep_paths=0):
     """Load the scenario and run the ensemble the flags ask for."""
+    _check_method_flags(args)
     scn = load_scenario(args.scenario)
     p = scn.build_parameters()
     grid = scn.grid(args.method, args.dt)
-    mc = scn.mc_config(args.mode, args.yield_model, args.dt)
+    mc = scn.mc_config(args.mode, args.yield_model, args.dt) if args.method == "mc" else None
     cfg = scn.ensemble_config(args.method, args.seed, args.samples, mc, args.zero_noise, keep_paths)
     return scn, run_ensemble(p, scn.build_initial(p), grid, cfg)
 

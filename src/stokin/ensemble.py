@@ -7,6 +7,9 @@ pass (Welford updates, applied strictly in path-index order so the result is
 independent of how path generation was batched).  Alongside the state
 components it tracks the per-path precursor sum, so summed-precursor spreads
 come from per-path sums rather than sums of per-component statistics.
+Every path starts from x0 at t = 0: the SDE engines step the time grid from
+its first node, and the event Monte Carlo takes the grid's end as its
+horizon.
 
 Per-path seeds derive deterministically from the master seed and the path
 index, making summaries reproducible run to run.  The ensemble stops once
@@ -172,16 +175,12 @@ def run_ensemble(
     ~21-node thinning of ``grid``; either engine checks them.  For the SDE
     methods ``grid`` is the solver grid and the record times must be its
     nodes.  For the event Monte Carlo the grid supplies the horizon and the
-    default record times; stepping is governed by ``cfg.mc``.  Its paths
-    start from x0 at t = 0, so a grid with t0 != 0 is refused for mc.
+    default record times; stepping is governed by ``cfg.mc``.  Every method
+    starts its paths from x0 at t = 0, where the grid starts.
     """
     x0 = as_state_vector(x0, p)
     d = p.dim
     method = cfg.method
-    if method == "mc" and grid.t0 != 0.0:
-        raise ParameterError(
-            f"the event MC starts at t=0, but the grid starts at t0={grid.t0!r}"
-        )
     record_times = cfg.record_times
     if record_times is None:
         record_times = _default_record_times(grid)

@@ -68,7 +68,6 @@ from .kinetics import (
     ConstantReactivity,
     ConstantSource,
     KineticsParameters,
-    _coefficients_per_row,
     _event_rates_into,
     _rate_coefficients,
     as_state_vector,
@@ -99,8 +98,9 @@ class McConfig:
     """Monte Carlo stepping configuration.
 
     ``dt=None`` picks safety / (total rate at the initial state) for the
-    fixed mode.  Record times are not part of the configuration: the caller
-    passes them to :func:`run_mc_paths` or :func:`mc_trajectory`.
+    fixed mode; the exact mode has no step and refuses a ``dt``.  Record
+    times are not part of the configuration: the caller passes them to
+    :func:`run_mc_paths` or :func:`mc_trajectory`.
     """
 
     mode: str = MODE_FIXED
@@ -115,6 +115,8 @@ class McConfig:
             raise ParameterError(f"unknown yield model {self.yield_model!r}")
         if self.dt is not None and not 0 < self.dt < math.inf:
             raise ParameterError(f"fixed-step dt must be positive and finite, got {self.dt!r}")
+        if self.dt is not None and self.mode == MODE_EXACT:
+            raise ParameterError("dt sets the fixed mode's step; the exact mode takes none")
         if not 0 < self.safety <= 1:
             raise ParameterError("safety factor must be in (0, 1]")
 
@@ -151,6 +153,29 @@ def _rate_constants(p: KineticsParameters, t: float):
         rho = float(p.reactivity(t))
         raise ParameterError(f"negative capture rate coefficient at rho={rho:g}")
     return coefs
+
+
+def _coefficients_per_row(p: KineticsParameters, t: np.ndarray):
+    """The rate coefficients for slots at clocks t, from :func:`_rate_constants`
+    once per distinct time: the capture coefficient and q hold one value per
+    slot unless every time is the same."""
+    times, inverse = np.unique(t, return_inverse=True)
+    coefs = [_rate_constants(p, s) for s in times]
+    if len(coefs) == 1:
+        return coefs[0]
+    _, nu_l, lam, _ = coefs[0]
+    cap, q = np.array([(c[0], c[3]) for c in coefs])[inverse].T
+    return cap, nu_l, lam, q
+
+
+def _total_rates(rates: np.ndarray) -> np.ndarray:
+    """Column sums of event-major rates (m+3, k), added row by row.  numpy
+    sums a lone column pairwise once it has 8 or more rows, so without the
+    cumulative sum a path alone would round its total differently from the
+    same path in a batch."""
+    if rates.shape[1] == 1:
+        return np.cumsum(rates, axis=0)[-1]
+    return rates.sum(axis=0)
 
 
 def _padded_deltas(p: KineticsParameters) -> np.ndarray:
@@ -385,10 +410,10 @@ def run_mc_paths(
         if autonomous:
             coefs = _rate_constants(p, 0.0)
         else:
-            coefs = _coefficients_per_row(p, ta, _rate_constants)
+            coefs = _coefficients_per_row(p, ta)
         rates = rate_buf[:, :k]
         _event_rates_into(rates, np.maximum(Xa, 0.0, out=clipped[:, :k]), *coefs)
-        totals = rates.sum(axis=0)
+        totals = _total_rates(rates)
 
         if fixed:
             dta = dt[:k]

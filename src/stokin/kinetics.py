@@ -28,6 +28,8 @@ Reactivity and source are the package's coefficient types, three
 reactivities and two sources; :class:`KineticsParameters` refuses any other.
 Each owns its domain: a piecewise one raises ReactivityDomainError, naming
 its first breakpoint, when evaluated before it; the others hold for all times.
+Every run starts at t = 0, so :class:`KineticsParameters` evaluates both
+coefficients there once and refuses a schedule that starts later.
 
 The parameter and coefficient types are immutable after construction; the
 arrays returned for a single state, matrix or table are read-only; the
@@ -178,12 +180,16 @@ class KineticsParameters:
 
     Any other reactivity or source, a plain callable included, is refused
     with a ParameterError naming the field.  Each coefficient raises
-    ReactivityDomainError when evaluated outside its domain.
+    ReactivityDomainError when evaluated outside its domain; both are
+    evaluated once at t = 0, where every run starts, so a schedule whose
+    first breakpoint lies later is refused here.
 
     Attributes
     ----------
     beta_total : float
         Sum of the group fractions.
+    lam, beta : ndarray
+        The decay constants and group fractions as read-only (m,) arrays.
     """
 
     decay_constants: tuple
@@ -193,10 +199,12 @@ class KineticsParameters:
     reactivity: object
     source: object
     beta_total: float = field(init=False)
+    lam: np.ndarray = field(init=False, compare=False, repr=False)
+    beta: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        lam = np.asarray(self.decay_constants, dtype=float)
-        beta = np.asarray(self.group_fractions, dtype=float)
+        lam = np.array(self.decay_constants, dtype=float)
+        beta = np.array(self.group_fractions, dtype=float)
         if lam.ndim != 1 or lam.size < 1:
             raise ParameterError("decay_constants must contain at least one group")
         if beta.shape != lam.shape:
@@ -219,9 +227,13 @@ class KineticsParameters:
                 raise ParameterError(
                     f"{name} must be one of {expected}; got {type(value).__name__}"
                 )
+            value(0.0)  # raises ReactivityDomainError for a schedule starting later
         object.__setattr__(self, "decay_constants", tuple(lam))
         object.__setattr__(self, "group_fractions", tuple(beta))
         object.__setattr__(self, "beta_total", float(beta.sum()))
+        for name, arr in (("lam", lam), ("beta", beta)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def m(self) -> int:
@@ -232,14 +244,6 @@ class KineticsParameters:
     def dim(self) -> int:
         """State dimension: neutron density plus one entry per group."""
         return self.m + 1
-
-    @property
-    def lam(self) -> np.ndarray:
-        return np.asarray(self.decay_constants)
-
-    @property
-    def beta(self) -> np.ndarray:
-        return np.asarray(self.group_fractions)
 
 
 def as_state_vector(x, p: KineticsParameters) -> np.ndarray:
@@ -360,19 +364,6 @@ def _rate_coefficients(p: KineticsParameters, t: float):
     return (-rho + 1.0 - 1.0 / p.nu) / p.gen_time, p.nu * p.gen_time, p.lam[:, None], q
 
 
-def _coefficients_per_row(p: KineticsParameters, t: np.ndarray, lookup=_rate_coefficients):
-    """The coefficients for states at times t, from ``lookup(p, s)`` once
-    per distinct time s: the capture coefficient and q hold one value per
-    state unless every time is the same."""
-    times, inverse = np.unique(t, return_inverse=True)
-    coefs = [lookup(p, s) for s in times]
-    if len(coefs) == 1:
-        return coefs[0]
-    _, nu_l, lam, _ = coefs[0]
-    cap, q = np.array([(c[0], c[3]) for c in coefs])[inverse].T
-    return cap, nu_l, lam, q
-
-
 def _event_rates_into(out: np.ndarray, X: np.ndarray, cap, nu_l, lam, q) -> np.ndarray:
     """Write the event rates of component-major states X, (m+1, N), into
     ``out``, (m+3, N), from the coefficients of :func:`_rate_coefficients`;
@@ -386,7 +377,7 @@ def _event_rates_into(out: np.ndarray, X: np.ndarray, cap, nu_l, lam, q) -> np.n
     return out
 
 
-def event_rates(p: KineticsParameters, X, t=0.0) -> np.ndarray:
+def event_rates(p: KineticsParameters, X, t: float = 0.0) -> np.ndarray:
     """Event rates (1/s) of one state (m+1,) or a batch (N, m+1), event-major:
     row k of the (m+3,) or (m+3, N) result is event k's rate, in
     :func:`delta_table` row order.
@@ -396,21 +387,18 @@ def event_rates(p: KineticsParameters, X, t=0.0) -> np.ndarray:
     transformation: lambda_i * c_i
     source:         q(t)
 
-    ``t`` is one time or one per state; reactivity and source are evaluated
-    once per distinct time.  The rates are raw: a negative population gives
-    a negative rate, and so does rho > 1 - 1/nu for capture.  Each caller
-    applies its own rule to them (the SDE solvers' roundoff band, the event
-    Monte Carlo's clip at zero).
+    Reactivity and source are evaluated once, at time ``t``.  The rates are
+    raw: a negative population gives a negative rate, and so does
+    rho > 1 - 1/nu for capture.  Each caller applies its own rule to them
+    (the SDE solvers' roundoff band, the event Monte Carlo's clip at zero).
     """
     X = np.asarray(X, dtype=float)
     if X.shape[-1] != p.dim:
         raise ParameterError(f"state dimension {X.shape[-1]} does not match m+1={p.dim}")
-    t = np.asarray(t, dtype=float)
-    if t.ndim == 0:
-        coefs = _rate_coefficients(p, float(t))
-    else:
-        coefs = _coefficients_per_row(p, t)
+    if np.ndim(t):
+        raise ParameterError("event_rates takes one time t, not one per state")
     states = X.reshape(-1, p.dim).T
+    coefs = _rate_coefficients(p, float(t))
     rates = _event_rates_into(np.empty((p.m + 3, states.shape[1])), states, *coefs)
     return rates.reshape((p.m + 3,) + X.shape[:-1])
 

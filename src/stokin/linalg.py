@@ -140,47 +140,11 @@ def psd_sqrt_batch(B: np.ndarray, policy: str = "strict"):
     hard : ndarray of bool, True where an eigenvalue fell below the band;
         under "clamp" such eigenvalues are clipped anyway and the flag is
         diagnostic only
-
-    For 2x2 stacks with no negative eigenvalues this takes an analytic route
-    (sqrt via trace/determinant); everything else goes through batched eigh.
     """
     if policy not in ("strict", "clamp"):
         raise ParameterError(f"unknown psd policy {policy!r}")
     B = np.asarray(B, dtype=float)
-    N, d = B.shape[0], B.shape[-1]
-    norm = np.abs(B).reshape(N, -1).max(axis=1)
-    tol = CLIP_TOL * norm
-
-    if d == 2:
-        tr = B[:, 0, 0] + B[:, 1, 1]
-        det = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
-        disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-        min_eig = 0.5 * (tr - disc)
-        clean = min_eig >= 0.0
-        S = np.zeros_like(B)
-        if np.any(clean):
-            Bc = B[clean]
-            detc = np.maximum(det[clean], 0.0)
-            s = np.sqrt(detc)
-            denom = np.sqrt(np.maximum(tr[clean] + 2.0 * s, 0.0))
-            nz = denom > 0
-            S_c = np.zeros_like(Bc)
-            S_c[nz] = (Bc[nz] + s[nz, None, None] * np.eye(2)) / denom[nz, None, None]
-            S[clean] = S_c
-        small = np.zeros(N, dtype=np.int64)
-        hard = np.zeros(N, dtype=bool)
-        dirty = ~clean
-        if np.any(dirty):
-            Sd, sm, hd = _psd_sqrt_eigh(B[dirty], tol[dirty], policy)
-            S[dirty] = Sd
-            small[dirty] = sm
-            hard[dirty] = hd
-        return S, small, hard
-
-    return _psd_sqrt_eigh(B, tol, policy)
-
-
-def _psd_sqrt_eigh(B, tol, policy):
+    tol = CLIP_TOL * np.abs(B).reshape(B.shape[0], -1).max(axis=1)
     w, V = np.linalg.eigh(B)
     hard = w[:, 0] < -tol
     small = np.count_nonzero((w < 0) & (w >= -tol[:, None]), axis=1).astype(np.int64)

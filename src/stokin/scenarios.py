@@ -124,8 +124,8 @@ class ScenarioConfig:
         if method not in ("det", "em", "pca", "mc"):
             raise ParameterError(f"unknown grid method {method!r}; expected det|em|pca|mc")
         if method == "mc":
-            return TimeGrid(0.0, self.horizon, self.record_dt)
-        return TimeGrid(0.0, self.horizon, self.solver[f"{method}_dt"] if dt is None else dt)
+            return TimeGrid(self.horizon, self.record_dt)
+        return TimeGrid(self.horizon, self.solver[f"{method}_dt"] if dt is None else dt)
 
     def record_times(self) -> np.ndarray:
         return self.grid("mc").nodes

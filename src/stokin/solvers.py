@@ -43,6 +43,11 @@ fails the path under ``psd_policy="strict"`` and is clipped and counted in
 populations relative to their fluctuations (the stiff six-group cases) need
 the clamp policy; see the scenario presets.
 
+Every grid starts at t = 0 (:class:`TimeGrid`), where
+:class:`~stokin.kinetics.KineticsParameters` has already evaluated the
+reactivity and source once, so a schedule undefined at the start never
+reaches a solver and no solver checks a coefficient's domain itself.
+
 The batch engine :func:`run_sde_paths` holds N paths as a (d, N) array, so
 each per-step numpy operation loops over the paths.  Its matrix-vector
 products are column sums in a fixed order, not BLAS, so a path's result does
@@ -86,36 +91,35 @@ _BLOCK_BUDGET = 1 << 19
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid covering [t0, t_end] exactly."""
+    """Uniform time grid covering [0, t_end] exactly: every run starts at
+    t = 0, where the reactivity is inserted."""
 
-    t0: float
     t_end: float
     dt: float
 
     def __post_init__(self):
         if not 0 < self.dt < math.inf:
             raise ParameterError(f"grid step must be positive and finite, got {self.dt!r}")
-        span = self.t_end - self.t0
-        if not 0 < span < math.inf:
-            raise ParameterError("grid must have t_end > t0, both finite")
-        ratio = span / self.dt
+        if not 0 < self.t_end < math.inf:
+            raise ParameterError(f"grid end must be positive and finite, got {self.t_end!r}")
+        ratio = self.t_end / self.dt
         if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
             raise ParameterError(
-                f"grid step {self.dt!r} does not divide the horizon {span!r} "
+                f"grid step {self.dt!r} does not divide the horizon {self.t_end!r} "
                 "into an integer number of steps"
             )
 
     @property
     def n_steps(self) -> int:
-        return int(round((self.t_end - self.t0) / self.dt))
+        return int(round(self.t_end / self.dt))
 
     @property
     def nodes(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n_steps + 1)
+        return self.dt * np.arange(self.n_steps + 1)
 
     def midpoint(self, k: int) -> float:
         # literal node average so recorded midpoint coefficients are exact
-        return 0.5 * ((self.t0 + k * self.dt) + (self.t0 + (k + 1) * self.dt))
+        return 0.5 * (k * self.dt + (k + 1) * self.dt)
 
     def node_indices(self, times) -> np.ndarray:
         """Indices of the nodes at ``times``; raises ParameterError unless the
@@ -123,7 +127,7 @@ class TimeGrid:
         nodes = self.nodes
         idx = []
         for t in check_record_times(times).tolist():
-            k = int(round((t - self.t0) / self.dt))
+            k = int(round(t / self.dt))
             if k < 0 or k > self.n_steps or abs(nodes[k] - t) > 1e-9 * max(1.0, abs(t)):
                 raise ParameterError(f"record time {t!r} is not a grid node")
             idx.append(k)
@@ -180,12 +184,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def _check_domain(p: KineticsParameters, grid: TimeGrid):
-    # every coefficient domain is [first breakpoint, inf): only t0 can fail
-    p.reactivity(grid.t0)
-    p.source(grid.t0)
-
-
 # ---------------------------------------------------------------------------
 # deterministic exponential integrator
 # ---------------------------------------------------------------------------
@@ -217,7 +215,6 @@ def deterministic_solve(p: KineticsParameters, x0, grid: TimeGrid) -> Trajectory
     augmented matrix exponential, which covers singular drift matrices
     without a separate series branch.
     """
-    _check_domain(p, grid)
     x = as_state_vector(x0, p)
     d = p.dim
     rho_steps, _, steps = _midpoint_table(
@@ -327,7 +324,6 @@ def run_sde_paths(
         raise ParameterError(f"unknown SDE method {method!r}; expected em|pca")
     if psd_policy not in ("strict", "clamp"):
         raise ParameterError(f"unknown psd policy {psd_policy!r}")
-    _check_domain(p, grid)
     x0 = as_state_vector(x0, p)
     d = p.dim
     n_events = p.m + 3

@@ -250,7 +250,7 @@ def test_criterion_6_property_suite():
     )
 
     # zero-noise reductions
-    grid = TimeGrid(0.0, 0.5, 0.005)
+    grid = TimeGrid(0.5, 0.005)
     em_z = euler_maruyama_solve(p1, x1, grid, NoiseSource(0), zero_noise=True)
     x = x1.copy()
     ok = True
@@ -305,7 +305,7 @@ def test_criterion_6_property_suite():
         ok &= np.abs(sums[1:]).max() <= 1e-12
     crit.check("drift column-sum identity", ok, "")
     pc = one_group_params(rho=0.0, q=0.0, beta1=0.005)
-    tr = deterministic_solve(pc, np.array([100.0, 40.0]), TimeGrid(0.0, 1.0, 0.05))
+    tr = deterministic_solve(pc, np.array([100.0, 40.0]), TimeGrid(1.0, 0.05))
     totals = tr.states.sum(axis=1)
     crit.check(
         "population conserved under drift at rho=0, q=0",

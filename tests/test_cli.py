@@ -206,6 +206,45 @@ def test_zero_noise_refused_for_mc(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["ensemble", "--method", "em", "--mode", "exact", "--samples", "5"], "--mode"),
+        (["ensemble", "--method", "em", "--yield", "integer", "--samples", "5"], "--yield"),
+        (["plotdata", "--method", "pca", "--mode", "fixed", "--samples", "5"], "--mode"),
+        (["solve", "--method", "det", "--mode", "exact"], "--mode"),
+        (["solve", "--method", "pca", "--yield", "fractional"], "--yield"),
+        (["solve", "--method", "mc", "--mode", "exact", "--dt", "0.5"], "exact mode"),
+        (["ensemble", "--method", "mc", "--mode", "exact", "--dt", "0.5", "--samples", "5"],
+         "exact mode"),
+    ],
+    ids=["ensemble-em-mode", "ensemble-em-yield", "plotdata-pca-mode", "solve-det-mode",
+         "solve-pca-yield", "solve-mc-exact-dt", "ensemble-mc-exact-dt"],
+)
+def test_flags_the_method_would_ignore_are_refused(args, flag, tmp_path, capsys):
+    # these flags used to be dropped silently: the run wrote the same files
+    # as one without them
+    code, out = run_cli(args[:1] + ["--scenario", "table1"] + args[1:], tmp_path, "a")
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ParameterError"
+    assert flag in payload["message"]
+    assert not out.exists()
+
+
+def test_sde_ensemble_step_override_ignores_the_mc_preset(tmp_path):
+    # linear-rho's MC preset is exact, which takes no step: --dt is the pca
+    # step here and must not reach the MC configuration
+    code, out = run_cli(
+        ["ensemble", "--scenario", "linear-rho", "--method", "pca", "--dt", "1e-3",
+         "--samples", "5", "--seed", "3"],
+        tmp_path,
+        "a",
+    )
+    assert code == 0
+    assert json.loads((out / "linear-rho_pca_summary.json").read_text())["n_samples"] == 5
+
+
 @pytest.mark.parametrize("command", ["ensemble", "plotdata"])
 @pytest.mark.parametrize(
     "method, flags",

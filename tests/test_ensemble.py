@@ -93,6 +93,9 @@ def test_config_validation():
     for dt in (np.inf, np.nan):
         with pytest.raises(ParameterError, match="finite"):
             McConfig(dt=dt)
+    # the exact mode has no step; a dt used to be accepted and ignored
+    with pytest.raises(ParameterError, match="exact mode"):
+        McConfig(mode="exact", dt=1e-3)
     # sample counts are integers; JSON's integral floats are taken as such
     cfg = EnsembleConfig(method="em", min_samples=20.0, max_samples=np.int64(30))
     assert (cfg.min_samples, cfg.max_samples) == (20, 30)
@@ -108,7 +111,7 @@ def test_config_validation():
 
 def test_zero_noise_ensemble_collapses_to_single_path():
     p, x0 = table1_setup()
-    grid = TimeGrid(0.0, 0.5, 0.01)
+    grid = TimeGrid(0.5, 0.01)
     cfg = EnsembleConfig(
         method="pca", master_seed=1, min_samples=50, max_samples=500, zero_noise=True
     )
@@ -125,7 +128,7 @@ def test_zero_noise_ensemble_collapses_to_single_path():
 
 def test_summary_reproducible_and_batch_invariant():
     p, x0 = table1_setup()
-    grid = TimeGrid(0.0, 0.2, 0.002)
+    grid = TimeGrid(0.2, 0.002)
     base = dict(method="em", master_seed=9, min_samples=40, max_samples=40,
                 record_times=(0.0, 0.1, 0.2))
     s1 = run_ensemble(p, x0, grid, EnsembleConfig(batch_size=7, **base))
@@ -141,7 +144,7 @@ def test_summary_reproducible_and_batch_invariant():
 
 def test_halfwidth_identity_and_stopping_soundness():
     p, x0 = table1_setup()
-    grid = TimeGrid(0.0, 0.2, 0.002)
+    grid = TimeGrid(0.2, 0.002)
     cfg = EnsembleConfig(
         method="em",
         master_seed=3,
@@ -163,7 +166,7 @@ def test_halfwidth_identity_and_stopping_soundness():
 
 def test_stop_reason_max_samples():
     p, x0 = table1_setup()
-    grid = TimeGrid(0.0, 0.2, 0.002)
+    grid = TimeGrid(0.2, 0.002)
     cfg = EnsembleConfig(
         method="em", master_seed=3, min_samples=50, max_samples=50,
         target_rel_halfwidth=1e-9, record_times=(0.0, 0.2),
@@ -179,7 +182,7 @@ def test_failed_paths_abort_when_above_one_percent():
     # strict policy most paths hit a negative event rate
     p = six_group_params(rho=0.007)
     x0 = np.concatenate([[1.0], np.full(6, 0.01)])
-    grid = TimeGrid(0.0, 0.001, 1e-5)
+    grid = TimeGrid(0.001, 1e-5)
     cfg = EnsembleConfig(
         method="em", master_seed=0, min_samples=50, max_samples=50,
         psd_policy="strict", record_times=(0.0, 0.001),
@@ -198,7 +201,7 @@ def test_failed_paths_abort_when_above_one_percent():
 
 def test_mc_ensemble_means_track_equilibrium():
     p, x0 = table1_setup()
-    grid = TimeGrid(0.0, 2.0, 0.1)
+    grid = TimeGrid(2.0, 0.1)
     cfg = EnsembleConfig(
         method="mc", master_seed=12, min_samples=400, max_samples=400,
         record_times=(0.0, 2.0), mc=McConfig(),
@@ -211,7 +214,7 @@ def test_mc_ensemble_means_track_equilibrium():
 
 def test_integer_yield_ensemble_runs_per_path():
     p, x0 = table1_setup()
-    grid = TimeGrid(0.0, 0.5, 0.1)
+    grid = TimeGrid(0.5, 0.1)
     cfg = EnsembleConfig(
         method="mc", master_seed=4, min_samples=20, max_samples=20,
         record_times=(0.0, 0.5), mc=McConfig(yield_model="integer"),
@@ -228,30 +231,16 @@ def test_mc_ensemble_records_at_given_times():
     cfg = EnsembleConfig(
         method="mc", master_seed=5, min_samples=4, max_samples=4, record_times=record,
     )
-    summary = run_ensemble(p, x0, TimeGrid(0.0, 0.5, 0.1), cfg)
+    summary = run_ensemble(p, x0, TimeGrid(0.5, 0.1), cfg)
     assert summary.times.tolist() == list(record)
     assert summary.mean.shape == (len(record), 3)
-
-
-def test_mc_ensemble_refuses_a_grid_not_starting_at_zero():
-    # the MC starts x0 at t=0; em and pca start it at t0, where their first
-    # row is x0 itself
-    p, x0 = table1_setup()
-    grid = TimeGrid(0.5, 1.0, 0.1)
-    cfg = EnsembleConfig(method="mc", master_seed=1, min_samples=4, max_samples=4)
-    with pytest.raises(ParameterError, match=r"t0=0\.5"):
-        run_ensemble(p, x0, grid, cfg)
-    em = run_ensemble(p, x0, grid, EnsembleConfig(method="em", master_seed=1, min_samples=4,
-                                                  max_samples=4))
-    assert em.times[0] == 0.5
-    assert np.array_equal(em.mean[0, :2], x0)
 
 
 def halving_case():
     # supercritical one-group burst from 20 neutrons: with safety 1 the
     # fixed-step paths outgrow their step and halve it
     p = one_group_params(rho=0.01, l=1e-3, beta1=0.002, q=0.0)
-    return p, np.array([20.0, 0.0]), TimeGrid(0.0, 0.02, 0.01)
+    return p, np.array([20.0, 0.0]), TimeGrid(0.02, 0.01)
 
 
 MC_VARIANTS = {
@@ -303,7 +292,7 @@ def test_mc_ensemble_rejects_bad_record_times(record_times):
     # states from other times (and point the stopping rule at the wrong row);
     # the MC and both SDE engines share one check
     p, x0 = table1_setup()
-    grid = TimeGrid(0.0, 0.1, 0.01)
+    grid = TimeGrid(0.1, 0.01)
     for method in ("mc", "em", "pca"):
         cfg = EnsembleConfig(method=method, min_samples=2, max_samples=2, record_times=record_times)
         with pytest.raises(ParameterError):
@@ -312,7 +301,7 @@ def test_mc_ensemble_rejects_bad_record_times(record_times):
 
 def test_keep_sample_paths():
     p, x0 = table1_setup()
-    grid = TimeGrid(0.0, 0.2, 0.002)
+    grid = TimeGrid(0.2, 0.002)
     cfg = EnsembleConfig(
         method="pca", master_seed=6, min_samples=10, max_samples=10,
         record_times=(0.0, 0.1, 0.2), keep_sample_paths=2,
@@ -330,7 +319,7 @@ def test_keep_sample_paths():
 
 def test_summarize_component_selectors():
     p, x0 = table1_setup()
-    grid = TimeGrid(0.0, 0.2, 0.002)
+    grid = TimeGrid(0.2, 0.002)
     cfg = EnsembleConfig(
         method="em", master_seed=2, min_samples=30, max_samples=30,
         record_times=(0.0, 0.2),
@@ -349,7 +338,7 @@ def test_summarize_component_selectors():
 
 def test_summarize_component_single_path_flagged():
     p, x0 = table1_setup()
-    grid = TimeGrid(0.0, 0.1, 0.002)
+    grid = TimeGrid(0.1, 0.002)
     cfg = EnsembleConfig(
         method="em", master_seed=8, min_samples=1, max_samples=1,
         record_times=(0.0, 0.1),

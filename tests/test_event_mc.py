@@ -23,7 +23,7 @@ from stokin import (
 from stokin import event_mc
 from stokin.ensemble import path_seed
 
-from conftest import one_group_params, six_group_params
+from conftest import one_group_params, random_state, six_group_params
 
 
 class StubGenerator:
@@ -347,6 +347,19 @@ def test_batched_paths_bit_equal_single_paths(mode):
         assert np.array_equal(batch.states[i], traj.states), f"path {i} diverged"
         counts = np.array([traj.event_counts[k] for k in traj.event_counts])
         assert np.array_equal(batch.event_counts[i], counts)
+
+
+def test_lone_slot_total_rate_matches_its_batch_total(rng):
+    # numpy sums a lone (m+3, 1) column pairwise but a batch row by row; a
+    # path must get the same total alone (mc_trajectory, a batch's last path)
+    # as inside a batch
+    p = six_group_params(rho=0.007, q=5.0)
+    X = np.array([random_state(rng, p.m) for _ in range(200)]).T
+    rates = np.empty((p.m + 3, X.shape[1]))
+    event_mc._event_rates_into(rates, X, *event_mc._rate_constants(p, 0.0))
+    totals = event_mc._total_rates(rates)
+    for j in range(X.shape[1]):
+        assert event_mc._total_rates(rates[:, j : j + 1])[0] == totals[j]
 
 
 @pytest.mark.parametrize("yield_model", ["fractional", "integer"])

@@ -43,7 +43,7 @@ def _preset(name, horizon, dt, n0=None):
     scn = load_scenario(name)
     p = scn.build_parameters()
     x0 = scn.build_initial(p) if n0 is None else equilibrium_state(p, n0=n0)
-    return p, x0, TimeGrid(0.0, horizon, dt), scn.psd_policy
+    return p, x0, TimeGrid(horizon, dt), scn.psd_policy
 
 
 def _piecewise():
@@ -57,7 +57,7 @@ def _piecewise():
         reactivity=PiecewiseConstantReactivity((0.0, 0.04, 0.08), (-1.0 / 3.0, 0.0, -1.0 / 3.0)),
         source=ConstantSource(200.0),
     )
-    return p, np.array([400.0, 300.0]), TimeGrid(0.0, 0.12, 0.002), "strict"
+    return p, np.array([400.0, 300.0]), TimeGrid(0.12, 0.002), "strict"
 
 
 SCENARIOS = {

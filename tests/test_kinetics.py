@@ -17,6 +17,7 @@ from stokin import (
     equilibrium_state,
     event_rates,
 )
+from stokin.event_mc import _coefficients_per_row
 from stokin.kinetics import _event_rates_into, _rate_coefficients, as_state_vector
 
 from conftest import (
@@ -187,11 +188,11 @@ def test_drift_matrix_undefined_reactivity_errors():
         group_fractions=(0.005,),
         nu=2.5,
         gen_time=1.0,
-        reactivity=PiecewiseConstantReactivity([1.0], [0.1]),
+        reactivity=PiecewiseConstantReactivity([0.0], [0.1]),
         source=ConstantSource(0.0),
     )
     with pytest.raises(ReactivityDomainError):
-        drift_matrix(p, 0.5)
+        drift_matrix(p, -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +317,9 @@ def test_event_rates_batch_is_event_major(rng):
 
 
 def test_event_rates_per_row_times_match_scalar_calls():
-    # linear-rho: one time per state gives the same rates as one call per
-    # state at its own time, repeated times included
+    # linear-rho: the event MC's coefficients for one time per state (one
+    # lookup per distinct time) give the same rates as one event_rates call
+    # per state at its own time, repeated times included
     p = KineticsParameters(
         decay_constants=(0.1,),
         group_fractions=(0.005,),
@@ -328,10 +330,12 @@ def test_event_rates_per_row_times_match_scalar_calls():
     )
     X = np.array([[100.0, 5e5], [80.0, 4e5], [120.0, 6e5], [0.0, 1e5]])
     t = np.array([0.02, 0.0, 0.02, 0.07])
-    rates = event_rates(p, X, t)
+    rates = _event_rates_into(np.empty((p.m + 3, len(X))), X.T, *_coefficients_per_row(p, t))
     for i in range(len(X)):
         assert np.array_equal(rates[:, i], event_rates(p, X[i], float(t[i])))
     assert rates[0, 0] != rates[0, 1]  # capture follows the ramp
+    with pytest.raises(ParameterError, match="one time"):
+        event_rates(p, X, t)
 
 
 def test_event_rates_is_the_component_major_kernel(rng):
@@ -359,7 +363,8 @@ def test_event_rates_is_the_component_major_kernel(rng):
     assert np.array_equal(event_rates(p, np.asfortranarray(X), 0.0), expected)
     assert np.array_equal(event_rates(p, X[2], 0.0), kernel(X[2][:, None], *coefs)[:, 0])
 
-    # per-row times on the linear ramp: one coefficient set per time
+    # per-row times on the linear ramp, as the event MC binds them: one
+    # coefficient set per time
     p = KineticsParameters(
         decay_constants=(0.1,),
         group_fractions=(0.005,),
@@ -372,7 +377,7 @@ def test_event_rates_is_the_component_major_kernel(rng):
     t = np.array([0.02, 0.0, 0.02, 0.07])
     coefs = [_rate_coefficients(p, float(s)) for s in t]
     _, nu_l, lam, q = coefs[0]
-    rates = event_rates(p, X, t)
+    rates = kernel(X.T, *_coefficients_per_row(p, t))
     assert np.array_equal(rates, kernel(X.T, np.array([c[0] for c in coefs]), nu_l, lam, q))
     for i in range(len(X)):
         assert np.array_equal(rates[:, [i]], kernel(X[i][:, None], *coefs[i]))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -132,6 +133,19 @@ def test_solver_step_must_hit_every_record_time(em_dt, tmp_path):
         load_scenario(str(path))
 
 
+@pytest.mark.parametrize("coefficient", ["reactivity", "source"])
+def test_schedule_starting_after_zero_is_refused_at_load(coefficient, tmp_path):
+    # every run starts at t=0; such a file used to load and fail only when run
+    data = load_scenario("table1").to_dict()
+    value = data["parameters"][coefficient]["value"]
+    data["parameters"][coefficient] = {"kind": "piecewise", "times": [0.5], "values": [value]}
+    path = tmp_path / "late.json"
+    path.write_text(json.dumps(data))
+    message = f"parameters: {coefficient} undefined at t=0.0: first breakpoint is 0.5"
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        load_scenario(str(path))
+
+
 @pytest.mark.parametrize("record_dt", [0.0, -0.1])
 def test_record_dt_must_be_positive(record_dt, tmp_path):
     # zero used to divide by zero in validation, and a negative step loaded
@@ -179,8 +193,9 @@ def test_record_times_and_grids():
     mc = scn.mc_config()
     assert mc.mode == "fixed" and mc.yield_model == "fractional"
     assert mc.dt is None and mc.safety == 0.1
-    mc = scn.mc_config("exact", "integer", 1e-6)
-    assert (mc.mode, mc.yield_model, mc.dt, mc.safety) == ("exact", "integer", 1e-6, 0.1)
+    mc = scn.mc_config("exact", "integer")
+    assert (mc.mode, mc.yield_model, mc.dt, mc.safety) == ("exact", "integer", None, 0.1)
+    assert scn.mc_config(dt=1e-6).dt == 1e-6
 
 
 @pytest.mark.parametrize("name", ["table1", "table3"])

@@ -56,12 +56,12 @@ def ivp_solve(p, x0, t_end):
 
 def test_time_grid_validation():
     with pytest.raises(ParameterError):
-        TimeGrid(0.0, 1.0, -0.1)
+        TimeGrid(1.0, -0.1)
     with pytest.raises(ParameterError):
-        TimeGrid(0.0, 1.0, 0.3)  # does not divide the horizon
+        TimeGrid(1.0, 0.3)  # does not divide the horizon
     with pytest.raises(ParameterError):
-        TimeGrid(1.0, 1.0, 0.1)
-    g = TimeGrid(0.0, 2.0, 0.1)
+        TimeGrid(0.0, 0.1)  # zero span
+    g = TimeGrid(2.0, 0.1)
     assert g.n_steps == 20
     assert g.nodes[0] == 0.0
     assert g.nodes[-1] == pytest.approx(2.0, rel=1e-15)
@@ -69,7 +69,7 @@ def test_time_grid_validation():
 
 
 def test_time_grid_node_indices():
-    g = TimeGrid(0.0, 2.0, 0.1)
+    g = TimeGrid(2.0, 0.1)
     assert g.node_indices([0.0, 0.1, 0.3, 2.0]).tolist() == [0, 1, 3, 20]
     assert g.node_indices(g.nodes).tolist() == list(range(21))
     with pytest.raises(ParameterError, match="0.05 is not a grid node"):
@@ -80,7 +80,7 @@ def test_time_grid_node_indices():
         g.node_indices([0.2, 0.1])
     with pytest.raises(ParameterError, match="finite"):
         g.node_indices([0.0, np.nan])
-    for bad in ((0.0, np.inf, 0.1), (0.0, 2.0, np.inf), (np.nan, 2.0, 0.1)):
+    for bad in ((np.inf, 0.1), (np.nan, 0.1), (2.0, np.inf)):
         with pytest.raises(ParameterError, match="finite"):
             TimeGrid(*bad)
 
@@ -123,7 +123,7 @@ def test_trajectory_length_mismatch():
 def test_deterministic_constant_at_sourced_equilibrium():
     p = one_group_params(beta1=0.05)
     x0 = equilibrium_state(p)
-    traj = deterministic_solve(p, x0, TimeGrid(0.0, 2.0, 0.1))
+    traj = deterministic_solve(p, x0, TimeGrid(2.0, 0.1))
     assert np.abs(traj.states - x0).max() <= 1e-8 * np.abs(x0).max()
 
 
@@ -131,7 +131,7 @@ def test_deterministic_table1_paper_beta_against_ivp():
     # the 0.005 reading: x(2) = (430.250, 251.315); independent Radau check
     p = one_group_params(beta1=0.005)
     x0 = np.array([400.0, 300.0])
-    traj = deterministic_solve(p, x0, TimeGrid(0.0, 2.0, 0.1))
+    traj = deterministic_solve(p, x0, TimeGrid(2.0, 0.1))
     ref = ivp_solve(p, x0, 2.0)
     assert traj.final_state == pytest.approx(ref, rel=1e-8)
     assert traj.final_state[0] == pytest.approx(430.25020597, rel=1e-7)
@@ -141,7 +141,7 @@ def test_deterministic_table1_paper_beta_against_ivp():
 def test_deterministic_table2_stiff_endpoint():
     p = six_group_params(rho=0.003)
     x0 = equilibrium_state(p, n0=100.0)
-    traj = deterministic_solve(p, x0, TimeGrid(0.0, 0.1, 0.005))
+    traj = deterministic_solve(p, x0, TimeGrid(0.1, 0.005))
     assert traj.final_state[0] == pytest.approx(TABLE2_N, rel=1e-6)
     assert traj.final_state[1:].sum() == pytest.approx(TABLE2_CSUM, rel=1e-6)
     ref = ivp_solve(p, x0, 0.1)
@@ -151,7 +151,7 @@ def test_deterministic_table2_stiff_endpoint():
 def test_deterministic_table3_stiff_endpoint():
     p = six_group_params(rho=0.007)
     x0 = equilibrium_state(p, n0=100.0)
-    traj = deterministic_solve(p, x0, TimeGrid(0.0, 0.001, 5e-5))
+    traj = deterministic_solve(p, x0, TimeGrid(0.001, 5e-5))
     assert traj.final_state[0] == pytest.approx(TABLE3_N, rel=1e-6)
     assert traj.final_state[1:].sum() == pytest.approx(TABLE3_CSUM, rel=1e-6)
 
@@ -160,8 +160,8 @@ def test_deterministic_step_halving_invariance():
     # exact for constant coefficients: halving dt changes nothing but roundoff
     p = one_group_params(beta1=0.005)
     x0 = np.array([400.0, 300.0])
-    coarse = deterministic_solve(p, x0, TimeGrid(0.0, 2.0, 0.2)).final_state
-    fine = deterministic_solve(p, x0, TimeGrid(0.0, 2.0, 0.1)).final_state
+    coarse = deterministic_solve(p, x0, TimeGrid(2.0, 0.2)).final_state
+    fine = deterministic_solve(p, x0, TimeGrid(2.0, 0.1)).final_state
     assert np.abs(coarse - fine).max() <= 1e-6 * np.abs(fine).max()
 
 
@@ -176,7 +176,7 @@ def test_deterministic_linear_ramp_matches_ivp():
     )
     x0 = equilibrium_state(p, n0=100.0)
     t_end = 0.04  # before the explosive phase so relative comparison is clean
-    traj = deterministic_solve(p, x0, TimeGrid(0.0, t_end, 2e-5))
+    traj = deterministic_solve(p, x0, TimeGrid(t_end, 2e-5))
 
     def rhs(t, y):
         A = np.array(drift_matrix(p, t))
@@ -190,7 +190,7 @@ def test_conservation_under_drift_at_critical_no_source():
     # rho=0, q=0: column sums vanish, so n + sum(c) is conserved
     p = one_group_params(rho=0.0, q=0.0, beta1=0.005)
     x0 = np.array([100.0, 40.0])
-    traj = deterministic_solve(p, x0, TimeGrid(0.0, 1.0, 0.05))
+    traj = deterministic_solve(p, x0, TimeGrid(1.0, 0.05))
     totals = traj.states.sum(axis=1)
     assert np.abs(totals - totals[0]).max() <= 1e-10 * totals[0]
 
@@ -202,7 +202,7 @@ def test_conservation_under_drift_at_critical_no_source():
 def test_em_zero_noise_is_explicit_euler():
     p = one_group_params(beta1=0.005)
     x0 = np.array([400.0, 300.0])
-    grid = TimeGrid(0.0, 1.0, 0.01)
+    grid = TimeGrid(1.0, 0.01)
     traj = euler_maruyama_solve(p, x0, grid, NoiseSource(0), zero_noise=True)
     A = np.array(drift_matrix(p, 0.0))
     x = x0.copy()
@@ -216,7 +216,7 @@ def test_em_zero_noise_is_explicit_euler():
 def test_pca_zero_noise_matches_deterministic_sourcefree():
     p = six_group_params(rho=0.007)  # constant rho, q=0
     x0 = equilibrium_state(p, n0=100.0)
-    grid = TimeGrid(0.0, 0.001, 1e-5)
+    grid = TimeGrid(0.001, 1e-5)
     pca = stochastic_pca_solve(p, x0, grid, NoiseSource(0), zero_noise=True)
     det = deterministic_solve(p, x0, grid)
     assert np.abs(pca.states - det.states).max() <= 1e-9 * np.abs(det.states).max()
@@ -225,7 +225,7 @@ def test_pca_zero_noise_matches_deterministic_sourcefree():
 def test_seed_determinism_bitwise():
     p = one_group_params(beta1=0.05)
     x0 = np.array([400.0, 300.0])
-    grid = TimeGrid(0.0, 0.5, 0.005)
+    grid = TimeGrid(0.5, 0.005)
     for solver in (euler_maruyama_solve, stochastic_pca_solve):
         t1 = solver(p, x0, grid, NoiseSource(99))
         t2 = solver(p, x0, grid, NoiseSource(99))
@@ -236,7 +236,7 @@ def test_seed_determinism_bitwise():
 def test_batch_paths_bit_equal_single_paths():
     p = one_group_params(beta1=0.05)
     x0 = np.array([400.0, 300.0])
-    grid = TimeGrid(0.0, 0.2, 0.002)
+    grid = TimeGrid(0.2, 0.002)
     seeds = [path_seed(31, i) for i in range(5)]
     for method, solver in (
         ("em", euler_maruyama_solve),
@@ -254,7 +254,7 @@ def test_batch_paths_bit_equal_single_paths_six_group_clamp():
     # the event factor runs inside the batch and in the single paths alike
     p = six_group_params(rho=0.007)
     x0 = np.concatenate([[1.0], np.full(6, 0.01)])
-    grid = TimeGrid(0.0, 2e-4, 1e-5)
+    grid = TimeGrid(2e-4, 1e-5)
     seeds = [path_seed(37, i) for i in range(6)]
     for method, solver in (
         ("em", euler_maruyama_solve),
@@ -296,7 +296,7 @@ def test_negative_population_rates_follow_event_mc_rule():
 
 def test_unknown_psd_policy_rejected():
     p = one_group_params(beta1=0.05)
-    grid = TimeGrid(0.0, 0.01, 0.001)
+    grid = TimeGrid(0.01, 0.001)
     with pytest.raises(ParameterError):
         run_sde_paths(p, [400.0, 300.0], grid, "em", [np.random.default_rng(0)],
                       psd_policy="eigen")
@@ -307,7 +307,7 @@ def test_strict_policy_failure_carries_step_index():
     # zero almost immediately and their event rates turn negative
     p = six_group_params(rho=0.007)
     x0 = np.concatenate([[1.0], np.full(6, 0.01)])
-    grid = TimeGrid(0.0, 0.001, 1e-5)
+    grid = TimeGrid(0.001, 1e-5)
     with pytest.raises(SolverError) as err:
         euler_maruyama_solve(p, x0, grid, NoiseSource(3), psd_policy="strict")
     assert err.value.step_index is not None
@@ -326,7 +326,7 @@ def test_pca_records_exact_midpoint_reactivity():
         source=ConstantSource(0.0),
     )
     x0 = equilibrium_state(p, n0=100.0)
-    grid = TimeGrid(0.0, 0.01, 1e-3)
+    grid = TimeGrid(0.01, 1e-3)
     traj = stochastic_pca_solve(p, x0, grid, NoiseSource(5), psd_policy="clamp")
     nodes = grid.nodes
     expected = 0.25 * (nodes[:-1] + nodes[1:]) / 2.0
@@ -337,7 +337,7 @@ def test_em_negative_step_diagnostic_counts():
     # about 1% of table-3 paths undershoot zero; scan a batch for one
     p = six_group_params(rho=0.007)
     x0 = equilibrium_state(p, n0=100.0)
-    grid = TimeGrid(0.0, 0.001, 1e-5)
+    grid = TimeGrid(0.001, 1e-5)
     gens = [np.random.default_rng(path_seed(8, i)) for i in range(400)]
     res = run_sde_paths(p, x0, grid, "em", gens, psd_policy="clamp")
     assert not res.failed.any()
@@ -353,7 +353,7 @@ def test_strict_failures_mid_batch_match_single_paths():
     # set while the rest keep stepping
     p = six_group_params(rho=0.007)
     x0 = equilibrium_state(p, n0=100.0)
-    grid = TimeGrid(0.0, 0.001, 1e-5)
+    grid = TimeGrid(0.001, 1e-5)
     seeds = [path_seed(8, i) for i in range(400)]
     for method, solver in (
         ("em", euler_maruyama_solve),
@@ -393,7 +393,7 @@ def test_noise_block_length_does_not_change_paths(monkeypatch):
 
     p = six_group_params(rho=0.007)
     x0 = equilibrium_state(p, n0=100.0)
-    grid = TimeGrid(0.0, 0.001, 1e-5)
+    grid = TimeGrid(0.001, 1e-5)
     n_paths = 40
     budgets = (solvers._BLOCK_BUDGET, 3 * n_paths * (p.m + 3))
     fields = ("states", "negative_steps", "clipped_small", "clipped_hard")
@@ -420,7 +420,7 @@ def test_zero_noise_reductions_every_preset(preset):
 
     # EM with the diffusion forced to zero is explicit Euler, step for step
     em_dt = scn.solver["em_dt"]
-    grid = TimeGrid(0.0, 50 * em_dt, em_dt)
+    grid = TimeGrid(50 * em_dt, em_dt)
     em = euler_maruyama_solve(p, x0, grid, NoiseSource(0), zero_noise=True, psd_policy=policy)
     x = x0.copy()
     q = p.source(0.0)
@@ -434,7 +434,7 @@ def test_zero_noise_reductions_every_preset(preset):
     # PCA with the diffusion forced to zero is the exponential map on
     # (state + source increment), reactivity frozen at interval midpoints
     pca_dt = scn.solver["pca_dt"]
-    grid = TimeGrid(0.0, 50 * pca_dt, pca_dt)
+    grid = TimeGrid(50 * pca_dt, pca_dt)
     pca = stochastic_pca_solve(p, x0, grid, NoiseSource(0), zero_noise=True, psd_policy=policy)
     x = x0.copy()
     for k in range(grid.n_steps):
@@ -465,7 +465,7 @@ def test_one_step_weak_consistency(preset, method):
     p = scn.build_parameters()
     x0 = scn.build_initial(p)
     dt = scn.solver[f"{method}_dt"]
-    grid = TimeGrid(0.0, dt, dt)
+    grid = TimeGrid(dt, dt)
     n_samples = 100_000
     gens = [np.random.default_rng(path_seed(404, i)) for i in range(n_samples)]
     res = run_sde_paths(p, x0, grid, method, gens, psd_policy=scn.solver["psd_policy"])
@@ -518,17 +518,27 @@ SCHEMES = {
 @pytest.mark.parametrize("coefficient", ["reactivity", "source"])
 @pytest.mark.parametrize("breakpoint_", [0.004, 0.05])
 def test_every_scheme_refuses_a_schedule_starting_after_t0(scheme, coefficient, breakpoint_):
-    # 0.004 lies inside the first half step, so the first midpoint (0.005)
-    # is in the domain while t0 is not
-    coefficients = {"reactivity": ConstantReactivity(-1.0 / 3.0), "source": ConstantSource(200.0)}
-    if coefficient == "reactivity":
-        coefficients["reactivity"] = PiecewiseConstantReactivity((breakpoint_,), (-1.0 / 3.0,))
-    else:
-        coefficients["source"] = PiecewiseConstantSource((breakpoint_,), (200.0,))
-    p = KineticsParameters(
-        decay_constants=(0.1,), group_fractions=(0.05,), nu=2.5, gen_time=2.0 / 3.0, **coefficients
-    )
+    # every run starts at t=0, so a schedule starting later is refused when
+    # the parameters are built, before any scheme sees it; 0.004 lies inside
+    # the first half step, where the first midpoint (0.005) is in the domain
+    def params(times, values):
+        coefficients = {
+            "reactivity": ConstantReactivity(-1.0 / 3.0), "source": ConstantSource(200.0)
+        }
+        if coefficient == "reactivity":
+            coefficients["reactivity"] = PiecewiseConstantReactivity(times, values)
+        else:
+            coefficients["source"] = PiecewiseConstantSource(times, values)
+        return KineticsParameters(
+            decay_constants=(0.1,), group_fractions=(0.05,), nu=2.5, gen_time=2.0 / 3.0,
+            **coefficients,
+        )
+
+    value = -1.0 / 3.0 if coefficient == "reactivity" else 200.0
     message = f"{coefficient} undefined at t=0.0: first breakpoint is {breakpoint_}"
     with pytest.raises(ReactivityDomainError) as info:
-        SCHEMES[scheme](p, np.array([400.0, 300.0]), TimeGrid(0.0, 0.1, 0.01))
+        params((breakpoint_,), (value,))
     assert str(info.value) == message
+    # the same schedule held from t=0 on runs through the breakpoint
+    p = params((0.0, breakpoint_), (value, value))
+    SCHEMES[scheme](p, np.array([400.0, 300.0]), TimeGrid(0.1, 0.01))
