@@ -229,11 +229,12 @@ def run_ensemble(
             diagnostics["clipped_small"] += int(res.clipped_small.sum())
             diagnostics["clipped_hard"] += int(res.clipped_hard.sum())
 
+        batch_aug = _augment(batch_states)
         for i in range(n_new):
             if batch_failed[i]:
                 failures += 1
                 continue
-            acc.add(_augment(batch_states[i]))
+            acc.add(batch_aug[i])
             if len(kept) < cfg.keep_sample_paths:
                 kept.append(batch_states[i].copy())
         attempted += n_new

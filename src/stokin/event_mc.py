@@ -91,6 +91,10 @@ YIELD_FRACTIONAL = "fractional"
 YIELD_INTEGER = "integer"
 
 _BUFFER = 4096  # per-path pregenerated uniforms (even: exact mode consumes pairs)
+# row stride of the uniform buffer: odd, because at a 4 KiB-multiple stride
+# every slot's gather lands in the same cache sets.  The block stays _BUFFER
+# long: the refill points fix where integer-yield draws fall in each stream.
+_ROW = _BUFFER + 1
 
 
 @dataclass(frozen=True)
@@ -377,14 +381,14 @@ def run_mc_paths(
     # it, and no slot records before its landing time reaches it
     targets = np.append(record, horizon)
 
-    # uniforms: path i's block is buf[i]; pos is a slot's next flat index
-    # and end the end of its block (_BUFFER is even, so pos >= end is also
-    # the refill test for exact mode's pairs)
-    buf = np.empty((n_paths, _BUFFER))
+    # uniforms: path i's block is buf[i, :_BUFFER]; pos is a slot's next
+    # flat index and end the end of its block (_BUFFER is even, so pos >= end
+    # is also the refill test for exact mode's pairs)
+    buf = np.empty((n_paths, _ROW))
     for i, g in enumerate(generators):
-        buf[i] = g.random(_BUFFER)
+        buf[i, :_BUFFER] = g.random(_BUFFER)
     flat = buf.reshape(-1)
-    pos = path * _BUFFER
+    pos = path * _ROW
     end = pos + _BUFFER
     per_slot = [path, t, rec_ptr, pos, end, neg_cap] + ([dt] if fixed else [])
 
@@ -398,7 +402,7 @@ def run_mc_paths(
         if np.count_nonzero(spent):
             for j in np.flatnonzero(spent):
                 i = path[j]
-                buf[i] = generators[i].random(_BUFFER)
+                buf[i, :_BUFFER] = generators[i].random(_BUFFER)
                 pk[j] = end[j] - _BUFFER
         u = flat[pk]
         if not fixed:

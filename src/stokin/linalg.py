@@ -1,12 +1,17 @@
 """Dense small-matrix kernels used by the solvers.
 
 Matrix exponential, linear solves and symmetric eigendecompositions delegate
-to scipy/LAPACK behind narrow contracts.  The positive-semidefinite square
-root (LAPACK ``eigh``) adds an eigenvalue-clipping policy for state-dependent
-diffusion matrices; the SDE solvers factor those over events instead, so the
-square root is kept as the reference the tests compare against.  Everything
-here takes and returns plain float ndarrays (the square root also reports its
-clip count, in :class:`PsdSqrtResult`) and is pure.
+to scipy/LAPACK behind narrow contracts.  Only the matrix exponential needs
+scipy, and :func:`expm` imports ``scipy.linalg`` on its first call: importing
+this module, and with it ``stokin``, loads numpy only.  The Euler-Maruyama
+and event Monte Carlo runs never load scipy; the deterministic and PCA
+solvers load it when they build their first propagator.  The
+positive-semidefinite square root (LAPACK ``eigh``) adds an
+eigenvalue-clipping policy for state-dependent diffusion matrices; the SDE
+solvers factor those over events instead, so the square root is kept as the
+reference the tests compare against.  Everything here takes and returns plain
+float ndarrays (the square root also reports its clip count, in
+:class:`PsdSqrtResult`) and is pure.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     MatrixOverflowError,
@@ -50,8 +54,11 @@ def expm(M: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square real matrix.
 
     Uses scaling-and-squaring (scipy), which also covers defective inputs.
+    ``scipy.linalg`` is imported on the first call, not with the module.
     Raises MatrixOverflowError when the result overflows float64.
     """
+    import scipy.linalg
+
     M = _check_square(M)
     with np.errstate(over="ignore", invalid="ignore"):
         E = scipy.linalg.expm(M)

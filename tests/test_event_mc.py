@@ -349,6 +349,41 @@ def test_batched_paths_bit_equal_single_paths(mode):
         assert np.array_equal(batch.event_counts[i], counts)
 
 
+class CountingGenerator:
+    """Generator wrapper that counts the uniform blocks the engine draws."""
+
+    def __init__(self, seed):
+        self.generator = np.random.default_rng(seed)
+        self.blocks = 0
+
+    def random(self, size=None):
+        self.blocks += size is not None
+        return self.generator.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self.generator, name)
+
+
+@pytest.mark.parametrize("yield_model", ["fractional", "integer"])
+def test_paths_past_one_uniform_block_bit_equal_single_paths(yield_model):
+    # table3 fixed-mode paths take thousands of iterations, so they refill
+    # their uniform block (event_mc._BUFFER floats) mid-run; a refill must
+    # write the path's own row of the buffer, wherever it sits in the batch
+    scn = load_scenario("table3")
+    p = scn.build_parameters()
+    x0 = scn.build_initial(p)
+    horizon = scn.grid("mc").t_end
+    cfg = scn.mc_config(yield_model=yield_model)
+    seeds = [path_seed(2014, i) for i in range(3)]
+    gens = [CountingGenerator(s) for s in seeds]
+    batch = run_mc_paths(p, x0, horizon, cfg, gens, (0.5 * horizon, horizon))
+    assert max(g.blocks for g in gens) > 1
+    for i, s in enumerate(seeds):
+        single = run_mc_paths(p, x0, horizon, cfg, [np.random.default_rng(s)], batch.record_times)
+        assert np.array_equal(batch.states[i], single.states[0]), f"path {i} diverged"
+        assert np.array_equal(batch.event_counts[i], single.event_counts[0])
+
+
 def test_lone_slot_total_rate_matches_its_batch_total(rng):
     # numpy sums a lone (m+3, 1) column pairwise but a batch row by row; a
     # path must get the same total alone (mc_trajectory, a batch's last path)
