@@ -12,7 +12,9 @@ its first node, and the event Monte Carlo takes the grid's end as its
 horizon.
 
 Per-path seeds derive deterministically from the master seed and the path
-index, making summaries reproducible run to run.  The ensemble stops once
+index (``path_seed``), making summaries reproducible run to run; each batch's
+generators are seeded in one vectorized pass over its path indices, which
+gives the same streams as ``path_seed``.  The ensemble stops once
 the relative 95% confidence half-width of every tracked component at the
 final record time falls below the target, or at the sample-count cap; the
 summary records which.  Failed paths (strict-policy negative rates, overflow)
@@ -80,6 +82,8 @@ class EnsembleConfig:
             object.__setattr__(self, key, int(n))
         if not (1 <= self.min_samples <= self.max_samples):
             raise ParameterError("need 1 <= min_samples <= max_samples")
+        if self.max_samples >= 2**32:  # each path index is one uint32 spawn-key word
+            raise ParameterError(f"max_samples must be below 2**32, got {self.max_samples}")
         if not self.target_rel_halfwidth > 0:
             raise ParameterError("target_rel_halfwidth must be positive")
         if self.batch_size < 1:
@@ -126,6 +130,87 @@ class EnsembleSummary:
 def path_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     """Deterministic per-path seed: SeedSequence(master) spawn key (index,)."""
     return np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+
+
+def _seed_states(master_seed: int, first: int, n: int) -> np.ndarray:
+    """``path_seed(master_seed, i).generate_state(4, np.uint64)`` for the
+    paths i = first .. first+n-1, as an (n, 4) array.
+
+    The same mixing as numpy's SeedSequence, with the path index as the one
+    spawn-key word (``EnsembleConfig`` keeps indices below 2**32).  The
+    master seed's words are mixed into the pool once, as Python ints; the
+    index word is then mixed in across all paths at once, in uint32 arrays,
+    whose products wrap as the mask does.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> _XSHIFT
+
+    def mix(x, y):
+        r = (_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32
+        return r ^ r >> _XSHIFT
+
+    entropy = []  # the master seed as little-endian uint32 words, at least one
+    rest = int(master_seed)
+    while True:
+        entropy.append(rest & _MASK32)
+        rest >>= 32
+        if not rest:
+            break
+    # a spawn key pads the seed's words to the pool size
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    index = np.arange(first, first + n, dtype=np.uint32)
+    pool = [mix(w, hashmix(index)) for w in pool]
+
+    state = np.empty((n, 2 * _POOL_SIZE), dtype=np.uint32)
+    hash_const = _INIT_B
+    for j in range(2 * _POOL_SIZE):
+        value = pool[j % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= hash_const
+        state[:, j] = value ^ value >> _XSHIFT
+    # word pairs read as little-endian uint64, as numpy does
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _path_generators(master_seed: int, first: int, n: int) -> list:
+    """``[default_rng(path_seed(master_seed, first + i)) for i in range(n)]``,
+    seeded from one :func:`_seed_states` pass instead of n SeedSequences."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _State(ISeedSequence):
+        # answers PCG64's one request, generate_state(4, np.uint64), with a
+        # precomputed row
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return [Generator(PCG64(_State(row))) for row in _seed_states(master_seed, first, n)]
 
 
 class _Welford:
@@ -202,10 +287,7 @@ def run_ensemble(
             n_new = min(cfg.batch_size, cfg.min_samples - attempted)
         else:
             n_new = min(cfg.batch_size, cfg.max_samples - attempted)
-        gens = [
-            np.random.default_rng(path_seed(cfg.master_seed, attempted + i))
-            for i in range(n_new)
-        ]
+        gens = _path_generators(cfg.master_seed, attempted, n_new)
         if method == "mc":
             res = run_mc_paths(p, x0, grid.t_end, cfg.mc, gens, record_times)
             batch_states = res.states

@@ -50,9 +50,12 @@ reaches a solver and no solver checks a coefficient's domain itself.
 
 The batch engine :func:`run_sde_paths` holds N paths as a (d, N) array, so
 each per-step numpy operation loops over the paths.  Its matrix-vector
-products are column sums in a fixed order, not BLAS, so a path's result does
-not depend on its batch; its noise buffer holds at most ``_BLOCK_BUDGET``
-floats (or one step).
+products are sums in a fixed order, not BLAS, so a path's result does not
+depend on its batch: the event-table products skip the table's zero entries
+(:func:`_delta_matvec`, bit-equal to the dense sum), and the PCA propagator's
+dense product sums every column (:func:`_col_matvec`).  The rate law is bound
+once per step into one preallocated buffer.  The noise buffer holds at most
+``_BLOCK_BUDGET`` floats (or one step).
 """
 
 from __future__ import annotations
@@ -65,10 +68,11 @@ import numpy as np
 from .errors import ParameterError, SolverError
 from .kinetics import (
     KineticsParameters,
+    _event_rates_into,
+    _rate_coefficients,
     as_state_vector,
     delta_table,
     drift_matrix,
-    event_rates,
 )
 from .kinetics import diffusion_matrices, drift_apply  # noqa: F401  unused; benchmarks/spans.py rebinds them by name
 from .linalg import CLIP_TOL, expm, propagator_with_source
@@ -266,6 +270,29 @@ def _col_matvec(E: np.ndarray, W: np.ndarray) -> np.ndarray:
     return out
 
 
+def _delta_matvec(deltas: np.ndarray, W: np.ndarray) -> np.ndarray:
+    # _col_matvec(deltas, W) for the event table deltas = delta_table(p).T,
+    # (d, m+3), without its zero products.  Row 0 is the dense fixed-order
+    # sum; its capture, decay and source entries are -1 or +1, whose products
+    # are exact, so they enter as plain adds.  Precursor row i holds only
+    # fission's beta_i nu and decay i's -1: deltas[i, 1] W[1] - W[1+i].  A
+    # skipped zero product adds +-0 to a partial sum, which leaves a nonzero
+    # sum as it is, so only an exactly-zero sum can come out with the other
+    # sign of zero: a zero in the precursor rows falls back to the dense sum.
+    # An inf or NaN weight still makes row 0 non-finite, as the dense sum
+    # does, so the overflow check fails the same paths.
+    out = np.empty((deltas.shape[0], W.shape[1]))
+    row0 = np.multiply(W[1], deltas[0, 1], out=out[0])
+    row0 -= W[0]
+    for w in W[2:]:
+        row0 += w
+    pre = np.multiply(deltas[1:, 1, None], W[1], out=out[1:])
+    pre -= W[2:-1]
+    if not pre.all():
+        return _col_matvec(deltas, W)
+    return out
+
+
 def _clipped_event_rates(rates: np.ndarray):
     """The negativity rule on event-major rates (m+3, N).
 
@@ -310,8 +337,9 @@ def run_sde_paths(
     (:meth:`TimeGrid.node_indices`); the default records every node.
 
     The working state is (d, N), paths on the inner axis; products with the
-    event table and the PCA propagator are fixed-order column sums
-    (:func:`_col_matvec`).  Normals fill an (N, block, m+3) buffer of at most
+    event table (:func:`_delta_matvec`, EM's weights and PCA's noise) and
+    with the PCA propagator (:func:`_col_matvec`) are fixed-order sums.
+    Normals fill an (N, block, m+3) buffer of at most
     ``_BLOCK_BUDGET`` floats (or one step), each path's stream in order, so
     the block length never changes a draw.
 
@@ -333,6 +361,7 @@ def run_sde_paths(
     sqrt_dt = math.sqrt(dt)
     nodes = grid.nodes
     deltas = delta_table(p).T  # (d, m+3)
+    rates_buf = np.empty((n_events, n_paths))  # sliced to the surviving paths
 
     if record_times is None:
         record_indices = np.arange(n_steps + 1)
@@ -375,7 +404,9 @@ def run_sde_paths(
             step = k + j
             if ia.size:
                 Xa = X[:, rows]
-                rates = event_rates(p, Xa.T, nodes[step])  # (m+3, paths), raw
+                rates = _event_rates_into(  # (m+3, paths), raw
+                    rates_buf[:, : ia.size], Xa, *_rate_coefficients(p, float(nodes[step]))
+                )
                 hard = None
                 if not zero_noise:
                     clipped, small, hard = _clipped_event_rates(rates)
@@ -389,12 +420,12 @@ def run_sde_paths(
                     weights = rates * dt
                     if not zero_noise:
                         weights += np.sqrt(clipped * dt) * eta
-                    Xn = Xa + _col_matvec(deltas, weights)
+                    Xn = Xa + _delta_matvec(deltas, weights)
                 else:
                     E, f_dt = pca_steps[step]
                     inner = Xa + f_dt[:, None]
                     if not zero_noise:
-                        inner += _col_matvec(deltas, np.sqrt(clipped) * eta) * sqrt_dt
+                        inner += _delta_matvec(deltas, np.sqrt(clipped) * eta) * sqrt_dt
                     Xn = _col_matvec(E, inner)
                 bad = hard
                 if not np.isfinite(Xn).all():

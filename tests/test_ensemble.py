@@ -14,7 +14,7 @@ from stokin import (
     stochastic_pca_solve,
     summarize_component,
 )
-from stokin.ensemble import _Welford, _augment, path_seed
+from stokin.ensemble import _Welford, _augment, _path_generators, path_seed
 
 from conftest import one_group_params, six_group_params
 
@@ -107,6 +107,26 @@ def test_config_validation():
     # run came back noisy
     with pytest.raises(ParameterError, match="zero_noise"):
         EnsembleConfig(method="mc", zero_noise=True)
+    # a path index is one uint32 spawn-key word in the vectorized seeding
+    assert EnsembleConfig(method="em", max_samples=2**32 - 1).max_samples == 2**32 - 1
+    with pytest.raises(ParameterError, match="max_samples must be below 2\\*\\*32"):
+        EnsembleConfig(method="em", max_samples=2**32)
+
+
+# master seeds of 1, 2, 4 and 5 uint32 words: a seed past the pool size (4
+# words) is mixed in after the pool's own mixing, before the path index
+@pytest.mark.parametrize("master_seed", [0, 2014, 2**40 + 5, 2**127 + 3, 2**130 + 17])
+@pytest.mark.parametrize("first", [0, 1024])
+def test_path_generators_match_path_seed(master_seed, first):
+    n = 40
+    gens = _path_generators(master_seed, first, n)
+    assert len(gens) == n
+    for i, g in enumerate(gens):
+        seed = path_seed(master_seed, first + i)
+        ref = np.random.default_rng(seed)
+        state = g.bit_generator.seed_seq.generate_state(4, np.uint64)
+        assert np.array_equal(state, seed.generate_state(4, np.uint64))
+        assert g.standard_normal(100).tobytes() == ref.standard_normal(100).tobytes()
 
 
 def test_zero_noise_ensemble_collapses_to_single_path():

@@ -1,7 +1,8 @@
 """scipy stays off the import path: ``import stokin``, scenario loading and
 every em and mc run load numpy only; the deterministic and PCA solvers import
-scipy on their first matrix exponential.  Each check runs in a fresh
-interpreter, because the test process itself has scipy loaded."""
+scipy on their first matrix exponential.  ``numpy.random`` likewise waits for
+the first seeded run.  Each check runs in a fresh interpreter, because the
+test process itself has both loaded."""
 
 import json
 import subprocess
@@ -12,14 +13,14 @@ import stokin
 
 SRC = str(Path(stokin.__file__).resolve().parents[1])
 
-# prints, after each step, whether scipy has been imported so far
+# prints, after each step, whether the module has been imported so far
 SCRIPT = """
 import json, sys
 sys.path.insert(0, {src!r})
 seen = {{}}
 
 def mark(step):
-    seen[step] = "scipy" in sys.modules
+    seen[step] = {module!r} in sys.modules
 
 import stokin
 from stokin.cli import main
@@ -36,8 +37,8 @@ print(json.dumps(seen))
 """
 
 
-def scipy_loaded_after(runs, out):
-    script = SCRIPT.format(src=SRC, runs=runs, out=str(out))
+def loaded_after(module, runs, out):
+    script = SCRIPT.format(src=SRC, module=module, runs=runs, out=str(out))
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
     )
@@ -51,7 +52,7 @@ def test_em_and_mc_runs_never_load_scipy_and_pca_loads_it(tmp_path):
         ("mc", ["ensemble", "--method", "mc", "--mode", "exact", "--samples", "4"]),
         ("pca", ["ensemble", "--method", "pca", "--samples", "20"]),
     ]
-    assert scipy_loaded_after(runs, tmp_path) == {
+    assert loaded_after("scipy", runs, tmp_path) == {
         "import": False,
         "scenario": False,
         "em": False,
@@ -63,9 +64,18 @@ def test_em_and_mc_runs_never_load_scipy_and_pca_loads_it(tmp_path):
 
 def test_deterministic_solve_loads_scipy(tmp_path):
     runs = [("det", ["solve", "--method", "det"])]
-    assert scipy_loaded_after(runs, tmp_path) == {
+    assert loaded_after("scipy", runs, tmp_path) == {
         "import": False,
         "scenario": False,
         "det": True,
     }
     assert (tmp_path / "table1_det_trajectory.csv").is_file()
+
+
+def test_numpy_random_waits_for_the_first_seeded_run(tmp_path):
+    runs = [("em", ["ensemble", "--method", "em", "--samples", "20"])]
+    assert loaded_after("numpy.random", runs, tmp_path) == {
+        "import": False,
+        "scenario": False,
+        "em": True,
+    }

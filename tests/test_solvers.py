@@ -409,6 +409,56 @@ def test_noise_block_length_does_not_change_paths(monkeypatch):
             assert np.array_equal(getattr(default, name), getattr(small, name)), name
 
 
+@pytest.mark.parametrize("m", [1, 6])
+def test_delta_matvec_is_the_dense_event_product_bit_for_bit(m, rng):
+    # the engines' event-table product skips the table's zero products; a
+    # skipped +-0 can only flip the sign of an exactly-zero sum
+    from stokin.kinetics import delta_table
+    from stokin.solvers import _col_matvec, _delta_matvec
+
+    p = one_group_params(beta1=0.05) if m == 1 else six_group_params(rho=0.007)
+    deltas = delta_table(p).T
+    k = p.m + 3
+
+    def check(W):
+        dense = _col_matvec(deltas, W)
+        assert _delta_matvec(deltas, W).tobytes() == dense.tobytes()
+        return dense
+
+    # negatives everywhere, signed zeros in the capture and source weights,
+    # which no precursor row reads: every precursor sum is nonzero
+    W = rng.standard_normal((k, 300))
+    for row in (0, k - 1):
+        W[row, :100] = 0.0
+        W[row, 100:200] = -0.0
+    assert check(W)[1:].all()
+    # whole zero columns of either sign, and zero columns of mixed signs; in
+    # column 1 the precursor sums are -0 - (+0) = -0, but the skipped
+    # 0 * W[0] = +0 makes the dense sums +0
+    W = rng.standard_normal((k, 300))
+    W[:, 0] = 0.0
+    W[:, 1] = -0.0
+    W[0, 1] = 1.0
+    W[2:-1, 1] = 0.0
+    W[:, 2:100] = np.where(rng.random((k, 98)) < 0.5, 0.0, -0.0)
+    assert np.signbit(check(W)[1:, 1]).sum() == 0
+
+    # an inf or NaN weight makes row 0 non-finite, so the overflow check sees
+    # the same paths; the finite columns stay bit-equal
+    W = rng.standard_normal((k, 300))
+    W[0, 3] = np.inf
+    W[1, 7] = -np.inf
+    W[2, 11] = np.nan
+    W[k - 1, 13] = np.inf
+    bad = ~np.isfinite(W).all(axis=0)
+    with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf
+        dense = _col_matvec(deltas, W)
+        sparse = _delta_matvec(deltas, W)
+    assert np.array_equal(~np.isfinite(sparse[0]), bad)
+    assert np.array_equal(~np.isfinite(sparse).all(axis=0), ~np.isfinite(dense).all(axis=0))
+    assert sparse[:, ~bad].tobytes() == dense[:, ~bad].tobytes()
+
+
 @pytest.mark.parametrize("preset", ["table1", "table2", "table3", "linear-rho"])
 def test_zero_noise_reductions_every_preset(preset):
     from stokin import expm, load_scenario
