@@ -28,10 +28,10 @@ x0 = scn.build_initial(p)
 record = tuple(scn.record_times())
 
 one = mc_trajectory(p, x0, scn.horizon, McConfig(), NoiseSource(1), record)
-print("fixed-step path, event totals:", one.event_counts)
+print("fixed-step path, event totals:", one.diagnostics["event_counts"])
 
 jump = mc_trajectory(p, x0, scn.horizon, McConfig(mode="exact"), NoiseSource(1), record)
-print("exact-jump path, event totals:", jump.event_counts)
+print("exact-jump path, event totals:", jump.diagnostics["event_counts"])
 
 cfg = EnsembleConfig(
     method="mc",

@@ -52,7 +52,6 @@ from .solvers import (
 )
 from .event_mc import (
     McConfig,
-    McTrajectory,
     mc_trajectory,
     run_mc_paths,
     sample_increments,
@@ -61,7 +60,6 @@ from .ensemble import (
     EnsembleConfig,
     EnsembleSummary,
     run_ensemble,
-    summarize_component,
 )
 from .scenarios import PRESETS, ScenarioConfig, load_scenario, save_scenario
 

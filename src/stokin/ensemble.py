@@ -17,7 +17,10 @@ generators are seeded in one vectorized pass over its path indices, which
 gives the same streams as ``path_seed``.  The ensemble stops once
 the relative 95% confidence half-width of every tracked component at the
 final record time falls below the target, or at the sample-count cap; the
-summary records which.  Failed paths (strict-policy negative rates, overflow)
+summary's ``stop_reason`` records which, and ``converged`` is read from it.
+The summary holds its statistics as (record time, component) arrays, with
+columns found by ``component_index``; the command line writes them as
+rows.  Failed paths (strict-policy negative rates, overflow)
 are discarded and counted; more than 1% of attempts failing aborts the run.
 Methods go by their short names det|em|pca|mc; ``METHOD_LABELS`` holds
 the name written outputs print for each.
@@ -35,7 +38,7 @@ from .event_mc import McConfig, run_mc_paths
 from .kinetics import KineticsParameters, as_state_vector
 from .solvers import TimeGrid, run_sde_paths
 
-__all__ = ["EnsembleConfig", "EnsembleSummary", "run_ensemble", "summarize_component"]
+__all__ = ["EnsembleConfig", "EnsembleSummary", "run_ensemble"]
 
 METHOD_LABELS = {
     "det": "deterministic",
@@ -75,7 +78,7 @@ class EnsembleConfig:
             raise ParameterError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
         if self.record_times is not None and len(self.record_times) == 0:
             raise ParameterError("record_times must hold at least one time")
-        for key in ("min_samples", "max_samples"):
+        for key in ("min_samples", "max_samples", "batch_size", "keep_sample_paths"):
             n = getattr(self, key)  # JSON's integral floats (2000.0) count as integers
             if not (isinstance(n, numbers.Integral) or isinstance(n, float) and n.is_integer()):
                 raise ParameterError(f"{key} must be an integer, got {n!r}")
@@ -88,6 +91,8 @@ class EnsembleConfig:
             raise ParameterError("target_rel_halfwidth must be positive")
         if self.batch_size < 1:
             raise ParameterError("batch_size must be positive")
+        if self.keep_sample_paths < 0:
+            raise ParameterError("keep_sample_paths must be nonnegative")
         if self.zero_noise and self.method == "mc":
             raise ParameterError("zero_noise applies to the SDE methods, not to the event MC")
 
@@ -110,13 +115,17 @@ class EnsembleSummary:
     std: np.ndarray
     ci_halfwidth: np.ndarray
     n_samples: int
-    converged: bool
     stop_reason: str
     failures: int
     method: str
     master_seed: int
     sample_paths: np.ndarray = None
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def converged(self) -> bool:
+        """Whether the stopping rule met its target before the sample cap."""
+        return self.stop_reason == "target"
 
     def component_index(self, name: str) -> int:
         try:
@@ -351,7 +360,6 @@ def run_ensemble(
         std=std,
         ci_halfwidth=_CONFIDENCE_FACTOR * std / np.sqrt(n),
         n_samples=n,
-        converged=stop_reason == "target",
         stop_reason=stop_reason,
         failures=failures,
         method=method,
@@ -359,23 +367,3 @@ def run_ensemble(
         sample_paths=np.stack(kept) if kept else None,
         diagnostics=diagnostics,
     )
-
-
-def summarize_component(summary: EnsembleSummary, selector: str):
-    """Rows of (time, mean, std, ci_halfwidth, n) for one tracked component.
-
-    Selectors: ``"n"``, ``"c1"``..``"cm"``, or ``"c_sum"`` for the
-    per-path precursor sum.  With a single path the spread is reported as
-    zero and the row carries n=1 so the caller can flag it.
-    """
-    j = summary.component_index(selector)
-    return [
-        {
-            "time": float(summary.times[k]),
-            "mean": float(summary.mean[k, j]),
-            "std": float(summary.std[k, j]),
-            "ci_halfwidth": float(summary.ci_halfwidth[k, j]),
-            "n": summary.n_samples,
-        }
-        for k in range(summary.times.size)
-    ]

@@ -2,7 +2,9 @@
 
 One engine, :func:`run_mc_paths`, advances a batch of paths; each path has
 its own Generator and its own clock, so a path's result does not depend on
-the batch it runs in, and :func:`mc_trajectory` is a batch of one.  Event
+the batch it runs in.  :func:`mc_trajectory` is a batch of one, returned as
+the :class:`~stokin.solvers.Trajectory` the SDE solvers return, with method
+``"mc"`` and the per-kind event counts in its diagnostics.  Event
 rates are the rate law of :func:`~stokin.kinetics.event_rates` applied to the
 states clipped at zero, so a population below zero contributes zero rate; a
 negative capture coefficient (rho > 1 - 1/nu) is a ParameterError.  Events
@@ -59,7 +61,7 @@ Yield handling:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,11 +76,10 @@ from .kinetics import (
     delta_table,
     event_rates,
 )
-from .solvers import NoiseSource, check_record_times
+from .solvers import NoiseSource, Trajectory, check_record_times
 
 __all__ = [
     "McConfig",
-    "McTrajectory",
     "mc_trajectory",
     "sample_increments",
     "run_mc_paths",
@@ -123,17 +124,6 @@ class McConfig:
             raise ParameterError("dt sets the fixed mode's step; the exact mode takes none")
         if not 0 < self.safety <= 1:
             raise ParameterError("safety factor must be in (0, 1]")
-
-
-@dataclass
-class McTrajectory:
-    """States sampled at the record times plus event counts by kind."""
-
-    times: np.ndarray
-    states: np.ndarray
-    event_counts: dict
-    seed: object = None
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _event_count_dict(p: KineticsParameters, counts: np.ndarray) -> dict:
@@ -501,21 +491,23 @@ def mc_trajectory(
     cfg: McConfig,
     noise: NoiseSource,
     record_times=None,
-) -> McTrajectory:
+) -> Trajectory:
     """Simulate one sample path on [0, horizon]: :func:`run_mc_paths` with a
     batch of one, sampled at ``record_times`` (default: the horizon).
 
-    The diagnostics hold each fixed-mode step halving as (t, new dt) and the
-    count of captures that drove a fractional population below zero.
+    The diagnostics hold the event counts by kind, each fixed-mode step
+    halving as (t, new dt) and the count of captures that drove a fractional
+    population below zero.
     """
     record = (horizon,) if record_times is None else record_times
     res = run_mc_paths(p, x0, horizon, cfg, [noise.generator], record)
-    return McTrajectory(
+    return Trajectory(
         times=res.record_times,
         states=res.states[0],
-        event_counts=_event_count_dict(p, res.event_counts[0]),
+        method="mc",
         seed=noise.seed,
         diagnostics={
+            "event_counts": _event_count_dict(p, res.event_counts[0]),
             "halvings": [(t, dt) for _, t, dt in res.halvings],
             "negative_captures": int(res.negative_captures[0]),
             "mode": cfg.mode,

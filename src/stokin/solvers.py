@@ -164,14 +164,13 @@ class NoiseSource:
         self.seed = seed
         self.generator = np.random.default_rng(seed)
 
-    def normals(self, shape=None) -> np.ndarray:
-        return self.generator.standard_normal(shape)
-
 
 @dataclass
 class Trajectory:
-    """One sample path: node times, states, the method (det|em|pca), and the
-    seed (None for the deterministic solver)."""
+    """One sample path: its times and states, the method (det|em|pca|mc),
+    the seed (None for the deterministic solver) and the method's own
+    diagnostics.  The solvers here record every grid node;
+    :func:`~stokin.event_mc.mc_trajectory` records its record times."""
 
     times: np.ndarray
     states: np.ndarray
@@ -193,22 +192,22 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 def _midpoint_table(p: KineticsParameters, grid: TimeGrid, propagator):
-    """Reactivity and source frozen at each interval midpoint, as (n_steps,)
-    arrays, and each step's ``propagator(A_mid, q_mid)``, built once per
-    distinct (rho, q).  Each scheme brings its own propagator: the augmented
-    exponential's top-left block differs from ``expm(A dt)`` in the last bits."""
+    """The reactivity frozen at each interval midpoint, as an (n_steps,)
+    array, and each step's ``propagator(A_mid, q_mid)`` with the midpoint
+    drift matrix and source, built once per distinct (rho, q).  Each scheme
+    brings its own propagator: the augmented exponential's top-left block
+    differs from ``expm(A dt)`` in the last bits."""
     rho = np.empty(grid.n_steps)
-    q = np.empty(grid.n_steps)
     cache = {}
     steps = []
     for k in range(grid.n_steps):
         tm = grid.midpoint(k)
         key = (float(p.reactivity(tm)), float(p.source(tm)))
-        rho[k], q[k] = key
+        rho[k] = key[0]
         if key not in cache:
             cache[key] = propagator(drift_matrix(p, tm), key[1])
         steps.append(cache[key])
-    return rho, q, steps
+    return rho, steps
 
 
 def deterministic_solve(p: KineticsParameters, x0, grid: TimeGrid) -> Trajectory:
@@ -221,7 +220,7 @@ def deterministic_solve(p: KineticsParameters, x0, grid: TimeGrid) -> Trajectory
     """
     x = as_state_vector(x0, p)
     d = p.dim
-    rho_steps, _, steps = _midpoint_table(
+    rho_steps, steps = _midpoint_table(
         p, grid, lambda A, q: propagator_with_source(A, np.array([q] + [0.0] * (d - 1)), grid.dt)
     )
     states = np.empty((grid.n_steps + 1, d))
@@ -371,7 +370,7 @@ def run_sde_paths(
 
     rho_steps = None
     if method == "pca":  # source increment as a full row: +0.0 turns a -0.0 into +0.0
-        rho_steps, _, pca_steps = _midpoint_table(
+        rho_steps, pca_steps = _midpoint_table(
             p, grid, lambda A, q: (expm(A * dt), np.array([q * dt] + [0.0] * (d - 1)))
         )
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from stokin import load_scenario, run_ensemble
+from stokin import NoiseSource, load_scenario, mc_trajectory, run_ensemble
 from stokin.cli import main
 
 
@@ -52,6 +52,14 @@ def test_solve_mc_writes_record_grid(tmp_path):
     rows = read_csv(out / "table3_mc_trajectory.csv")
     assert len(rows) == 22
     assert rows[0][0] == "t"
+    # the rows are the single path's record-time states, bit for bit
+    scn = load_scenario("table3")
+    p = scn.build_parameters()
+    traj = mc_trajectory(
+        p, scn.build_initial(p), scn.horizon, scn.mc_config(), NoiseSource(1), scn.record_times()
+    )
+    written = np.array(rows[1:], dtype=float)
+    assert np.array_equal(written, np.column_stack([traj.times, traj.states]))
 
 
 def test_ensemble_outputs_and_reproducibility(tmp_path):

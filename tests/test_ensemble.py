@@ -12,7 +12,6 @@ from stokin import (
     mc_trajectory,
     run_ensemble,
     stochastic_pca_solve,
-    summarize_component,
 )
 from stokin.ensemble import _Welford, _augment, _path_generators, path_seed
 
@@ -111,6 +110,20 @@ def test_config_validation():
     assert EnsembleConfig(method="em", max_samples=2**32 - 1).max_samples == 2**32 - 1
     with pytest.raises(ParameterError, match="max_samples must be below 2\\*\\*32"):
         EnsembleConfig(method="em", max_samples=2**32)
+    with pytest.raises(ParameterError, match="keep_sample_paths must be nonnegative"):
+        EnsembleConfig(method="em", keep_sample_paths=-1)
+
+
+@pytest.mark.parametrize("key", ["min_samples", "max_samples", "batch_size", "keep_sample_paths"])
+def test_config_counts_are_integers(key):
+    # an integral float is taken as an int; batch_size=2.0 used to pass the
+    # check and end in a TypeError inside run_ensemble, and
+    # keep_sample_paths=1.5 kept two paths
+    base = dict(method="em", min_samples=1, max_samples=10)
+    cfg = EnsembleConfig(**{**base, key: 2.0})
+    assert getattr(cfg, key) == 2 and type(getattr(cfg, key)) is int
+    with pytest.raises(ParameterError, match=f"{key} must be an integer"):
+        EnsembleConfig(**{**base, key: 1.5})
 
 
 # master seeds of 1, 2, 4 and 5 uint32 words: a seed past the pool size (4
@@ -194,6 +207,8 @@ def test_stop_reason_max_samples():
     summary = run_ensemble(p, x0, grid, cfg)
     assert not summary.converged
     assert summary.stop_reason == "max_samples"
+    with pytest.raises(AttributeError):  # read from stop_reason, never stored
+        summary.converged = True
     assert summary.n_samples == 50
 
 
@@ -334,10 +349,10 @@ def test_keep_sample_paths():
 
 
 # ---------------------------------------------------------------------------
-# summarize_component
+# summary columns
 # ---------------------------------------------------------------------------
 
-def test_summarize_component_selectors():
+def test_summary_component_columns():
     p, x0 = table1_setup()
     grid = TimeGrid(0.2, 0.002)
     cfg = EnsembleConfig(
@@ -345,18 +360,20 @@ def test_summarize_component_selectors():
         record_times=(0.0, 0.2),
     )
     summary = run_ensemble(p, x0, grid, cfg)
-    rows = summarize_component(summary, "c_sum")
-    assert len(rows) == 2
-    assert rows[-1]["n"] == 30
-    assert rows[-1]["std"] >= 0.0
-    # one group: c_sum stats equal c1 stats
-    rows_c1 = summarize_component(summary, "c1")
-    assert rows_c1[-1]["mean"] == rows[-1]["mean"]
+    assert summary.n_samples == 30
+    assert summary.times.tolist() == [0.0, 0.2]
+    j = summary.component_index("c_sum")
+    assert summary.component_names[j] == "c_sum"
+    assert np.all(summary.std[:, j] >= 0.0)
+    # one group: the c_sum column equals the c1 column
+    k = summary.component_index("c1")
+    for stat in (summary.mean, summary.std, summary.ci_halfwidth):
+        assert np.array_equal(stat[:, j], stat[:, k])
     with pytest.raises(ParameterError):
-        summarize_component(summary, "c9")
+        summary.component_index("c9")
 
 
-def test_summarize_component_single_path_flagged():
+def test_summary_single_path_has_zero_spread():
     p, x0 = table1_setup()
     grid = TimeGrid(0.1, 0.002)
     cfg = EnsembleConfig(
@@ -364,6 +381,5 @@ def test_summarize_component_single_path_flagged():
         record_times=(0.0, 0.1),
     )
     summary = run_ensemble(p, x0, grid, cfg)
-    rows = summarize_component(summary, "n")
-    assert rows[-1]["n"] == 1
-    assert rows[-1]["std"] == 0.0
+    assert summary.n_samples == 1
+    assert np.all(summary.std == 0.0) and np.all(summary.ci_halfwidth == 0.0)

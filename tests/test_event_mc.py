@@ -11,6 +11,7 @@ from stokin import (
     ParameterError,
     PiecewiseConstantReactivity,
     StepSizeError,
+    Trajectory,
     delta_table,
     diffusion_matrix,
     drift_matrix,
@@ -238,9 +239,10 @@ def test_exact_step_capture_probability():
 def test_trajectory_zero_horizon_keeps_initial_state():
     p = one_group_params(beta1=0.05)
     traj = mc_trajectory(p, [400.0, 300.0], 0.0, McConfig(), NoiseSource(1))
+    assert isinstance(traj, Trajectory) and traj.method == "mc" and traj.seed == 1
     assert traj.times.tolist() == [0.0]
     assert traj.states[0].tolist() == [400.0, 300.0]
-    assert sum(traj.event_counts.values()) == 0
+    assert sum(traj.diagnostics["event_counts"].values()) == 0
 
 
 def test_trajectory_rejects_negative_initial_state():
@@ -282,7 +284,7 @@ def test_trajectory_fractional_negative_capture_diagnostic():
 def test_trajectory_event_counts_scale_with_rates():
     p = one_group_params(beta1=0.05)
     traj = mc_trajectory(p, [400.0, 300.0], 2.0, McConfig(), NoiseSource(5), (0.0, 2.0))
-    counts = traj.event_counts
+    counts = traj.diagnostics["event_counts"]
     # expectations over 2 s: capture 1120, fission 480, transformation 60, source 400
     assert abs(counts["capture"] - 1120) < 5 * math.sqrt(1120)
     assert abs(counts["fission"] - 480) < 5 * math.sqrt(480)
@@ -345,7 +347,7 @@ def test_batched_paths_bit_equal_single_paths(mode):
     for i, s in enumerate(seeds):
         traj = mc_trajectory(p, x0, 1.0, cfg, NoiseSource(s), record)
         assert np.array_equal(batch.states[i], traj.states), f"path {i} diverged"
-        counts = np.array([traj.event_counts[k] for k in traj.event_counts])
+        counts = np.array(list(traj.diagnostics["event_counts"].values()))
         assert np.array_equal(batch.event_counts[i], counts)
 
 

@@ -109,7 +109,8 @@ def test_single_path_equals_path_in_batch(method_id, scenario):
     for i, seed in enumerate(seeds):
         path = mc_trajectory(p, x0, grid.t_end, mc, NoiseSource(seed), record)
         assert np.array_equal(path.states, batch.states[i])
-        assert list(path.event_counts.values()) == batch.event_counts[i].tolist()
+        assert path.method == "mc"
+        assert list(path.diagnostics["event_counts"].values()) == batch.event_counts[i].tolist()
         assert path.diagnostics["negative_captures"] == batch.negative_captures[i]
         halvings = [(t, dt) for j, t, dt in batch.halvings if j == i]
         assert path.diagnostics["halvings"] == halvings
