@@ -16,9 +16,10 @@ pass, and keeps the paths still stepping in a contiguous prefix of slots, in
 path order, so each iteration works on slices whatever the number of paths
 left.  The rate coefficients are bound once per distinct time in an
 iteration (one per iteration when reactivity and source are constant) and
-fill a preallocated rate buffer.  Bookkeeping that most iterations do not
-need (recording, halving, refilling uniforms) runs only when some path needs
-it.
+fill a preallocated rate buffer; a wide batch sums their cumulative rates
+one event row at a time, and exact mode reads each total rate from the last
+row.  Bookkeeping that most iterations do not need (recording, halving,
+refilling uniforms) runs only when some path needs it.
 
 Two stepping modes:
 
@@ -91,11 +92,12 @@ MODE_EXACT = "exact"
 YIELD_FRACTIONAL = "fractional"
 YIELD_INTEGER = "integer"
 
-_BUFFER = 4096  # per-path pregenerated uniforms (even: exact mode consumes pairs)
-# row stride of the uniform buffer: odd, because at a 4 KiB-multiple stride
-# every slot's gather lands in the same cache sets.  The block stays _BUFFER
-# long: the refill points fix where integer-yield draws fall in each stream.
-_ROW = _BUFFER + 1
+# uniforms per path block (even: exact mode draws pairs).  Integer yields draw
+# between blocks, so _BUFFER's refill points fix where each yield draw falls;
+# fractional yields draw nothing else, so their block length changes no draw.
+_BUFFER = 4096
+_FRACTIONAL_BUFFER = 1024
+_ROW_WISE_WIDTH = 256  # batch width from which _cumulative adds row by row
 
 
 @dataclass(frozen=True)
@@ -177,11 +179,22 @@ def _padded_deltas(p: KineticsParameters) -> np.ndarray:
     return np.vstack([delta_table(p), np.zeros(p.dim)])
 
 
-def _bernoulli_events(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Event index selected by each uniform u against the event-major step
-    probabilities, (m+3,) shared or (m+3, len(u)): the count of cumulative
-    probabilities at or below u, so m+3 means no event."""
-    cum = np.cumsum(probs, axis=0)
+def _cumulative(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Cumulative sums down the event rows of a, (m+3, k), into ``out``,
+    bit-equal to ``np.cumsum(a, axis=0)``.  numpy accumulates one column at
+    a time, which costs more than one add per row once the batch is wide."""
+    if a.shape[1] < _ROW_WISE_WIDTH:
+        return np.add.accumulate(a, axis=0, out=out)
+    out[0] = a[0]
+    for i in range(1, a.shape[0]):
+        np.add(out[i - 1], a[i], out=out[i])
+    return out
+
+
+def _bernoulli_events(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Event index selected by each uniform u against the cumulative
+    event-major step probabilities, (m+3,) shared or (m+3, len(u)): the count
+    of them at or below u, so m+3 means no event."""
     return (u >= cum.reshape(cum.shape[0], -1)).sum(axis=0)
 
 
@@ -262,7 +275,7 @@ def sample_increments(
             f"sum of event probabilities {probs.sum():.4g} exceeds 1",
             max_allowed_dt=1.0 / rates.sum(),
         )
-    idx = _bernoulli_events(probs, rng.random(n_samples))
+    idx = _bernoulli_events(np.cumsum(probs), rng.random(n_samples))
     out = _padded_deltas(p)[idx]
     if yield_model == YIELD_INTEGER:
         for j in np.flatnonzero(idx == 1):
@@ -283,12 +296,16 @@ class McPathsResult:
     negative_captures: np.ndarray
 
 
-def _record(out, X, path, rec_ptr, new_ptr, slots):
-    """Write the state of each listed slot into its path's record rows up to
-    new_ptr."""
-    for j in slots:
-        out[path[j], rec_ptr[j] : new_ptr[j]] = X[:, j]
-        rec_ptr[j] = new_ptr[j]
+def _record(out, X, path, rec_ptr, slots, reached):
+    """Write the state of each listed slot into its path's record rows from
+    its record pointer up to ``reached``, in one scatter."""
+    first = rec_ptr[slots]
+    rec_ptr[slots] = reached
+    rows = reached - first
+    if np.any(rows != 1):  # some slot reached several rows, or none
+        first = np.arange(rows.sum()) + np.repeat(first + rows - np.cumsum(rows), rows)
+        slots = np.repeat(slots, rows)
+    out[path[slots], first] = X[:, slots].T
 
 
 def run_mc_paths(
@@ -312,19 +329,23 @@ def run_mc_paths(
     times at zero see the initial state.
 
     The loop works on slots, not paths: the per-path arrays (state, held
-    component-major as (m+1, slots), clock, step, record pointer, uniform
-    position, event counts, negative captures) are indexed by slot, and
-    ``path`` maps a slot to its path.  The paths still stepping occupy the
-    prefix [0, k), in path order, so every iteration works on slices; when
-    paths finish, a stable partition moves them behind the prefix.  Results
-    are mapped back to path order once, at the end, and halvings are logged
-    with the path index.  Rates are bound per time: one
-    :func:`_rate_constants` call per distinct time in an iteration, and its
-    coefficients fill a preallocated rate buffer through the rate law's
-    kernel.
+    component-major as (m+1, slots), clock, step, record pointer, event
+    counts, negative captures) are indexed by slot, and ``path`` maps a slot
+    to its path.  The paths still stepping occupy the prefix [0, k), in path
+    order, so every iteration works on slices; when paths finish, a stable
+    partition moves them behind the prefix.  Results are mapped back to path
+    order once, at the end, and halvings are logged with the path index.
+    Rates are bound per time: one :func:`_rate_constants` call per distinct
+    time in an iteration, and its coefficients fill a preallocated rate
+    buffer through the rate law's kernel.
+
+    Every stepping slot draws the same count of uniforms per iteration, so
+    one offset indexes all their blocks, and they refill together.  Only the
+    slots whose landing passed their next record time look up the record
+    rows they reached, written in one scatter.
     """
-    if horizon < 0:
-        raise ParameterError("horizon must be nonnegative")
+    if not 0.0 <= horizon < math.inf:
+        raise ParameterError("horizon must be nonnegative and finite")
     record = check_record_times(record_times, horizon)
     vec0 = as_state_vector(x0, p)
     if np.any(vec0 < 0):
@@ -371,33 +392,31 @@ def run_mc_paths(
     # it, and no slot records before its landing time reaches it
     targets = np.append(record, horizon)
 
-    # uniforms: path i's block is buf[i, :_BUFFER]; pos is a slot's next
-    # flat index and end the end of its block (_BUFFER is even, so pos >= end
-    # is also the refill test for exact mode's pairs)
-    buf = np.empty((n_paths, _ROW))
+    # uniforms: path i's block is buf[i, :block], and column `offset` holds
+    # every stepping slot's next draw.  The row stride is odd, because at a
+    # 4 KiB-multiple stride every slot's read lands in the same cache sets.
+    block = _BUFFER if integer else _FRACTIONAL_BUFFER
+    buf = np.empty((n_paths, block + 1))
     for i, g in enumerate(generators):
-        buf[i, :_BUFFER] = g.random(_BUFFER)
-    flat = buf.reshape(-1)
-    pos = path * _ROW
-    end = pos + _BUFFER
-    per_slot = [path, t, rec_ptr, pos, end, neg_cap] + ([dt] if fixed else [])
+        buf[i, :block] = g.random(block)
+    offset = 0
+    per_slot = [path, t, rec_ptr, neg_cap] + ([dt] if fixed else [])
 
     slots = np.arange(n_paths)
     clipped = np.empty((p.dim, n_paths))
     rate_buf = np.empty((none, n_paths))
+    cum_buf = np.empty((none, n_paths))
     k = n_paths if 0.0 < t_end else 0  # every path starts at t = 0
     while k:
-        pk = pos[:k]
-        spent = pk >= end[:k]
-        if np.count_nonzero(spent):
-            for j in np.flatnonzero(spent):
-                i = path[j]
-                buf[i, :_BUFFER] = generators[i].random(_BUFFER)
-                pk[j] = end[j] - _BUFFER
-        u = flat[pk]
-        if not fixed:
-            u_sel = flat[pk + 1]
-        pk += draws
+        if offset == block:
+            for i in path[:k]:
+                buf[i, :block] = generators[i].random(block)
+            offset = 0
+        # the prefix holds paths 0..k-1 until a path before the last finishes
+        ordered = path[k - 1] == k - 1
+        u = [buf[:k, c] if ordered else buf[:, c].take(path[:k])
+             for c in range(offset, offset + draws)]
+        offset += draws
         Xa = X[:, :k]
         ta = t[:k]
         rp = rec_ptr[:k]
@@ -407,9 +426,9 @@ def run_mc_paths(
             coefs = _coefficients_per_row(p, ta)
         rates = rate_buf[:, :k]
         _event_rates_into(rates, np.maximum(Xa, 0.0, out=clipped[:, :k]), *coefs)
-        totals = _total_rates(rates)
 
         if fixed:
+            totals = _total_rates(rates)
             dta = dt[:k]
             target = targets[rp]
             gap = target - ta
@@ -424,21 +443,28 @@ def run_mc_paths(
                         halvings.append((int(path[j]), float(ta[j]), float(dta[j])))
                     prob[j] = totals[j] * step[j]
             advance = step
+            u = u[0]
             if autonomous:
                 u, advance = _geometric_skip(u, totals, prob, step, gap)
-            idx = _bernoulli_events(rates * step, u)
+            cum = _cumulative(np.multiply(rates, step, out=rates), cum_buf[:, :k])
+            idx = _bernoulli_events(cum, u)
         else:
+            cum = _cumulative(rates, cum_buf[:, :k])
+            totals = cum[-1]  # the sum of _total_rates, added in the same order
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tau = -np.log1p(-u[0]) / totals
             dead = totals <= 0.0
-            with np.errstate(divide="ignore"):
-                tau = np.where(dead, np.inf, -np.log1p(-u) / np.where(dead, 1.0, totals))
+            if np.count_nonzero(dead):
+                tau[dead] = np.inf
             ta += tau
-            done = (ta > horizon) | dead
-            # record times strictly before this jump land on the pre-jump state
-            landing = np.where(done, horizon * (1 + 1e-12), ta)
-            if np.count_nonzero(landing > targets[rp]):
-                reached = record.searchsorted(landing, side="left")
-                _record(out, Xa, path, rp, reached, np.flatnonzero(reached > rp))
-            idx = np.minimum(_bernoulli_events(rates, u_sel * totals), none - 1)
+            done = ta > horizon
+            # record times strictly before this jump land on the pre-jump
+            # state; a finished slot lands past every record time
+            landed = (ta > targets[rp]).nonzero()[0]
+            if landed.size:
+                reached = record.searchsorted(ta[landed], side="left")
+                _record(out, Xa, path, rp, landed, reached)
+            idx = np.minimum(_bernoulli_events(cum, u[1] * totals), none - 1)
             idx[done] = none
 
         counts[idx, slots[:k]] += 1
@@ -454,9 +480,10 @@ def run_mc_paths(
         if fixed:
             ta += advance
             landing = ta * (1 + 1e-12)
-            if np.count_nonzero(landing >= target):
-                reached = record.searchsorted(landing, side="right")
-                _record(out, Xa, path, rp, reached, np.flatnonzero(reached > rp))
+            landed = (landing >= target).nonzero()[0]
+            if landed.size:
+                reached = record.searchsorted(landing[landed], side="right")
+                _record(out, Xa, path, rp, landed, reached)
             live = ta < t_end
         else:
             live = ~done
@@ -472,7 +499,7 @@ def run_mc_paths(
 
     # finished and absorbed paths: fill any remaining record slots
     unfilled = np.flatnonzero(rec_ptr < record.size)
-    _record(out, X, path, rec_ptr, np.full(n_paths, record.size), unfilled)
+    _record(out, X, path, rec_ptr, unfilled, record.size)
     by_path = np.empty_like(path)
     by_path[path] = slots
     return McPathsResult(

@@ -247,10 +247,13 @@ class KineticsParameters:
 
 
 def as_state_vector(x, p: KineticsParameters) -> np.ndarray:
-    """Coerce an array-like into a validated (m+1,) float array (a copy)."""
+    """Coerce an array-like into a validated (m+1,) float array (a copy) of
+    finite entries."""
     vec = np.asarray(x, dtype=float).ravel()
     if vec.size != p.dim:
         raise ParameterError(f"state dimension {vec.size} does not match m+1={p.dim}")
+    if not np.isfinite(vec).all():
+        raise ParameterError(f"state entries must be finite, got {vec.tolist()}")
     return np.array(vec, dtype=float)
 
 

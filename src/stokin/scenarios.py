@@ -50,6 +50,7 @@ from .kinetics import (
     LinearReactivity,
     PiecewiseConstantReactivity,
     PiecewiseConstantSource,
+    as_state_vector,
     equilibrium_state,
 )
 from .solvers import TimeGrid
@@ -106,16 +107,16 @@ class ScenarioConfig:
         kind = init.get("kind")
         with self._section("initial"):
             if kind == "vector":
-                vec = np.array(init["state"], dtype=float).ravel()
-                if vec.size != p.dim:
-                    raise ParameterError(f"state has {vec.size} entries, expected {p.dim}")
-                vec.setflags(write=False)
-                return vec
-            if kind == "source-free-equilibrium":
-                return equilibrium_state(p, n0=init["n0"])
-            if kind == "sourced-equilibrium":
-                return equilibrium_state(p, t=0.0)
-            raise ParameterError(f"unknown kind {kind!r}")
+                vec = init["state"]
+            elif kind == "source-free-equilibrium":
+                vec = equilibrium_state(p, n0=init["n0"])
+            elif kind == "sourced-equilibrium":
+                vec = equilibrium_state(p, t=0.0)
+            else:
+                raise ParameterError(f"unknown kind {kind!r}")
+            vec = as_state_vector(vec, p)
+        vec.setflags(write=False)
+        return vec
 
     def grid(self, method: str, dt: float = None) -> TimeGrid:
         """Time grid of det|em|pca, stepping ``dt`` in place of the solver step

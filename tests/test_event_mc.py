@@ -505,3 +505,153 @@ def test_exact_and_fixed_means_agree():
     m_fix, se_fix = mean_se("fixed", 101)
     m_ex, se_ex = mean_se("exact", 202)
     assert abs(m_fix - m_ex) <= 3.0 * math.hypot(se_fix, se_ex)
+
+
+# ---------------------------------------------------------------------------
+# per-iteration kernels: row-wise cumulative, landed-slot recording, blocks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("row_wise_width", [1, 10**9])  # every width by rows, by numpy
+@pytest.mark.parametrize("height", [4, 9])
+@pytest.mark.parametrize("width", [1, 2, 200, 1024])
+def test_cumulative_is_bit_equal_to_numpy_cumsum(width, height, row_wise_width, rng, monkeypatch):
+    monkeypatch.setattr(event_mc, "_ROW_WISE_WIDTH", row_wise_width)
+    a = rng.uniform(0.0, 1e3, (height, width)) * rng.choice([1e-9, 1.0, 1e9], (height, width))
+    a[:, rng.integers(width, size=max(1, width // 8))] *= -1.0
+    a[1, ::3] = -0.0  # signed zeros
+    a[:, 0] = 0.0  # an all-zero column
+    if width > 1:
+        a[:, -1] = -0.0  # a column of negative zeros, whose sums stay -0.0
+    out = np.empty((height, width + 5))[:, :width]  # a slice, as the engine passes
+    cum = event_mc._cumulative(a, out)
+    assert cum is out
+    expected = np.cumsum(a, axis=0)
+    assert np.array_equal(cum, expected)
+    assert np.array_equal(np.signbit(cum), np.signbit(expected))
+
+
+@pytest.mark.parametrize("row_wise_width", [1, 10**9])
+def test_cumulative_last_row_is_the_total_rate(row_wise_width, rng, monkeypatch):
+    # exact mode reads each slot's total rate from the last cumulative row:
+    # it must equal _total_rates alone and in a batch, at every width
+    monkeypatch.setattr(event_mc, "_ROW_WISE_WIDTH", row_wise_width)
+    p = six_group_params(rho=0.007, q=5.0)
+    X = np.array([random_state(rng, p.m) for _ in range(1024)]).T
+    X[:, :7] = 0.0
+    rates = np.empty((p.m + 3, X.shape[1]))
+    event_mc._event_rates_into(rates, X, *event_mc._rate_constants(p, 0.0))
+    for width in (1, 2, 200, 1024):
+        block = rates[:, :width]
+        cum = event_mc._cumulative(block, np.empty_like(block))
+        assert np.array_equal(cum[-1], event_mc._total_rates(block))
+    for j in range(0, 1024, 37):
+        lone = rates[:, j : j + 1]
+        assert event_mc._cumulative(lone, np.empty_like(lone))[-1, 0] == event_mc._total_rates(lone)[0]
+
+
+def test_several_record_rows_in_one_exact_jump():
+    # source free from (1, 0): capture 1.4/s, fission 0.6/s, total 2.  The
+    # waiting uniform 0.5 puts the jump at ln2/2 = 0.35 s, past the record
+    # times 0.1, 0.2 and 0.3; the selection 0.1 (0.2 of 2) is a capture to
+    # the empty state, whose dead clock jumps straight to the horizon past
+    # the seven record times from 0.4 on
+    p = one_group_params(beta1=0.05, q=0.0)
+    record = np.linspace(0.0, 1.0, 11)
+    res = run_mc_paths(p, [1.0, 0.0], 1.0, McConfig(mode="exact"), [StubGenerator([0.5, 0.1])], record)
+    assert res.states[0].tolist() == [[1.0, 0.0]] * 4 + [[0.0, 0.0]] * 7
+    assert res.event_counts.tolist() == [[1, 0, 0, 0]]
+
+
+def test_several_record_rows_in_one_fixed_step():
+    # a fixed step lands on one record time, so repeated times share its
+    # iteration.  From (1, 0), dt = 0.05: u = 0.999 takes no event on the
+    # step onto 0.05, u = 0 a capture on the first step after it; the empty
+    # state then moves straight to each later record time
+    p = one_group_params(beta1=0.05, q=0.0)
+    record = np.array([0.0, 0.05, 0.05, 0.3, 0.3, 1.0])
+    gen = StubGenerator([0.999, 0.0])
+    res = run_mc_paths(p, [1.0, 0.0], 1.0, McConfig(dt=0.05), [gen], record)
+    assert res.states[0].tolist() == [[1.0, 0.0]] * 3 + [[0.0, 0.0]] * 3
+    assert res.event_counts.tolist() == [[1, 0, 0, 0]]
+
+
+@pytest.mark.parametrize("mode", ["fixed", "exact"])
+def test_dense_record_rows_bit_equal_single_paths(mode):
+    # a record grid far denser than the jumps, with repeated and nearly equal
+    # times: many slots land on several rows in one iteration, and the
+    # source-free paths die and jump past the remaining rows
+    p = one_group_params(beta1=0.05, q=0.0)
+    x0 = [3.0, 1.0]
+    horizon = 20.0
+    grid = np.linspace(0.0, horizon, 801)
+    record = np.sort(np.concatenate((grid, grid[::50], grid[1::40] * (1 + 1e-13))))
+    record = np.minimum(record, horizon)
+    cfg = McConfig(mode=mode)
+    seeds = [path_seed(61, i) for i in range(24)]
+    batch = run_mc_paths(p, x0, horizon, cfg, [np.random.default_rng(s) for s in seeds], record)
+    finals = batch.states[:, -1]
+    assert np.any(np.all(finals == 0.0, axis=1)) and not np.all(finals == 0.0)
+    for i, s in enumerate(seeds):
+        single = run_mc_paths(p, x0, horizon, cfg, [np.random.default_rng(s)], record)
+        assert np.array_equal(batch.states[i], single.states[0]), f"path {i} diverged"
+        assert np.array_equal(batch.event_counts[i], single.event_counts[0])
+
+
+class SizeLoggingGenerator(CountingGenerator):
+    """Generator wrapper that logs the size of every sized ``random`` call."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.sizes = []
+
+    def random(self, size=None):
+        if size is not None:
+            self.sizes.append(size)
+        return super().random(size)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "exact"])
+def test_fractional_results_do_not_depend_on_the_block_length(mode, monkeypatch):
+    # fractional yields draw nothing but the uniform blocks, so a path's
+    # stream is the same at any even block length
+    p = one_group_params(beta1=0.05)
+    x0 = [400.0, 300.0]
+    record = np.linspace(0.0, 0.5, 6)
+    cfg = McConfig(mode=mode)
+    seeds = [path_seed(73, i) for i in range(5)]
+
+    def run(block):
+        monkeypatch.setattr(event_mc, "_FRACTIONAL_BUFFER", block)
+        gens = [SizeLoggingGenerator(s) for s in seeds]
+        res = run_mc_paths(p, x0, 0.5, cfg, gens, record)
+        assert all(set(g.sizes) == {block} for g in gens)
+        return res, max(g.blocks for g in gens)
+
+    default, _ = run(event_mc._FRACTIONAL_BUFFER)
+    for block in (2, 38):
+        res, blocks = run(block)
+        assert blocks > 3
+        assert np.array_equal(res.states, default.states)
+        assert np.array_equal(res.event_counts, default.event_counts)
+        assert res.halvings == default.halvings
+
+
+@pytest.mark.parametrize("mode", ["fixed", "exact"])
+def test_integer_yield_blocks_keep_the_full_length(mode):
+    # integer yields draw between blocks, so the block length fixes where
+    # each yield draw falls: every sized draw is one _BUFFER block
+    p = one_group_params(beta1=0.05)
+    cfg = McConfig(mode=mode, yield_model="integer")
+    gens = [SizeLoggingGenerator(path_seed(79, i)) for i in range(3)]
+    res = run_mc_paths(p, [400.0, 300.0], 4.0, cfg, gens, [4.0])
+    assert res.event_counts[:, 1].min() > 0
+    assert max(g.blocks for g in gens) > 1
+    assert all(set(g.sizes) == {event_mc._BUFFER} for g in gens)
+
+
+@pytest.mark.parametrize("horizon", [math.inf, math.nan, -1.0])
+def test_engine_refuses_a_horizon_it_cannot_reach(horizon):
+    p = one_group_params(q=0.0)
+    for mode in ("fixed", "exact"):
+        with pytest.raises(ParameterError, match="horizon"):
+            run_mc_paths(p, [0.0, 0.0], horizon, McConfig(mode=mode), [np.random.default_rng(1)], [])

@@ -145,6 +145,13 @@ def test_state_dimension_check():
         as_state_vector([1.0, 2.0, 3.0], p)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_state_vector_refuses_non_finite_entries(bad):
+    p = one_group_params()
+    with pytest.raises(ParameterError, match="finite"):
+        as_state_vector([400.0, bad], p)
+
+
 # ---------------------------------------------------------------------------
 # drift matrix
 # ---------------------------------------------------------------------------

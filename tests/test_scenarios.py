@@ -260,6 +260,25 @@ def test_wrong_typed_or_unknown_values_are_scenario_errors(field, value, named, 
         load_scenario(str(path))
 
 
+@pytest.mark.parametrize(
+    "initial",
+    [
+        {"kind": "vector", "state": [float("nan"), 300.0]},
+        {"kind": "vector", "state": [400.0, float("inf")]},
+        {"kind": "source-free-equilibrium", "n0": float("nan")},
+    ],
+)
+def test_non_finite_initial_state_is_refused_at_load(initial, tmp_path):
+    # json writes NaN and Infinity and reads them back; the run would loop
+    # forever (exact MC) or carry the NaN to a misleading solver error
+    data = load_scenario("table1").to_dict()
+    data["initial"] = initial
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError, match="initial: state entries must be finite"):
+        load_scenario(str(path))
+
+
 @pytest.mark.parametrize("method", ["euler-maruyama", "psd_policy"])
 def test_grid_rejects_unknown_method(method):
     with pytest.raises(ParameterError, match=method):

@@ -586,3 +586,14 @@ def test_every_scheme_refuses_a_schedule_starting_after_t0(scheme, coefficient, 
     # the same schedule held from t=0 on runs through the breakpoint
     p = params((0.0, breakpoint_), (value, value))
     SCHEMES[scheme](p, np.array([400.0, 300.0]), TimeGrid(0.1, 0.01))
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_every_scheme_refuses_a_non_finite_start(scheme, bad):
+    # without the check, exact MC looped forever on a NaN clock, fixed MC
+    # returned NaN states and EM failed at "step 0" with a SolverError
+    p = one_group_params()
+    for x0 in ([bad, 300.0], [400.0, bad]):
+        with pytest.raises(ParameterError, match="state entries must be finite"):
+            SCHEMES[scheme](p, np.array(x0), TimeGrid(0.1, 0.01))
