@@ -87,12 +87,14 @@ class EnsembleConfig:
             raise ParameterError("need 1 <= min_samples <= max_samples")
         if self.max_samples >= 2**32:  # each path index is one uint32 spawn-key word
             raise ParameterError(f"max_samples must be below 2**32, got {self.max_samples}")
-        if not self.target_rel_halfwidth > 0:
-            raise ParameterError("target_rel_halfwidth must be positive")
+        if not 0 < self.target_rel_halfwidth < np.inf:
+            raise ParameterError("target_rel_halfwidth must be positive and finite")
         if self.batch_size < 1:
             raise ParameterError("batch_size must be positive")
         if self.keep_sample_paths < 0:
             raise ParameterError("keep_sample_paths must be nonnegative")
+        if self.psd_policy not in ("strict", "clamp"):
+            raise ParameterError(f"unknown psd policy {self.psd_policy!r}")
         if self.zero_noise and self.method == "mc":
             raise ParameterError("zero_noise applies to the SDE methods, not to the event MC")
 

@@ -14,11 +14,11 @@ plus a zero column for "no event".
 The engine steps the batch in lock step, one iteration per path per loop
 pass, and keeps the paths still stepping in a contiguous prefix of slots, in
 path order, so each iteration works on slices whatever the number of paths
-left.  The rate coefficients are bound once per distinct time in an
-iteration (one per iteration when reactivity and source are constant) and
-fill a preallocated rate buffer; a wide batch sums their cumulative rates
-one event row at a time, and exact mode reads each total rate from the last
-row.  Bookkeeping that most iterations do not need (recording, halving,
+left.  The rate coefficients are bound in one call per iteration, at every
+stepping path's own clock (at t = 0 when reactivity and source are
+constant), and fill a preallocated rate buffer; a wide batch sums their
+cumulative rates one event row at a time, and exact mode reads each total
+rate from the last row.  Bookkeeping that most iterations do not need (recording, halving,
 refilling uniforms) runs only when some path needs it.
 
 Two stepping modes:
@@ -140,28 +140,19 @@ def _event_count_dict(p: KineticsParameters, counts: np.ndarray) -> dict:
 # building blocks shared by the engine and the one-step sampler
 # ---------------------------------------------------------------------------
 
-def _rate_constants(p: KineticsParameters, t: float):
-    """The rate coefficients at time t, after checking the capture
-    coefficient: a negative one would make capture a birth, which no event
-    process has."""
+def _rate_constants(p: KineticsParameters, t):
+    """The rate coefficients at time t, or at one time per slot, after
+    checking the capture coefficient: a negative one would make capture a
+    birth, which no event process has."""
     coefs = _rate_coefficients(p, t)
-    if coefs[0] < 0:
+    cap = coefs[0]
+    if isinstance(cap, np.ndarray):  # one per slot: check the lowest
+        lowest = cap.argmin()
+        t, cap = t[lowest], cap[lowest]
+    if cap < 0:
         rho = float(p.reactivity(t))
         raise ParameterError(f"negative capture rate coefficient at rho={rho:g}")
     return coefs
-
-
-def _coefficients_per_row(p: KineticsParameters, t: np.ndarray):
-    """The rate coefficients for slots at clocks t, from :func:`_rate_constants`
-    once per distinct time: the capture coefficient and q hold one value per
-    slot unless every time is the same."""
-    times, inverse = np.unique(t, return_inverse=True)
-    coefs = [_rate_constants(p, s) for s in times]
-    if len(coefs) == 1:
-        return coefs[0]
-    _, nu_l, lam, _ = coefs[0]
-    cap, q = np.array([(c[0], c[3]) for c in coefs])[inverse].T
-    return cap, nu_l, lam, q
 
 
 def _total_rates(rates: np.ndarray) -> np.ndarray:
@@ -260,10 +251,16 @@ def sample_increments(
     Returns an (n_samples, m+1) array of state changes, suitable for checking
     the one-step mean against drift*dt and (in fractional mode) the one-step
     second moment against diffusion*dt.  Raises StepSizeError (carrying the
-    admissible bound) when the event probabilities sum past one.
+    admissible bound) when the event probabilities sum past one, and
+    ParameterError for a ``dt`` that is not positive and finite or a
+    negative ``n_samples``.
     """
     if yield_model not in (YIELD_FRACTIONAL, YIELD_INTEGER):
         raise ParameterError(f"unknown yield model {yield_model!r}")
+    if not 0 < dt < math.inf:
+        raise ParameterError(f"dt must be positive and finite, got {dt!r}")
+    if n_samples < 0:
+        raise ParameterError(f"n_samples must be nonnegative, got {n_samples!r}")
     vec = as_state_vector(x, p)
     if np.any(vec < 0):
         raise ParameterError("Monte Carlo requires a nonnegative state")
@@ -335,9 +332,10 @@ def run_mc_paths(
     order, so every iteration works on slices; when paths finish, a stable
     partition moves them behind the prefix.  Results are mapped back to path
     order once, at the end, and halvings are logged with the path index.
-    Rates are bound per time: one :func:`_rate_constants` call per distinct
-    time in an iteration, and its coefficients fill a preallocated rate
-    buffer through the rate law's kernel.
+    Rates are bound once per iteration: one :func:`_rate_constants` call
+    at the stepping slots' clocks (at t = 0 when reactivity and source are
+    constant), whose coefficients fill a preallocated rate buffer through
+    the rate law's kernel.
 
     Every stepping slot draws the same count of uniforms per iteration, so
     one offset indexes all their blocks, and they refill together.  Only the
@@ -420,10 +418,7 @@ def run_mc_paths(
         Xa = X[:, :k]
         ta = t[:k]
         rp = rec_ptr[:k]
-        if autonomous:
-            coefs = _rate_constants(p, 0.0)
-        else:
-            coefs = _coefficients_per_row(p, ta)
+        coefs = _rate_constants(p, 0.0 if autonomous else ta)
         rates = rate_buf[:, :k]
         _event_rates_into(rates, np.maximum(Xa, 0.0, out=clipped[:, :k]), *coefs)
 

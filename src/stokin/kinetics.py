@@ -16,18 +16,21 @@ Every quantity is a plain float ndarray:
 
 :func:`event_rates` is the package's one rate law: the SDE solvers build
 their drift and noise from it, and the event Monte Carlo draws its events
-from its kernel, ``_event_rates_into``, with the coefficients bound once per
-time.  The drift/diffusion pair and the event table describe the same
-process: the rate-weighted sum of the event vectors reproduces the drift
-applied to the state, and the rate-weighted sum of their outer products
-reproduces the diffusion matrix.  The closed forms :func:`drift_matrix` and
+from its kernel, ``_event_rates_into``, with the coefficients bound in one
+call for one time or for one time per path.  The drift/diffusion pair and
+the event table describe the same process: the rate-weighted sum of the
+event vectors reproduces the drift applied to the state, and the
+rate-weighted sum of their outer products reproduces the diffusion matrix.  The closed forms :func:`drift_matrix` and
 :func:`diffusion_matrices` are kept as the oracles of those identities,
 which the test suite exercises.
 
 Reactivity and source are the package's coefficient types, three
 reactivities and two sources; :class:`KineticsParameters` refuses any other.
-Each owns its domain: a piecewise one raises ReactivityDomainError, naming
-its first breakpoint, when evaluated before it; the others hold for all times.
+Each takes one time or an array of times: a constant returns its value
+either way, the others one value per time.  Each owns its domain: a
+piecewise one raises ReactivityDomainError, naming the first time before its
+first breakpoint; the others hold for all times.  Every parameter and
+coefficient must be finite; NaN or inf is a ParameterError naming the field.
 Every run starts at t = 0, so :class:`KineticsParameters` evaluates both
 coefficients there once and refuses a schedule that starts later.
 
@@ -66,11 +69,21 @@ __all__ = [
 # time-dependent coefficient functions
 # ---------------------------------------------------------------------------
 
+def _require_finite(what, values):
+    """Refuse NaN or +-inf in ``values`` with a ParameterError naming ``what``."""
+    if not np.isfinite(values).all():
+        raise ParameterError(f"{what} must be finite, got {np.asarray(values).tolist()!r}")
+
+
 @dataclass(frozen=True)
 class ConstantReactivity:
-    """Reactivity held at a fixed value for all times."""
+    """Reactivity held at a fixed value for all times; returns that value
+    for one time or an array of times."""
 
     value: float
+
+    def __post_init__(self):
+        _require_finite("reactivity value", self.value)
 
     def __call__(self, t):
         return self.value
@@ -78,9 +91,12 @@ class ConstantReactivity:
 
 @dataclass(frozen=True)
 class LinearReactivity:
-    """Reactivity ramp: value(t) = slope * t."""
+    """Reactivity ramp: value(t) = slope * t, elementwise for an array t."""
 
     slope: float
+
+    def __post_init__(self):
+        _require_finite("reactivity slope", self.slope)
 
     def __call__(self, t):
         return self.slope * t
@@ -88,8 +104,8 @@ class LinearReactivity:
 
 @dataclass(frozen=True)
 class _StepFunction:
-    """The step function behind both piecewise coefficients; ``_label``
-    names the coefficient in error messages."""
+    """The step function behind both piecewise coefficients, one value per
+    time of an array t; ``_label`` names the coefficient in error messages."""
 
     times: tuple
     values: tuple
@@ -102,18 +118,21 @@ class _StepFunction:
             raise ParameterError(f"{what}: breakpoints must be a non-empty 1-d sequence")
         if values.shape != times.shape:
             raise ParameterError(f"{what}: breakpoints and values must have equal length")
+        _require_finite(f"{what}: breakpoints", times)
+        _require_finite(f"{what}: values", values)
         if not np.all(np.diff(times) > 0):
             raise ParameterError(f"{what}: breakpoints must be strictly increasing")
         object.__setattr__(self, "times", tuple(times))
         object.__setattr__(self, "values", tuple(values))
 
     def __call__(self, t):
-        if not t >= self.times[0]:
+        early = np.flatnonzero(~(np.ravel(t) >= self.times[0]))  # NaN included
+        if early.size:
             raise ReactivityDomainError(
-                f"{self._label} undefined at t={float(t)!r}: first breakpoint is {self.times[0]}"
+                f"{self._label} undefined at t={float(np.ravel(t)[early[0]])!r}: "
+                f"first breakpoint is {self.times[0]}"
             )
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return self.values[idx]
+        return np.take(self.values, np.searchsorted(self.times, t, side="right") - 1)
 
 
 class PiecewiseConstantReactivity(_StepFunction):
@@ -127,11 +146,13 @@ class PiecewiseConstantReactivity(_StepFunction):
 
 @dataclass(frozen=True)
 class ConstantSource:
-    """External neutron source with fixed emission rate (neutrons/s)."""
+    """External neutron source with fixed emission rate (neutrons/s); returns
+    that rate for one time or an array of times."""
 
     value: float
 
     def __post_init__(self):
+        _require_finite("source value", self.value)
         if self.value < 0:
             raise ParameterError("source rate must be nonnegative")
 
@@ -179,7 +200,8 @@ class KineticsParameters:
         External source intensity as a function of time (neutrons/s).
 
     Any other reactivity or source, a plain callable included, is refused
-    with a ParameterError naming the field.  Each coefficient raises
+    with a ParameterError naming the field, and so is a NaN or infinite
+    entry in any field.  Each coefficient raises
     ReactivityDomainError when evaluated outside its domain; both are
     evaluated once at t = 0, where every run starts, so a schedule whose
     first breakpoint lies later is refused here.
@@ -212,6 +234,9 @@ class KineticsParameters:
                 "group_fractions must match decay_constants in length "
                 f"({beta.size} vs {lam.size})"
             )
+        for name, value in (("decay_constants", lam), ("group_fractions", beta),
+                            ("nu", self.nu), ("gen_time", self.gen_time)):
+            _require_finite(name, value)
         if np.any(lam <= 0):
             raise ParameterError("decay_constants must all be positive")
         if np.any(beta < 0):
@@ -358,13 +383,13 @@ def delta_table(p: KineticsParameters) -> np.ndarray:
     return D
 
 
-def _rate_coefficients(p: KineticsParameters, t: float):
-    """The rate law's coefficients at one time t: the capture rate per
+def _rate_coefficients(p: KineticsParameters, t):
+    """The rate law's coefficients at one time t, or one per time of an
+    array t (a constant coefficient stays one value): the capture rate per
     neutron (1 - rho - 1/nu)/l, nu*l, the decay constants as an (m, 1)
     column and the source q."""
-    rho = float(p.reactivity(t))
-    q = float(p.source(t))
-    return (-rho + 1.0 - 1.0 / p.nu) / p.gen_time, p.nu * p.gen_time, p.lam[:, None], q
+    rho = p.reactivity(t)
+    return (-rho + 1.0 - 1.0 / p.nu) / p.gen_time, p.nu * p.gen_time, p.lam[:, None], p.source(t)
 
 
 def _event_rates_into(out: np.ndarray, X: np.ndarray, cap, nu_l, lam, q) -> np.ndarray:

@@ -106,6 +106,12 @@ def test_config_validation():
     # run came back noisy
     with pytest.raises(ParameterError, match="zero_noise"):
         EnsembleConfig(method="mc", zero_noise=True)
+    # an infinite half-width target used to load from a scenario file
+    with pytest.raises(ParameterError, match="target_rel_halfwidth must be positive and finite"):
+        EnsembleConfig(method="em", target_rel_halfwidth=np.inf)
+    # an unknown policy used to surface only at the first SDE batch
+    with pytest.raises(ParameterError, match="unknown psd policy 'bogus'"):
+        EnsembleConfig(method="em", psd_policy="bogus")
     # a path index is one uint32 spawn-key word in the vectorized seeding
     assert EnsembleConfig(method="em", max_samples=2**32 - 1).max_samples == 2**32 - 1
     with pytest.raises(ParameterError, match="max_samples must be below 2\\*\\*32"):

@@ -10,6 +10,7 @@ from stokin import (
     NoiseSource,
     ParameterError,
     PiecewiseConstantReactivity,
+    PiecewiseConstantSource,
     StepSizeError,
     Trajectory,
     delta_table,
@@ -92,6 +93,19 @@ def test_fixed_step_rejects_oversized_dt():
     with pytest.raises(StepSizeError) as err:
         sample_increments(p, [400.0, 300.0], 0.0, 1e-2, 10, np.random.default_rng(0))
     assert err.value.max_allowed_dt == pytest.approx(1.0 / 1030.0, rel=1e-12)
+
+
+def test_sample_increments_refuses_bad_dt_and_count():
+    # a NaN dt used to return every increment as a capture, a negative one
+    # all zeros
+    p = one_group_params(beta1=0.05)
+    for dt in (0.0, -1e-4, np.nan, np.inf):
+        with pytest.raises(ParameterError, match="dt must be positive and finite"):
+            sample_increments(p, [400.0, 300.0], 0.0, dt, 10, np.random.default_rng(0))
+    with pytest.raises(ParameterError, match="n_samples must be nonnegative"):
+        sample_increments(p, [400.0, 300.0], 0.0, 1e-4, -1, np.random.default_rng(0))
+    empty = sample_increments(p, [400.0, 300.0], 0.0, 1e-4, 0, np.random.default_rng(0))
+    assert empty.shape == (0, p.dim)
 
 
 def test_fixed_step_rejects_negative_state():
@@ -422,7 +436,9 @@ def test_finished_paths_leave_results_in_path_order(schedule, yield_model, monke
     times = []
     checked = event_mc._rate_constants
     monkeypatch.setattr(
-        event_mc, "_rate_constants", lambda p, t: times.append(float(t)) or checked(p, t)
+        event_mc,
+        "_rate_constants",
+        lambda p, t: times.append(float(np.ravel(t)[0])) or checked(p, t),
     )
     expected, iterations = [], []
     for i, seed in enumerate(seeds):
@@ -487,6 +503,48 @@ def test_rate_constants_refuse_a_negative_capture_coefficient():
     with pytest.raises(ParameterError, match="negative capture"):
         run_mc_paths(ramp, [1.0, 0.0], 1.0, McConfig(dt=0.05), [np.random.default_rng(1)], [1.0])
     assert event_mc._rate_constants(ramp, 0.5)[0] > 0.0
+
+
+def test_rate_constants_for_array_times_name_the_highest_rho():
+    ramp = replace(one_group_params(rho=0.0), reactivity=LinearReactivity(1.0))
+    cap = event_mc._rate_constants(ramp, np.array([0.1, 0.5, 0.2]))[0]
+    assert cap.shape == (3,) and np.all(cap > 0.0)
+    with pytest.raises(ParameterError, match="negative capture rate coefficient at rho=0.9$"):
+        event_mc._rate_constants(ramp, np.array([0.1, 0.9, 0.7, 0.2]))
+
+
+@pytest.mark.parametrize("yield_model", ["fractional", "integer"])
+@pytest.mark.parametrize("schedule", ["linear-rho", "piecewise"])
+def test_time_dependent_exact_batch_binds_rates_once_per_iteration(
+    schedule, yield_model, monkeypatch
+):
+    # every iteration binds all stepping slots' clocks in one call, and a
+    # path's last iteration is the jump past the horizon, so the calls count
+    # max(events per path) + 1; benchmarks/spans.py counts iterations so
+    if schedule == "linear-rho":
+        scn = load_scenario("linear-rho")
+        p, horizon = scn.build_parameters(), 2e-5
+        x0 = scn.build_initial(p)
+    else:
+        p = replace(
+            one_group_params(),
+            reactivity=PiecewiseConstantReactivity((0.0, 0.2), (-1.0 / 3.0, -0.2)),
+            source=PiecewiseConstantSource((0.0, 0.3), (200.0, 150.0)),
+        )
+        x0, horizon = [400.0, 300.0], 0.5
+    calls = []
+    checked = event_mc._rate_constants
+    monkeypatch.setattr(
+        event_mc, "_rate_constants", lambda p, t: calls.append(np.shape(t)) or checked(p, t)
+    )
+    gens = [np.random.default_rng(path_seed(2014, i)) for i in range(16)]
+    res = run_mc_paths(p, x0, horizon, McConfig("exact", yield_model), gens, [horizon])
+    events = res.event_counts.sum(axis=1)
+    assert events.min() < events.max()  # paths finish at different iterations
+    assert len(calls) == events.max() + 1
+    widths = [shape[0] for shape in calls]  # one time per stepping slot
+    assert widths[0] == 16 and widths == sorted(widths, reverse=True)
+    assert widths.count(16) == events.min() + 1
 
 
 def test_exact_and_fixed_means_agree():

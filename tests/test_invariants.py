@@ -4,10 +4,11 @@ A path's result does not depend on the batch it runs in: a single path
 equals the same seed inside a batch, diagnostics included, and an ensemble
 is bit-equal at any batch size.  Every engine honours its record times: one
 row per requested time, labelled with it.  The matrix runs {em, pca, mc fixed, mc
-exact}, the MC with both yield models, over four scenarios: table1, table3
-with the clamp policy, the linear reactivity ramp on a truncated horizon, and
-a piecewise-constant reactivity schedule.  Sizes are kept small; the fixed
-MC steps at safety 0.9, so growing rates halve a path's step early.
+exact}, the MC with both yield models, over five scenarios: table1, table3
+with the clamp policy, the linear reactivity ramp on a truncated horizon, a
+piecewise-constant reactivity schedule and a piecewise-constant source.
+Sizes are kept small; the fixed MC steps at safety 0.9, so growing rates
+halve a path's step early.
 """
 
 import re
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from stokin import (
+    ConstantReactivity,
     ConstantSource,
     EnsembleConfig,
     KineticsParameters,
@@ -23,6 +25,7 @@ from stokin import (
     NoiseSource,
     ParameterError,
     PiecewiseConstantReactivity,
+    PiecewiseConstantSource,
     TimeGrid,
     equilibrium_state,
     euler_maruyama_solve,
@@ -60,6 +63,20 @@ def _piecewise():
     return p, np.array([400.0, 300.0]), TimeGrid(0.12, 0.002), "strict"
 
 
+def _piecewise_source():
+    # table1 whose source doubles at t = 0.04 and drops to zero at 0.08: the
+    # event MC binds one q per slot
+    p = KineticsParameters(
+        decay_constants=(0.1,),
+        group_fractions=(0.05,),
+        nu=2.5,
+        gen_time=2.0 / 3.0,
+        reactivity=ConstantReactivity(-1.0 / 3.0),
+        source=PiecewiseConstantSource((0.0, 0.04, 0.08), (200.0, 400.0, 0.0)),
+    )
+    return p, np.array([400.0, 300.0]), TimeGrid(0.12, 0.002), "strict"
+
+
 SCENARIOS = {
     "table1": lambda: _preset("table1", 0.12, 0.002),
     # started at n0 = 2, so paths undershoot zero: the clamp counters and the
@@ -67,6 +84,7 @@ SCENARIOS = {
     "table3": lambda: _preset("table3", 2e-4, 1e-5, n0=2.0),
     "linear-rho": lambda: _preset("linear-rho", 2e-5, 1e-6),
     "piecewise": _piecewise,
+    "piecewise-source": _piecewise_source,
 }
 
 METHODS = {

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from stokin import (
     LinearReactivity,
     ParameterError,
     PiecewiseConstantReactivity,
+    PiecewiseConstantSource,
     ReactivityDomainError,
     SingularMatrixError,
     delta_table,
@@ -17,7 +20,6 @@ from stokin import (
     equilibrium_state,
     event_rates,
 )
-from stokin.event_mc import _coefficients_per_row
 from stokin.kinetics import _event_rates_into, _rate_coefficients, as_state_vector
 
 from conftest import (
@@ -70,6 +72,77 @@ def test_piecewise_breakpoints_must_increase():
 def test_source_nonnegative():
     with pytest.raises(ParameterError):
         ConstantSource(-1.0)
+
+
+# a non-finite entry per field: (field named in the message, builder)
+NON_FINITE = {
+    "reactivity value": lambda bad: ConstantReactivity(bad),
+    "reactivity slope": lambda bad: LinearReactivity(bad),
+    "reactivity: breakpoints": lambda bad: PiecewiseConstantReactivity([0.0, bad], [0.1, 0.2]),
+    "reactivity: values": lambda bad: PiecewiseConstantReactivity([0.0, 1.0], [0.1, bad]),
+    "source value": lambda bad: ConstantSource(bad),
+    "source: breakpoints": lambda bad: PiecewiseConstantSource([0.0, bad], [1.0, 2.0]),
+    "source: values": lambda bad: PiecewiseConstantSource([0.0, 1.0], [1.0, bad]),
+    "decay_constants": lambda bad: one_group_params(lam=bad),
+    "group_fractions": lambda bad: one_group_params(beta1=bad),
+    "nu": lambda bad: one_group_params(nu=bad),
+    "gen_time": lambda bad: one_group_params(l=bad),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", list(NON_FINITE))
+def test_parameters_and_coefficients_refuse_non_finite_values(field, bad):
+    # each used to be accepted: a NaN reactivity froze an MC path after one
+    # capture, and the exact mode never returned
+    with pytest.raises(ParameterError, match=f"^{field} must be finite"):
+        NON_FINITE[field](bad)
+
+
+# (reactivity, source) pairs covering every coefficient type
+COEFFICIENT_PAIRS = {
+    "constant": (ConstantReactivity(-0.2), ConstantSource(3.0)),
+    "linear": (LinearReactivity(0.25), ConstantSource(3.0)),
+    "piecewise-reactivity": (
+        PiecewiseConstantReactivity([0.0, 0.02, 0.05], [-0.2, 0.001, 0.003]),
+        ConstantSource(3.0),
+    ),
+    "piecewise-source": (
+        ConstantReactivity(-0.2),
+        PiecewiseConstantSource([0.0, 0.02, 0.05], [3.0, 0.0, 7.5]),
+    ),
+    "piecewise-both": (
+        PiecewiseConstantReactivity([0.0, 0.05], [-0.2, 0.003]),
+        PiecewiseConstantSource([0.0, 0.02], [3.0, 7.5]),
+    ),
+}
+
+
+@pytest.mark.parametrize("pair", list(COEFFICIENT_PAIRS))
+def test_rate_coefficients_for_an_array_of_times_match_scalar_calls(pair):
+    # the event MC binds every slot's clock in one call; each slot must get
+    # the bits of a call at its own time, breakpoints and repeats included
+    reactivity, source = COEFFICIENT_PAIRS[pair]
+    p = replace(one_group_params(), reactivity=reactivity, source=source)
+    t = np.array([0.0, 0.02, 0.01, 0.05, 0.02, 0.07, 1e-9, 0.0])
+    cap, nu_l, lam, q = _rate_coefficients(p, t)
+    scalar = [_rate_coefficients(p, float(s)) for s in t]
+    for got, k in ((cap, 0), (q, 3)):
+        expected = np.array([c[k] for c in scalar])
+        assert np.broadcast_to(got, t.shape).tobytes() == expected.tobytes()
+    assert (nu_l, lam.tobytes()) == (scalar[0][1], scalar[0][2].tobytes())
+    # a constant coefficient stays one value
+    assert np.ndim(cap) == (not isinstance(reactivity, ConstantReactivity))
+    assert np.ndim(q) == (not isinstance(source, ConstantSource))
+    piecewise = isinstance(reactivity, PiecewiseConstantReactivity) or isinstance(
+        source, PiecewiseConstantSource
+    )
+    for early, shown in (([0.01, -1e-3, -2.0], "-0.001"), ([0.01, np.nan], "nan")):
+        if piecewise:
+            with pytest.raises(ReactivityDomainError, match=f"undefined at t={shown}: first"):
+                _rate_coefficients(p, np.array(early))
+        else:
+            _rate_coefficients(p, np.array(early))
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +398,9 @@ def test_event_rates_batch_is_event_major(rng):
 
 def test_event_rates_per_row_times_match_scalar_calls():
     # linear-rho: the event MC's coefficients for one time per state (one
-    # lookup per distinct time) give the same rates as one event_rates call
-    # per state at its own time, repeated times included
+    # _rate_coefficients call with an array of times) give the same rates
+    # as one event_rates call per state at its own time, repeated times
+    # included
     p = KineticsParameters(
         decay_constants=(0.1,),
         group_fractions=(0.005,),
@@ -337,7 +411,7 @@ def test_event_rates_per_row_times_match_scalar_calls():
     )
     X = np.array([[100.0, 5e5], [80.0, 4e5], [120.0, 6e5], [0.0, 1e5]])
     t = np.array([0.02, 0.0, 0.02, 0.07])
-    rates = _event_rates_into(np.empty((p.m + 3, len(X))), X.T, *_coefficients_per_row(p, t))
+    rates = _event_rates_into(np.empty((p.m + 3, len(X))), X.T, *_rate_coefficients(p, t))
     for i in range(len(X)):
         assert np.array_equal(rates[:, i], event_rates(p, X[i], float(t[i])))
     assert rates[0, 0] != rates[0, 1]  # capture follows the ramp
@@ -371,7 +445,7 @@ def test_event_rates_is_the_component_major_kernel(rng):
     assert np.array_equal(event_rates(p, X[2], 0.0), kernel(X[2][:, None], *coefs)[:, 0])
 
     # per-row times on the linear ramp, as the event MC binds them: one
-    # coefficient set per time
+    # call for all the times
     p = KineticsParameters(
         decay_constants=(0.1,),
         group_fractions=(0.005,),
@@ -384,7 +458,7 @@ def test_event_rates_is_the_component_major_kernel(rng):
     t = np.array([0.02, 0.0, 0.02, 0.07])
     coefs = [_rate_coefficients(p, float(s)) for s in t]
     _, nu_l, lam, q = coefs[0]
-    rates = kernel(X.T, *_coefficients_per_row(p, t))
+    rates = kernel(X.T, *_rate_coefficients(p, t))
     assert np.array_equal(rates, kernel(X.T, np.array([c[0] for c in coefs]), nu_l, lam, q))
     for i in range(len(X)):
         assert np.array_equal(rates[:, [i]], kernel(X[i][:, None], *coefs[i]))

@@ -279,6 +279,27 @@ def test_non_finite_initial_state_is_refused_at_load(initial, tmp_path):
         load_scenario(str(path))
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("reactivity", {"kind": "constant", "value": float("nan")}, "reactivity value"),
+        ("source", {"kind": "piecewise", "times": [0.0, 1.0], "values": [200.0, float("inf")]},
+         "source: values"),
+        ("nu", float("inf"), "nu"),
+        ("decay_constants", [float("nan")], "decay_constants"),
+    ],
+)
+def test_non_finite_parameters_are_refused_at_load(field, value, message, tmp_path):
+    # a NaN reactivity used to load: exact MC then never returned, a fixed
+    # MC path froze after one capture, and em failed at step 0
+    data = load_scenario("table1").to_dict()
+    data["parameters"][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError, match=f"parameters: {message} must be finite"):
+        load_scenario(str(path))
+
+
 @pytest.mark.parametrize("method", ["euler-maruyama", "psd_policy"])
 def test_grid_rejects_unknown_method(method):
     with pytest.raises(ParameterError, match=method):
