@@ -15,11 +15,11 @@ The engine steps the batch in lock step, one iteration per path per loop
 pass, and keeps the paths still stepping in a contiguous prefix of slots, in
 path order, so each iteration works on slices whatever the number of paths
 left.  The rate coefficients are bound in one call per iteration, at every
-stepping path's own clock (at t = 0 when reactivity and source are
-constant), and fill a preallocated rate buffer; a wide batch sums their
-cumulative rates one event row at a time, and exact mode reads each total
-rate from the last row.  Bookkeeping that most iterations do not need (recording, halving,
-refilling uniforms) runs only when some path needs it.
+stepping path's own clock, and fill a preallocated rate buffer; a wide batch
+sums their cumulative rates one event row at a time, and exact mode reads
+each total rate from the last row.  Bookkeeping that most iterations do not
+need (recording, halving, refilling uniforms) runs only when some path
+needs it.
 
 Two stepping modes:
 
@@ -333,9 +333,8 @@ def run_mc_paths(
     partition moves them behind the prefix.  Results are mapped back to path
     order once, at the end, and halvings are logged with the path index.
     Rates are bound once per iteration: one :func:`_rate_constants` call
-    at the stepping slots' clocks (at t = 0 when reactivity and source are
-    constant), whose coefficients fill a preallocated rate buffer through
-    the rate law's kernel.
+    at the stepping slots' clocks, whose coefficients fill a preallocated
+    rate buffer through the rate law's kernel.
 
     Every stepping slot draws the same count of uniforms per iteration, so
     one offset indexes all their blocks, and they refill together.  Only the
@@ -418,7 +417,7 @@ def run_mc_paths(
         Xa = X[:, :k]
         ta = t[:k]
         rp = rec_ptr[:k]
-        coefs = _rate_constants(p, 0.0 if autonomous else ta)
+        coefs = _rate_constants(p, ta)
         rates = rate_buf[:, :k]
         _event_rates_into(rates, np.maximum(Xa, 0.0, out=clipped[:, :k]), *coefs)
 

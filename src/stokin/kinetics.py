@@ -112,8 +112,8 @@ class _StepFunction:
 
     def __init__(self, times, values):
         what = self._label
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
+        times = np.array(times, dtype=float)
+        values = np.array(values, dtype=float)
         if times.ndim != 1 or times.size == 0:
             raise ParameterError(f"{what}: breakpoints must be a non-empty 1-d sequence")
         if values.shape != times.shape:
@@ -124,15 +124,18 @@ class _StepFunction:
             raise ParameterError(f"{what}: breakpoints must be strictly increasing")
         object.__setattr__(self, "times", tuple(times))
         object.__setattr__(self, "values", tuple(values))
+        # the arrays every call searches and gathers from
+        object.__setattr__(self, "_times", times)
+        object.__setattr__(self, "_values", values)
 
     def __call__(self, t):
-        early = np.flatnonzero(~(np.ravel(t) >= self.times[0]))  # NaN included
-        if early.size:
+        if not (t >= self._times[0]).all():  # NaN included
+            first = np.ravel(t)[np.flatnonzero(~np.greater_equal(t, self._times[0]))[0]]
             raise ReactivityDomainError(
-                f"{self._label} undefined at t={float(np.ravel(t)[early[0]])!r}: "
+                f"{self._label} undefined at t={float(first)!r}: "
                 f"first breakpoint is {self.times[0]}"
             )
-        return np.take(self.values, np.searchsorted(self.times, t, side="right") - 1)
+        return self._values[self._times.searchsorted(t, side="right") - 1]
 
 
 class PiecewiseConstantReactivity(_StepFunction):

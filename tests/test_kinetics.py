@@ -119,21 +119,11 @@ COEFFICIENT_PAIRS = {
 
 
 @pytest.mark.parametrize("pair", list(COEFFICIENT_PAIRS))
-def test_rate_coefficients_for_an_array_of_times_match_scalar_calls(pair):
-    # the event MC binds every slot's clock in one call; each slot must get
-    # the bits of a call at its own time, breakpoints and repeats included
+def test_rate_coefficients_name_the_first_time_before_the_first_breakpoint(pair):
+    # one check covers every time of an array, NaN included; coefficients
+    # without breakpoints take any time
     reactivity, source = COEFFICIENT_PAIRS[pair]
     p = replace(one_group_params(), reactivity=reactivity, source=source)
-    t = np.array([0.0, 0.02, 0.01, 0.05, 0.02, 0.07, 1e-9, 0.0])
-    cap, nu_l, lam, q = _rate_coefficients(p, t)
-    scalar = [_rate_coefficients(p, float(s)) for s in t]
-    for got, k in ((cap, 0), (q, 3)):
-        expected = np.array([c[k] for c in scalar])
-        assert np.broadcast_to(got, t.shape).tobytes() == expected.tobytes()
-    assert (nu_l, lam.tobytes()) == (scalar[0][1], scalar[0][2].tobytes())
-    # a constant coefficient stays one value
-    assert np.ndim(cap) == (not isinstance(reactivity, ConstantReactivity))
-    assert np.ndim(q) == (not isinstance(source, ConstantSource))
     piecewise = isinstance(reactivity, PiecewiseConstantReactivity) or isinstance(
         source, PiecewiseConstantSource
     )
@@ -397,11 +387,11 @@ def test_event_rates_batch_is_event_major(rng):
 
 
 def test_event_rates_per_row_times_match_scalar_calls():
-    # linear-rho: the event MC's coefficients for one time per state (one
-    # _rate_coefficients call with an array of times) give the same rates
-    # as one event_rates call per state at its own time, repeated times
-    # included
-    p = KineticsParameters(
+    # for every coefficient type, the event MC's coefficients for one time
+    # per state (one _rate_coefficients call with an array of times) give
+    # the same rates as one event_rates call per state at its own time,
+    # breakpoints and repeated times included
+    linear = KineticsParameters(
         decay_constants=(0.1,),
         group_fractions=(0.005,),
         nu=2.5,
@@ -409,14 +399,21 @@ def test_event_rates_per_row_times_match_scalar_calls():
         reactivity=LinearReactivity(0.25),
         source=ConstantSource(3.0),
     )
-    X = np.array([[100.0, 5e5], [80.0, 4e5], [120.0, 6e5], [0.0, 1e5]])
-    t = np.array([0.02, 0.0, 0.02, 0.07])
-    rates = _event_rates_into(np.empty((p.m + 3, len(X))), X.T, *_rate_coefficients(p, t))
-    for i in range(len(X)):
-        assert np.array_equal(rates[:, i], event_rates(p, X[i], float(t[i])))
-    assert rates[0, 0] != rates[0, 1]  # capture follows the ramp
-    with pytest.raises(ParameterError, match="one time"):
-        event_rates(p, X, t)
+    X = np.array([[100.0, 5e5], [80.0, 4e5], [120.0, 6e5], [0.0, 1e5], [60.0, 3e5], [90.0, 2e5]])
+    t = np.array([0.02, 0.0, 0.02, 0.07, 0.05, 1e-9])
+    for reactivity, source in COEFFICIENT_PAIRS.values():
+        p = replace(linear, reactivity=reactivity, source=source)
+        coefs = _rate_coefficients(p, t)
+        rates = _event_rates_into(np.empty((p.m + 3, len(X))), X.T, *coefs)
+        for i in range(len(X)):
+            assert np.array_equal(rates[:, i], event_rates(p, X[i], float(t[i])))
+        # a constant coefficient stays one value
+        assert np.ndim(coefs[0]) == (not isinstance(reactivity, ConstantReactivity))
+        assert np.ndim(coefs[3]) == (not isinstance(source, ConstantSource))
+        if isinstance(reactivity, LinearReactivity):
+            assert rates[0, 0] != rates[0, 1]  # capture follows the ramp
+        with pytest.raises(ParameterError, match="one time"):
+            event_rates(p, X, t)
 
 
 def test_event_rates_is_the_component_major_kernel(rng):
