@@ -6,19 +6,22 @@ the batch it runs in.  :func:`mc_trajectory` is a batch of one, returned as
 the :class:`~stokin.solvers.Trajectory` the SDE solvers return, with method
 ``"mc"`` and the per-kind event counts in its diagnostics.  Event
 rates are the rate law of :func:`~stokin.kinetics.event_rates` applied to the
-states clipped at zero, so a population below zero contributes zero rate; a
-negative capture coefficient (rho > 1 - 1/nu) is a ParameterError.  Events
-are applied with one gather-add from :func:`~stokin.kinetics.delta_table`
-plus a zero column for "no event".
+raw states and clipped at zero, the SDE solvers' rule, so a population below
+zero contributes zero rate; a negative capture coefficient
+(rho > 1 - 1/nu) is a ParameterError.  Events are applied with one
+gather-add from :func:`~stokin.kinetics.delta_table` plus a zero column for
+"no event".
 
 The engine steps the batch in lock step, one iteration per path per loop
 pass, and keeps the paths still stepping in a contiguous prefix of slots, in
 path order, so each iteration works on slices whatever the number of paths
 left.  The rate coefficients are bound in one call per iteration, at every
-stepping path's own clock, and fill a preallocated rate buffer; a wide batch
-sums their cumulative rates one event row at a time, and exact mode reads
-each total rate from the last row.  Bookkeeping that most iterations do not
-need (recording, halving, refilling uniforms) runs only when some path
+stepping path's own clock, and fill a preallocated rate buffer.  One
+cumulative sum of the clipped rates (one event row at a time on a wide
+batch) serves both modes: its last row is each path's total rate, and each
+mode selects the event with a value on the rate scale.  The modes differ
+only in how they advance the clock.  Bookkeeping that most iterations do
+not need (recording, halving, refilling uniforms) runs only when some path
 needs it.
 
 Two stepping modes:
@@ -26,7 +29,7 @@ Two stepping modes:
 ``fixed``
     The Bernoulli scheme: over a step dt, each elementary event fires with
     probability rate*dt, at most one event per step, chosen by a single
-    uniform draw against the cumulative probabilities.  The step must keep
+    uniform draw u: u/dt against the cumulative rates.  The step must keep
     the total probability at or below one; sizes are chosen from the initial
     total rate with a safety factor, and a path whose rates grow past the
     bound halves its own step permanently (each halving is logged).  When
@@ -38,9 +41,12 @@ Two stepping modes:
 
 ``exact``
     Competing exponential clocks: the waiting time is exponential in the
-    total rate and the event is chosen proportionally to its rate.  For
-    time-dependent reactivity the rates are frozen at the jump's start time,
-    which is first order in rho_dot * tau.
+    total rate and the event is chosen proportionally to its rate.  A wait
+    that passes a breakpoint of a piecewise reactivity or source stops the
+    path there with no event; the clock is memoryless, so the next wait,
+    drawn at the new rates, makes the piecewise schedule exact.  Under the
+    linear ramp the rates are frozen at the jump's start time, which is first
+    order in rho_dot * tau.
 
 Yield handling:
 
@@ -155,19 +161,17 @@ def _rate_constants(p: KineticsParameters, t):
     return coefs
 
 
-def _total_rates(rates: np.ndarray) -> np.ndarray:
-    """Column sums of event-major rates (m+3, k), added row by row.  numpy
-    sums a lone column pairwise once it has 8 or more rows, so without the
-    cumulative sum a path alone would round its total differently from the
-    same path in a batch."""
-    if rates.shape[1] == 1:
-        return np.cumsum(rates, axis=0)[-1]
-    return rates.sum(axis=0)
-
-
 def _padded_deltas(p: KineticsParameters) -> np.ndarray:
     """:func:`~stokin.kinetics.delta_table` plus a zero row m+3: no event."""
     return np.vstack([delta_table(p), np.zeros(p.dim)])
+
+
+def _breakpoints(p: KineticsParameters, horizon: float):
+    """The breakpoints of a piecewise reactivity or source inside
+    (0, horizon), sorted and followed by inf; None when there are none."""
+    times = np.concatenate([getattr(f, "times", ()) for f in (p.reactivity, p.source)])
+    inside = np.unique(times[(0.0 < times) & (times < horizon)])
+    return np.append(inside, np.inf) if inside.size else None
 
 
 def _cumulative(a: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -183,9 +187,10 @@ def _cumulative(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _bernoulli_events(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Event index selected by each uniform u against the cumulative
-    event-major step probabilities, (m+3,) shared or (m+3, len(u)): the count
-    of them at or below u, so m+3 means no event."""
+    """Event index selected by each value u against the cumulative
+    event-major rates or probabilities on u's scale, (m+3,) shared or
+    (m+3, len(u)): the count of them at or below u, so m+3 means no event.
+    The engine passes rates, with u/dt (fixed) or u * total rate (exact)."""
     return (u >= cum.reshape(cum.shape[0], -1)).sum(axis=0)
 
 
@@ -198,11 +203,12 @@ def _geometric_skip(u, totals, prob, step, gap):
     is Geometric(P), P = ``prob`` = ``totals`` * dt, drawn by inversion from u
     and capped at n_full: the event fires at step K+1 when K < n_full, else
     the path moves n_full steps with none.  The position of u inside its
-    geometric cell, 1 - (1-u)/(1-P)^K, is uniform on [0, P) and selects the
-    event against the step probabilities; at K = 0 it is u itself.  The last
-    step onto a target is the plain Bernoulli step with u, and a path with
-    zero total rate moves straight to the target.  Returns the selection
-    value (inf: no event) and the time to advance.
+    geometric cell, 1 - (1-u)/(1-P)^K, is uniform on [0, P); divided by the
+    step, it selects the event against the cumulative rates, as u does on a
+    plain step.  At K = 0 it is u itself.  The last step onto a target is
+    the plain Bernoulli step with u, and a path with zero total rate moves
+    straight to the target.  Returns the selection value on the probability
+    scale (inf: no event) and the time to advance.
     """
     n_full = np.ceil(gap / step) - 1.0
     n = np.maximum(n_full, 1.0)
@@ -334,7 +340,14 @@ def run_mc_paths(
     order once, at the end, and halvings are logged with the path index.
     Rates are bound once per iteration: one :func:`_rate_constants` call
     at the stepping slots' clocks, whose coefficients fill a preallocated
-    rate buffer through the rate law's kernel.
+    rate buffer through the rate law's kernel.  The rates are clipped at
+    zero and summed once into a cumulative buffer, whose last row holds the
+    total rates.  Both modes select on that rate scale: exact mode with its
+    second uniform times the total rate, fixed mode with its uniform (or the
+    geometric skip's cell position) divided by the step.  An exact-mode
+    clock that would pass the next breakpoint of a piecewise coefficient
+    inside the horizon stops there, spending its pair of uniforms on no
+    event; without such breakpoints no lookup runs.
 
     Every stepping slot draws the same count of uniforms per iteration, so
     one offset indexes all their blocks, and they refill together.  Only the
@@ -385,6 +398,7 @@ def run_mc_paths(
     else:
         t_end = horizon
         draws = 2
+        breaks = _breakpoints(p, horizon)
     # a slot's next record time, then the horizon: a fixed step never passes
     # it, and no slot records before its landing time reaches it
     targets = np.append(record, horizon)
@@ -400,7 +414,6 @@ def run_mc_paths(
     per_slot = [path, t, rec_ptr, neg_cap] + ([dt] if fixed else [])
 
     slots = np.arange(n_paths)
-    clipped = np.empty((p.dim, n_paths))
     rate_buf = np.empty((none, n_paths))
     cum_buf = np.empty((none, n_paths))
     k = n_paths if 0.0 < t_end else 0  # every path starts at t = 0
@@ -417,12 +430,12 @@ def run_mc_paths(
         Xa = X[:, :k]
         ta = t[:k]
         rp = rec_ptr[:k]
-        coefs = _rate_constants(p, ta)
-        rates = rate_buf[:, :k]
-        _event_rates_into(rates, np.maximum(Xa, 0.0, out=clipped[:, :k]), *coefs)
+        rates = _event_rates_into(rate_buf[:, :k], Xa, *_rate_constants(p, ta))
+        np.maximum(rates, 0.0, out=rates)
+        cum = _cumulative(rates, cum_buf[:, :k])
+        totals = cum[-1]
 
         if fixed:
-            totals = _total_rates(rates)
             dta = dt[:k]
             target = targets[rp]
             gap = target - ta
@@ -440,26 +453,32 @@ def run_mc_paths(
             u = u[0]
             if autonomous:
                 u, advance = _geometric_skip(u, totals, prob, step, gap)
-            cum = _cumulative(np.multiply(rates, step, out=rates), cum_buf[:, :k])
-            idx = _bernoulli_events(cum, u)
+            idx = _bernoulli_events(cum, u / step)
         else:
-            cum = _cumulative(rates, cum_buf[:, :k])
-            totals = cum[-1]  # the sum of _total_rates, added in the same order
             with np.errstate(divide="ignore", invalid="ignore"):
                 tau = -np.log1p(-u[0]) / totals
             dead = totals <= 0.0
             if np.count_nonzero(dead):
                 tau[dead] = np.inf
-            ta += tau
+            idx = np.minimum(_bernoulli_events(cum, u[1] * totals), none - 1)
+            if breaks is None:
+                ta += tau
+            else:
+                # a wait past the slot's next breakpoint stops there, with no
+                # event: the clock is memoryless, so the slot draws afresh
+                stop = breaks[breaks.searchsorted(ta, side="right")]
+                ta += tau
+                cut = ta > stop
+                ta[cut] = stop[cut]
+                idx[cut] = none
             done = ta > horizon
+            idx[done] = none
             # record times strictly before this jump land on the pre-jump
             # state; a finished slot lands past every record time
             landed = (ta > targets[rp]).nonzero()[0]
             if landed.size:
                 reached = record.searchsorted(ta[landed], side="left")
                 _record(out, Xa, path, rp, landed, reached)
-            idx = np.minimum(_bernoulli_events(cum, u[1] * totals), none - 1)
-            idx[done] = none
 
         counts[idx, slots[:k]] += 1
         low = Xa[0] < 1.0

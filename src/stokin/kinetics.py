@@ -420,8 +420,10 @@ def event_rates(p: KineticsParameters, X, t: float = 0.0) -> np.ndarray:
 
     Reactivity and source are evaluated once, at time ``t``.  The rates are
     raw: a negative population gives a negative rate, and so does
-    rho > 1 - 1/nu for capture.  Each caller applies its own rule to them
-    (the SDE solvers' roundoff band, the event Monte Carlo's clip at zero).
+    rho > 1 - 1/nu for capture.  Both engines clip negative rates at zero:
+    the SDE solvers after checking them against their roundoff band and
+    ``psd_policy``, the event Monte Carlo always (it refuses a negative
+    capture coefficient first).
     """
     X = np.asarray(X, dtype=float)
     if X.shape[-1] != p.dim:

@@ -64,6 +64,8 @@ _JSON_TYPES = {
     "float": ((int, float), "a number"),
 }
 _ENSEMBLE_KEYS = ("min_samples", "max_samples", "target_rel_halfwidth")
+# the only keys below the top level whose values are strings: each names a choice
+_CHOICE_KEYS = ("kind", "mode", "yield_model", "psd_policy")
 
 
 @dataclass(frozen=True)
@@ -192,6 +194,8 @@ class ScenarioConfig:
             if isinstance(value, bool) or not isinstance(value, types):
                 raise ScenarioError(f"scenario field {name!r} must be {label}")
             values[name] = float(value) if kind == "float" else value
+            if kind == "dict":
+                _refuse_non_numbers(value, name)
         cfg = cls(**values)
         cfg.validate()
         return cfg
@@ -229,6 +233,21 @@ class ScenarioConfig:
             raise ScenarioError(f"scenario {self.name!r}: {label}: missing field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"scenario {self.name!r}: {label}: {exc}") from None
+
+
+def _refuse_non_numbers(value, where: str, choice: bool = False):
+    """Refuse a JSON boolean anywhere in a section, and a string anywhere but
+    under a choice key, with a ScenarioError naming the dotted field: the
+    builders' float() would read true as 1 and "0.1" as 0.1."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _refuse_non_numbers(item, f"{where}.{key}", key in _CHOICE_KEYS)
+    elif isinstance(value, list):
+        for item in value:
+            _refuse_non_numbers(item, where)
+    elif isinstance(value, bool) or isinstance(value, str) != choice:
+        label = "a string" if choice else "a number"
+        raise ScenarioError(f"scenario field {where!r} must be {label}, got {json.dumps(value)}")
 
 
 def _function_from_dict(spec: dict, kind: str):

@@ -12,8 +12,10 @@ from stokin import (
     PiecewiseConstantReactivity,
     PiecewiseConstantSource,
     StepSizeError,
+    TimeGrid,
     Trajectory,
     delta_table,
+    deterministic_solve,
     diffusion_matrix,
     drift_matrix,
     equilibrium_state,
@@ -79,6 +81,16 @@ def test_fixed_step_probabilities_and_bucket_selection():
     assert res.event_counts.tolist() == [
         [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]
     ]
+
+    # the step selects with u/dt against the cumulative rates; at dt = 1e-3/3
+    # neither scale is exact, and uniforms 1e-9 either side of each bucket
+    # edge (560, 800, 830, 1030) * dt still pick the bucket on their side
+    dt = 1e-3 / 3.0
+    edges = np.array([560.0, 800.0, 830.0, 1030.0]) * dt
+    scripts = [[e + side] for e in edges for side in (-1e-9, 1e-9)]
+    res = run_stubbed(p, [400.0, 300.0], dt, McConfig(dt=dt), scripts)
+    picked = [row.tolist().index(1) if row.any() else 4 for row in res.event_counts]
+    assert picked == [0, 1, 1, 2, 2, 3, 3, 4]
 
 
 def test_fixed_step_absorbing_state():
@@ -246,6 +258,63 @@ def test_exact_step_capture_probability():
     assert abs(freq - edge) <= 4.0 * se
 
 
+@pytest.mark.parametrize("mode", ["fixed", "exact"])
+def test_negative_population_has_zero_capture_and_fission_rates(mode):
+    # source free from (0.9, 1): a capture takes n to -0.1, after which the
+    # rates clipped at zero leave only the decay (0.1/s), so u = 0 picks it
+    p = one_group_params(beta1=0.05, q=0.0)
+    if mode == "fixed":
+        cfg, horizon, script = McConfig(dt=1e-3), 2e-3, [1e-4, 0.0]
+    else:  # waits ln2/1.9 and ln2/0.1 s, then one past the horizon
+        cfg, horizon, script = McConfig(mode="exact"), 10.0, [0.5, 0.1, 0.5, 0.0, LAST_UNIFORM]
+    res = run_stubbed(p, [0.9, 1.0], horizon, cfg, [script])
+    assert res.event_counts.tolist() == [[1, 0, 1, 0]]
+    assert res.negative_captures.tolist() == [1]
+    assert res.states[0, -1].tolist() == [0.9 - 1.0 + 1.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# schedules with breakpoints
+# ---------------------------------------------------------------------------
+
+def _switched_source(before):
+    # one group, empty start, the source switched from ``before`` to 200/s
+    # at t = 0.2 s
+    return replace(one_group_params(beta1=0.05), source=PiecewiseConstantSource((0.0, 0.2), (before, 200.0)))
+
+
+@pytest.mark.parametrize("before", [1.0, 0.0])
+@pytest.mark.parametrize("mode", ["fixed", "exact"])
+def test_switched_on_source_matches_the_deterministic_mean(mode, before):
+    # exact mode used to draw its first wait at 1/s, which stepped far past
+    # the switch (n(0.5) read 10 against 55), or at 0/s, which ended the path
+    p = _switched_source(before)
+    x0 = [0.0, 0.0]
+    record = np.array([0.5, 1.0])
+    n = 2000
+    cfg = McConfig(dt=1e-3) if mode == "fixed" else McConfig(mode="exact")
+    gens = [np.random.default_rng(path_seed(2021, i)) for i in range(n)]
+    res = run_mc_paths(p, x0, 1.0, cfg, gens, record)
+    grid = TimeGrid(1.0, 1e-4)
+    det = deterministic_solve(p, x0, grid).states[grid.node_indices(record), 0]
+    final = res.states[:, :, 0]
+    se = final.std(axis=0, ddof=1) / math.sqrt(n)
+    assert np.all(np.abs(final.mean(axis=0) - det) <= 4.0 * se), (final.mean(axis=0), det, se)
+
+
+def test_exact_clock_stops_at_a_breakpoint_on_a_record_time():
+    # no rate before the switch at 0.2: the first wait is infinite, so the
+    # slot stops at 0.2 with no event, spending its pair of uniforms.  The
+    # record at 0.2 sees the empty state; the wait 0.5 puts a source birth
+    # (selection 0.99) at 0.2 + ln2/200, and the last wait passes 0.25
+    p = _switched_source(0.0)
+    record = [0.0, 0.2, 0.25]
+    gen = StubGenerator([0.5, 0.5, 0.5, 0.99, LAST_UNIFORM])
+    res = run_mc_paths(p, [0.0, 0.0], 0.25, McConfig(mode="exact"), [gen], record)
+    assert res.states[0].tolist() == [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    assert res.event_counts.tolist() == [[0, 0, 0, 1]]
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
@@ -401,16 +470,21 @@ def test_paths_past_one_uniform_block_bit_equal_single_paths(yield_model):
 
 
 def test_lone_slot_total_rate_matches_its_batch_total(rng):
-    # numpy sums a lone (m+3, 1) column pairwise but a batch row by row; a
+    # both modes read each slot's total rate from the last cumulative row; a
     # path must get the same total alone (mc_trajectory, a batch's last path)
-    # as inside a batch
+    # as inside a batch summed by numpy (200 wide) or row by row (300 wide)
     p = six_group_params(rho=0.007, q=5.0)
-    X = np.array([random_state(rng, p.m) for _ in range(200)]).T
+    X = np.array([random_state(rng, p.m) for _ in range(300)]).T
+    X[:, :7] = 0.0
     rates = np.empty((p.m + 3, X.shape[1]))
     event_mc._event_rates_into(rates, X, *event_mc._rate_constants(p, 0.0))
-    totals = event_mc._total_rates(rates)
-    for j in range(X.shape[1]):
-        assert event_mc._total_rates(rates[:, j : j + 1])[0] == totals[j]
+    assert 200 < event_mc._ROW_WISE_WIDTH <= 300
+    for width in (200, 300):
+        batch = rates[:, :width]
+        totals = event_mc._cumulative(batch, np.empty_like(batch))[-1]
+        for j in range(width):
+            lone = rates[:, j : j + 1]
+            assert event_mc._cumulative(lone, np.empty_like(lone))[-1, 0] == totals[j]
 
 
 @pytest.mark.parametrize("yield_model", ["fractional", "integer"])
@@ -519,12 +593,15 @@ def test_time_dependent_exact_batch_binds_rates_once_per_iteration(
     schedule, yield_model, monkeypatch
 ):
     # every iteration binds all stepping slots' clocks in one call, and a
-    # path's last iteration is the jump past the horizon, so the calls count
-    # max(events per path) + 1; benchmarks/spans.py counts iterations so
+    # path's last iteration is the jump past the horizon; a piecewise path
+    # also stops once at each breakpoint (0.2 and 0.3), so the calls count
+    # max(events per path) + landings + 1; benchmarks/spans.py counts
+    # iterations so
     if schedule == "linear-rho":
         scn = load_scenario("linear-rho")
         p, horizon = scn.build_parameters(), 2e-5
         x0 = scn.build_initial(p)
+        landings = 0
     else:
         p = replace(
             one_group_params(),
@@ -532,6 +609,7 @@ def test_time_dependent_exact_batch_binds_rates_once_per_iteration(
             source=PiecewiseConstantSource((0.0, 0.3), (200.0, 150.0)),
         )
         x0, horizon = [400.0, 300.0], 0.5
+        landings = 2
     calls = []
     checked = event_mc._rate_constants
     monkeypatch.setattr(
@@ -541,10 +619,10 @@ def test_time_dependent_exact_batch_binds_rates_once_per_iteration(
     res = run_mc_paths(p, x0, horizon, McConfig("exact", yield_model), gens, [horizon])
     events = res.event_counts.sum(axis=1)
     assert events.min() < events.max()  # paths finish at different iterations
-    assert len(calls) == events.max() + 1
+    assert len(calls) == events.max() + landings + 1
     widths = [shape[0] for shape in calls]  # one time per stepping slot
     assert widths[0] == 16 and widths == sorted(widths, reverse=True)
-    assert widths.count(16) == events.min() + 1
+    assert widths.count(16) == events.min() + landings + 1
 
 
 def test_exact_and_fixed_means_agree():
@@ -586,25 +664,6 @@ def test_cumulative_is_bit_equal_to_numpy_cumsum(width, height, row_wise_width, 
     expected = np.cumsum(a, axis=0)
     assert np.array_equal(cum, expected)
     assert np.array_equal(np.signbit(cum), np.signbit(expected))
-
-
-@pytest.mark.parametrize("row_wise_width", [1, 10**9])
-def test_cumulative_last_row_is_the_total_rate(row_wise_width, rng, monkeypatch):
-    # exact mode reads each slot's total rate from the last cumulative row:
-    # it must equal _total_rates alone and in a batch, at every width
-    monkeypatch.setattr(event_mc, "_ROW_WISE_WIDTH", row_wise_width)
-    p = six_group_params(rho=0.007, q=5.0)
-    X = np.array([random_state(rng, p.m) for _ in range(1024)]).T
-    X[:, :7] = 0.0
-    rates = np.empty((p.m + 3, X.shape[1]))
-    event_mc._event_rates_into(rates, X, *event_mc._rate_constants(p, 0.0))
-    for width in (1, 2, 200, 1024):
-        block = rates[:, :width]
-        cum = event_mc._cumulative(block, np.empty_like(block))
-        assert np.array_equal(cum[-1], event_mc._total_rates(block))
-    for j in range(0, 1024, 37):
-        lone = rates[:, j : j + 1]
-        assert event_mc._cumulative(lone, np.empty_like(lone))[-1, 0] == event_mc._total_rates(lone)[0]
 
 
 def test_several_record_rows_in_one_exact_jump():

@@ -247,6 +247,23 @@ def _set(data, dotted, value):
         ("horizon", float("inf"), "horizon"),
         ("solver.em_dt", float("inf"), "solver.em_dt"),
         ("monte_carlo.dt", float("inf"), "monte_carlo"),
+        # JSON booleans and numeric strings: float() read these as numbers
+        ("parameters.reactivity.value", True, "parameters.reactivity.value"),
+        ("parameters.reactivity.value", "0.1", "parameters.reactivity.value"),
+        ("parameters.source.value", True, "parameters.source.value"),
+        ("parameters.source",
+         {"kind": "piecewise", "times": [0.0, True], "values": [200.0, 100.0]},
+         "parameters.source.times"),
+        ("parameters.reactivity",
+         {"kind": "piecewise", "times": [0.0], "values": ["-0.3"]},
+         "parameters.reactivity.values"),
+        ("parameters.nu", True, "parameters.nu"),
+        ("parameters.decay_constants", [True], "parameters.decay_constants"),
+        ("initial.state", ["400", "300"], "initial.state"),
+        ("initial", {"kind": "source-free-equilibrium", "n0": True}, "initial.n0"),
+        ("monte_carlo.safety", True, "monte_carlo.safety"),
+        ("monte_carlo.mode", True, "monte_carlo.mode"),
+        ("ensemble.min_samples", True, "ensemble.min_samples"),
     ],
 )
 def test_wrong_typed_or_unknown_values_are_scenario_errors(field, value, named, tmp_path):
