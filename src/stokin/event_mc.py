@@ -32,12 +32,15 @@ Two stepping modes:
     uniform draw u: u/dt against the cumulative rates.  The step must keep
     the total probability at or below one; sizes are chosen from the initial
     total rate with a safety factor, and a path whose rates grow past the
-    bound halves its own step permanently (each halving is logged).  When
-    reactivity and source are constant, rates change only at events, so one
-    uniform draws the geometric count of empty steps before a path's next
-    event and the event itself (:func:`_geometric_skip`): an iteration moves
-    a path to its next event or record time.  Otherwise every step is one
-    iteration.
+    bound halves its own step permanently, until the safety factor holds
+    again (each halving is logged).  A path's clock targets are its next
+    record time and its next breakpoint of a piecewise reactivity or
+    source; between targets the rates change only at events, so one uniform
+    draws the geometric count of empty steps before a path's next event and
+    the event itself (:func:`_geometric_skip`): an iteration moves a path to
+    its next event or target, and a path that reaches a breakpoint stands on
+    it.  Under the linear ramp the rates move between events, so every step
+    is one iteration.
 
 ``exact``
     Competing exponential clocks: the waiting time is exponential in the
@@ -74,9 +77,8 @@ import numpy as np
 
 from .errors import ParameterError, StepSizeError
 from .kinetics import (
-    ConstantReactivity,
-    ConstantSource,
     KineticsParameters,
+    LinearReactivity,
     _event_rates_into,
     _rate_coefficients,
     as_state_vector,
@@ -111,9 +113,10 @@ class McConfig:
     """Monte Carlo stepping configuration.
 
     ``dt=None`` picks safety / (total rate at the initial state) for the
-    fixed mode; the exact mode has no step and refuses a ``dt``.  Record
-    times are not part of the configuration: the caller passes them to
-    :func:`run_mc_paths` or :func:`mc_trajectory`.
+    fixed mode; the exact mode has no step and refuses a ``dt``.  A step
+    whose total probability passes one is halved until it is at most safety.
+    Record times are not part of the configuration: the caller passes them
+    to :func:`run_mc_paths` or :func:`mc_trajectory`.
     """
 
     mode: str = MODE_FIXED
@@ -168,7 +171,8 @@ def _padded_deltas(p: KineticsParameters) -> np.ndarray:
 
 def _breakpoints(p: KineticsParameters, horizon: float):
     """The breakpoints of a piecewise reactivity or source inside
-    (0, horizon), sorted and followed by inf; None when there are none."""
+    (0, horizon), sorted and followed by inf; None when there are none.
+    Both modes stop a path's clock at each one."""
     times = np.concatenate([getattr(f, "times", ()) for f in (p.reactivity, p.source)])
     inside = np.unique(times[(0.0 < times) & (times < horizon)])
     return np.append(inside, np.inf) if inside.size else None
@@ -195,9 +199,10 @@ def _bernoulli_events(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _geometric_skip(u, totals, prob, step, gap):
-    """Fixed-mode skip-ahead for rates that change only at events.
+    """Fixed-mode skip-ahead for rates that hold until the next target.
 
-    A path takes full steps while its gap to the record target exceeds dt,
+    A path's target is its next record time or breakpoint, whichever comes
+    first.  It takes full steps while its gap to the target exceeds dt,
     then one last step onto the target (``step`` is dt, or that last step).
     Over the n_full full steps, the count K of empty steps before an event
     is Geometric(P), P = ``prob`` = ``totals`` * dt, drawn by inversion from u
@@ -323,11 +328,11 @@ def run_mc_paths(
 
     Every path has its own clock.  In fixed mode all paths start from the
     same step size; a path whose total probability would pass one halves
-    its own step, so a halving changes only that path.  Each path draws its
-    uniforms from its own generator in blocks, one per iteration (fixed: a
-    step, or a geometric skip) or two per jump (exact), and integer-yield
-    fissions draw their yields from the same generator, so a path is
-    bit-identical alone and in any batch.
+    its own step until the safety factor holds, so a halving changes only
+    that path.  Each path draws its uniforms from its own generator in
+    blocks, one per iteration (fixed: a step, or a geometric skip) or two per
+    jump (exact), and integer-yield fissions draw their yields from the same
+    generator, so a path is bit-identical alone and in any batch.
     ``record_times`` must be sorted, nonnegative and within the horizon;
     times at zero see the initial state.
 
@@ -344,10 +349,12 @@ def run_mc_paths(
     zero and summed once into a cumulative buffer, whose last row holds the
     total rates.  Both modes select on that rate scale: exact mode with its
     second uniform times the total rate, fixed mode with its uniform (or the
-    geometric skip's cell position) divided by the step.  An exact-mode
-    clock that would pass the next breakpoint of a piecewise coefficient
-    inside the horizon stops there, spending its pair of uniforms on no
-    event; without such breakpoints no lookup runs.
+    geometric skip's cell position) divided by the step.  Each stepping
+    slot's next breakpoint of a piecewise coefficient inside the horizon is
+    looked up once per iteration, and both modes stop the clock there: an
+    exact-mode wait that would pass it spends its pair of uniforms on no
+    event, and a fixed-mode skip takes the nearer of it and the next record
+    time as its target.  Without such breakpoints no lookup runs.
 
     Every stepping slot draws the same count of uniforms per iteration, so
     one offset indexes all their blocks, and they refill together.  Only the
@@ -364,9 +371,7 @@ def run_mc_paths(
     if integer:
         vec0 = np.rint(vec0)
     fixed = cfg.mode == MODE_FIXED
-    autonomous = isinstance(p.reactivity, ConstantReactivity) and isinstance(
-        p.source, ConstantSource
-    )
+    ramp = isinstance(p.reactivity, LinearReactivity)  # rates move between events
     n_paths = len(generators)
     none = p.m + 3  # event index of "no event"
     deltas = np.ascontiguousarray(_padded_deltas(p).T)  # (d, m+4)
@@ -398,7 +403,7 @@ def run_mc_paths(
     else:
         t_end = horizon
         draws = 2
-        breaks = _breakpoints(p, horizon)
+    breaks = _breakpoints(p, horizon)
     # a slot's next record time, then the horizon: a fixed step never passes
     # it, and no slot records before its landing time reaches it
     targets = np.append(record, horizon)
@@ -434,24 +439,26 @@ def run_mc_paths(
         np.maximum(rates, 0.0, out=rates)
         cum = _cumulative(rates, cum_buf[:, :k])
         totals = cum[-1]
+        if breaks is not None:
+            stop = breaks[breaks.searchsorted(ta, side="right")]
 
         if fixed:
             dta = dt[:k]
             target = targets[rp]
-            gap = target - ta
+            gap = (target if breaks is None else np.minimum(target, stop)) - ta
             step = np.minimum(dta, gap)
             prob = totals * step
             over = prob > 1.0
             if np.count_nonzero(over):
                 for j in np.flatnonzero(over):
-                    while totals[j] * step[j] > 1.0:
+                    while totals[j] * step[j] > cfg.safety:
                         dta[j] *= 0.5
                         step[j] = min(dta[j], gap[j])
                         halvings.append((int(path[j]), float(ta[j]), float(dta[j])))
                     prob[j] = totals[j] * step[j]
             advance = step
             u = u[0]
-            if autonomous:
+            if not ramp:
                 u, advance = _geometric_skip(u, totals, prob, step, gap)
             idx = _bernoulli_events(cum, u / step)
         else:
@@ -461,13 +468,10 @@ def run_mc_paths(
             if np.count_nonzero(dead):
                 tau[dead] = np.inf
             idx = np.minimum(_bernoulli_events(cum, u[1] * totals), none - 1)
-            if breaks is None:
-                ta += tau
-            else:
+            ta += tau
+            if breaks is not None:
                 # a wait past the slot's next breakpoint stops there, with no
                 # event: the clock is memoryless, so the slot draws afresh
-                stop = breaks[breaks.searchsorted(ta, side="right")]
-                ta += tau
                 cut = ta > stop
                 ta[cut] = stop[cut]
                 idx[cut] = none
@@ -497,6 +501,8 @@ def run_mc_paths(
             if landed.size:
                 reached = record.searchsorted(landing[landed], side="right")
                 _record(out, Xa, path, rp, landed, reached)
+            if breaks is not None:  # a slot that reached its breakpoint stands on it
+                np.copyto(ta, stop, where=landing >= stop)
             live = ta < t_end
         else:
             live = ~done

@@ -185,11 +185,10 @@ def test_skip_crosses_empty_stretches():
 
 
 def test_skip_and_per_step_branches_agree():
-    # a one-piece schedule is the constant-reactivity process, but only
-    # constant types count as autonomous, so it takes the per-step loop
-    p_skip = one_group_params(beta1=0.05)
-    rho = p_skip.reactivity.value
-    p_step = replace(p_skip, reactivity=PiecewiseConstantReactivity((0.0,), (rho,)))
+    # a ramp of slope zero is the constant process at rho = 0, but a ramp's
+    # rates move between events, so it takes the per-step loop
+    p_skip = one_group_params(beta1=0.05, rho=0.0)
+    p_step = replace(p_skip, reactivity=LinearReactivity(0.0))
     x0 = [400.0, 300.0]
     horizon = 0.5
     n = 1500
@@ -283,16 +282,26 @@ def _switched_source(before):
     return replace(one_group_params(beta1=0.05), source=PiecewiseConstantSource((0.0, 0.2), (before, 200.0)))
 
 
+SWITCHED_CONFIGS = {
+    "fixed": McConfig(dt=1e-3),
+    "fixed-default": McConfig(),
+    "exact": McConfig(mode="exact"),
+}
+
+
 @pytest.mark.parametrize("before", [1.0, 0.0])
-@pytest.mark.parametrize("mode", ["fixed", "exact"])
+@pytest.mark.parametrize("mode", list(SWITCHED_CONFIGS))
 def test_switched_on_source_matches_the_deterministic_mean(mode, before):
     # exact mode used to draw its first wait at 1/s, which stepped far past
-    # the switch (n(0.5) read 10 against 55), or at 0/s, which ended the path
+    # the switch (n(0.5) read 10 against 55), or at 0/s, which ended the
+    # path.  At the default config fixed mode sizes its first step from the
+    # rate at t = 0, 0/s or 1/s, so only the breakpoint as a clock target
+    # keeps a step or a skip from passing the switch
     p = _switched_source(before)
     x0 = [0.0, 0.0]
     record = np.array([0.5, 1.0])
     n = 2000
-    cfg = McConfig(dt=1e-3) if mode == "fixed" else McConfig(mode="exact")
+    cfg = SWITCHED_CONFIGS[mode]
     gens = [np.random.default_rng(path_seed(2021, i)) for i in range(n)]
     res = run_mc_paths(p, x0, 1.0, cfg, gens, record)
     grid = TimeGrid(1.0, 1e-4)
@@ -313,6 +322,96 @@ def test_exact_clock_stops_at_a_breakpoint_on_a_record_time():
     res = run_mc_paths(p, [0.0, 0.0], 0.25, McConfig(mode="exact"), [gen], record)
     assert res.states[0].tolist() == [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
     assert res.event_counts.tolist() == [[0, 0, 0, 1]]
+
+
+def test_fixed_skip_lands_on_a_breakpoint_on_a_record_time():
+    # no rate before the switch at 0.2, so the first step is the horizon,
+    # 0.25: the zero-rate slot moves to the breakpoint with no event, and the
+    # record at 0.2 sees the empty state.  There the source rate 200 gives
+    # P = 200 * 0.05 = 10 on the 0.05 s to the record at 0.25: nine halvings
+    # at t = 0.2 take dt to 0.25 / 2^9 and P to 0.098, at most the safety
+    # factor.  The skip's uniform then draws K = 20 empty steps, and the
+    # source birth fires on the 21st, before 0.25; read as one plain step,
+    # the same uniform (0.88 > P) fires nothing
+    p = _switched_source(0.0)
+    record = [0.0, 0.2, 0.25]
+    dt = 0.25 / 2**9
+    prob = 200.0 * dt
+    u = 1.0 - (1.0 - prob) ** 20 * (1.0 - 0.5 * prob)  # cell 0.5 P: the source bucket
+    gen = StubGenerator([0.5, u], fill=LAST_UNIFORM)
+    res = run_mc_paths(p, [0.0, 0.0], 0.25, McConfig(), [gen], record)
+    assert res.states[0].tolist() == [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    assert res.event_counts.tolist() == [[0, 0, 0, 1]]
+    assert res.halvings == [(0, 0.2, 0.25 / 2**k) for k in range(1, 10)]
+
+
+def test_fixed_halving_restores_the_safety_factor():
+    # after the switch the rates outgrow the first step.  A halving that
+    # stopped at P <= 1 would leave P near one, where at most one event per
+    # step cuts the variance (sigma_n(0.5) about 6.7 against 8.2 in exact
+    # mode).  At P <= safety (0.1) the scheme's own bias is about 3% in
+    # sigma, inside 4 SE at 2000 paths
+    p = _switched_source(0.0)
+    n = 2000
+    sigmas, ses = [], []
+    for cfg in (McConfig(), McConfig(mode="exact")):
+        gens = [np.random.default_rng(path_seed(2022, i)) for i in range(n)]
+        x = run_mc_paths(p, [0.0, 0.0], 1.0, cfg, gens, [0.5, 1.0]).states[:, :, 0]
+        s2 = x.var(axis=0, ddof=1)
+        m4 = ((x - x.mean(axis=0)) ** 4).mean(axis=0)
+        se_s2 = np.sqrt((m4 - s2**2 * (n - 3) / (n - 1)) / n)  # fourth-moment SE
+        sigmas.append(np.sqrt(s2))
+        ses.append(se_s2 / (2.0 * np.sqrt(s2)))
+    assert np.all(np.abs(sigmas[0] - sigmas[1]) <= 4.0 * np.hypot(*ses)), (sigmas, ses)
+
+
+@pytest.mark.parametrize("yield_model", ["fractional", "integer"])
+def test_one_piece_schedules_are_bit_equal_to_their_constants(yield_model):
+    # no breakpoint inside the horizon leaves the constants' process, and the
+    # engine runs it the same way in both modes: the geometric skip in fixed
+    # mode, halvings included (table3 from n0 = 2 at safety 0.9 halves)
+    p = load_scenario("table3").build_parameters()
+    one_piece = replace(
+        p,
+        reactivity=PiecewiseConstantReactivity((0.0,), (p.reactivity.value,)),
+        source=PiecewiseConstantSource((0.0,), (p.source.value,)),
+    )
+    x0 = equilibrium_state(p, n0=2.0)
+    horizon = 2e-4
+    record = (0.0, 1e-4, horizon)
+    for cfg in (McConfig(yield_model=yield_model, safety=0.9), McConfig("exact", yield_model)):
+        a, b = (
+            run_mc_paths(q, x0, horizon, cfg, [np.random.default_rng(path_seed(2014, i)) for i in range(12)], record)
+            for q in (p, one_piece)
+        )
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.event_counts, b.event_counts)
+        assert np.array_equal(a.negative_captures, b.negative_captures)
+        assert a.halvings == b.halvings
+        assert (len(a.halvings) > 0) == (cfg.mode == "fixed")
+
+
+def test_fixed_two_piece_path_skips_between_targets(monkeypatch):
+    # between targets (record times and breakpoints) the rates change only
+    # at events, so the geometric skip serves a piecewise schedule: an
+    # iteration ends at an event, or a target costs at most a skip with no
+    # event and a last partial step.  One more call sizes the first step
+    p = replace(
+        one_group_params(),
+        reactivity=PiecewiseConstantReactivity((0.0, 0.2), (-1.0 / 3.0, -0.2)),
+        source=PiecewiseConstantSource((0.0, 0.3), (200.0, 150.0)),
+    )
+    record = np.linspace(0.0, 0.5, 6)
+    calls = []
+    checked = event_mc._rate_constants
+    monkeypatch.setattr(event_mc, "_rate_constants", lambda p, t: calls.append(t) or checked(p, t))
+    for i in range(8):
+        calls.clear()
+        gen = np.random.default_rng(path_seed(2014, i))
+        res = run_mc_paths(p, [400.0, 300.0], 0.5, McConfig(), [gen], record)
+        events = int(res.event_counts.sum())
+        assert events > 0
+        assert len(calls) <= events + 2 * (record.size + 2) + 2, (i, len(calls), events)
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +435,13 @@ def test_trajectory_rejects_negative_initial_state():
 
 def test_trajectory_halving_is_logged():
     p = one_group_params(beta1=0.05)
-    # dt=5e-3 gives total probability 5.15; three halvings reach 0.64
+    # dt=5e-3 gives total probability 5.15; halving goes on until it is at
+    # most the safety factor 0.1, which six halvings reach (0.080)
     cfg = McConfig(dt=5e-3)
     traj = mc_trajectory(p, [400.0, 300.0], 0.01, cfg, NoiseSource(2), (0.0, 0.01))
     halvings = traj.diagnostics["halvings"]
-    assert len(halvings) == 3
-    assert halvings[-1][1] == pytest.approx(5e-3 / 8.0, rel=1e-12)
+    assert len(halvings) == 6
+    assert halvings[-1][1] == pytest.approx(5e-3 / 64.0, rel=1e-12)
 
 
 def test_trajectory_integer_yields_keep_integer_nonnegative_states():
@@ -488,18 +588,18 @@ def test_lone_slot_total_rate_matches_its_batch_total(rng):
 
 
 @pytest.mark.parametrize("yield_model", ["fractional", "integer"])
-@pytest.mark.parametrize("schedule", ["constant", "one-piece"])
+@pytest.mark.parametrize("schedule", ["constant", "zero-ramp"])
 def test_finished_paths_leave_results_in_path_order(schedule, yield_model, monkeypatch):
     # table3 from n0 = 2 at safety 0.9: paths halve their steps and finish
     # out of index order, so the engine's slots stop matching the paths.
     # Per-path results must still come back in path order, and the halving
-    # log in iteration order, then path order.  A one-piece schedule takes
+    # log in iteration order, then path order.  A ramp (of slope zero) takes
     # the per-step branch, where each iteration of a single path checks the
     # rate constants at that path's own time: that names the iteration of
     # each halving.
     p = load_scenario("table3").build_parameters()
-    if schedule == "one-piece":
-        p = replace(p, reactivity=PiecewiseConstantReactivity((0.0,), (p.reactivity.value,)))
+    if schedule == "zero-ramp":
+        p = replace(p, reactivity=LinearReactivity(0.0))
     x0 = equilibrium_state(p, n0=2.0)
     cfg = McConfig(yield_model=yield_model, safety=0.9)
     horizon = 2e-4
@@ -524,13 +624,13 @@ def test_finished_paths_leave_results_in_path_order(schedule, yield_model, monke
         steps = times[1:]  # after the check before the first step: one per iteration
         iterations.append(len(steps))
         for k, (_, t, dt) in enumerate(single.halvings):
-            iteration = steps.index(t) if schedule == "one-piece" else 0
+            iteration = steps.index(t) if schedule == "zero-ramp" else 0
             expected.append((iteration, i, k, (i, t, dt)))
     assert iterations != sorted(iterations)  # paths finish out of index order
     assert len(expected) > 0
     if yield_model == "fractional":
         assert batch.negative_captures.sum() > 0
-    if schedule == "one-piece":
+    if schedule == "zero-ramp":
         assert batch.halvings == [entry for *_, entry in sorted(expected)]
     else:
         by_path = sorted(batch.halvings, key=lambda h: h[0])  # stable: keeps each path's order
@@ -538,27 +638,28 @@ def test_finished_paths_leave_results_in_path_order(schedule, yield_model, monke
 
 
 def test_halvings_after_a_path_finishes_keep_path_order():
-    # scripted one-group paths on the per-step branch (one-piece schedule),
-    # dt = 1/8 from n = 3.8: P = 7.9 dt = 0.9875 and a fission lifts P past
-    # one.  Path 1 never fires and finishes first, after 8 iterations; paths
-    # 2 and 3 halve together again two iterations later, so their entries
-    # must still be logged in path order
-    p = one_group_params(beta1=0.05, q=0.0)
-    p = replace(p, reactivity=PiecewiseConstantReactivity((0.0,), (p.reactivity.value,)))
+    # scripted one-group paths on the per-step branch (a ramp of slope zero:
+    # rho = 0), dt = 1/8 from n = 3.8: P = 6.0 dt = 0.75, and a fission lifts
+    # P to 8.075 dt, past one.  At safety 1 a halving stops at P <= 1, so each
+    # takes one.  Path 1 never fires and finishes first, after 8 iterations;
+    # paths 2 and 3 then fire four fissions at dt = 1/16 (P = 0.505 up to
+    # 1.023) and halve together at t = 0.8125, so their entries must still
+    # be logged in path order
+    p = replace(one_group_params(beta1=0.05, q=0.0), reactivity=LinearReactivity(0.0))
     none = 0.9999
-    late = [0.7] + [none] * 7 + [0.55, 0.7]  # fission, halve; two fissions, halve
+    late = [0.7] + [none] * 7 + [0.45, 0.55, 0.7, 0.8]  # fission, halve; four fissions, halve
     gens = [
         StubGenerator([0.7], fill=none),
         StubGenerator([], fill=none),
         StubGenerator(late, fill=none),
         StubGenerator(late, fill=none),
     ]
-    res = run_mc_paths(p, [3.8, 3.0], 1.0, McConfig(dt=0.125), gens, [1.0])
+    res = run_mc_paths(p, [3.8, 3.0], 1.0, McConfig(dt=0.125, safety=1.0), gens, [1.0])
     assert res.halvings == [
         (0, 0.125, 0.0625), (2, 0.125, 0.0625), (3, 0.125, 0.0625),
-        (2, 0.6875, 0.03125), (3, 0.6875, 0.03125),
+        (2, 0.8125, 0.03125), (3, 0.8125, 0.03125),
     ]
-    assert res.event_counts.tolist() == [[0, 1, 0, 0], [0, 0, 0, 0], [0, 3, 0, 0], [0, 3, 0, 0]]
+    assert res.event_counts.tolist() == [[0, 1, 0, 0], [0, 0, 0, 0], [0, 5, 0, 0], [0, 5, 0, 0]]
     assert res.states[1, -1].tolist() == [3.8, 3.0]
 
 
