@@ -379,9 +379,10 @@ def test_one_piece_schedules_are_bit_equal_to_their_constants(yield_model):
     x0 = equilibrium_state(p, n0=2.0)
     horizon = 2e-4
     record = (0.0, 1e-4, horizon)
+    seeds = [path_seed(2014, i) for i in range(12)]
     for cfg in (McConfig(yield_model=yield_model, safety=0.9), McConfig("exact", yield_model)):
         a, b = (
-            run_mc_paths(q, x0, horizon, cfg, [np.random.default_rng(path_seed(2014, i)) for i in range(12)], record)
+            run_mc_paths(q, x0, horizon, cfg, [np.random.default_rng(s) for s in seeds], record)
             for q in (p, one_piece)
         )
         assert np.array_equal(a.states, b.states)
