@@ -10,8 +10,8 @@ Subcommands::
 Scenario names are presets (table1, table2, table3, linear-rho) or paths to
 scenario JSON files.  Outputs land in --out (default: $STOKIN_OUT_DIR or the
 working directory).  Numbers are written in shortest round-trip form, so a
-rerun with identical flags and seed produces byte-identical files.  Module
-failures print a machine-readable JSON error to stderr and exit nonzero.
+rerun with identical flags and seed produces byte-identical files.  Errors,
+file-system ones included, print a JSON error to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -307,7 +307,7 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ParameterError(f"--seed must be nonnegative, got {args.seed}")
         return args.func(args)
-    except StokinError as exc:
+    except (StokinError, OSError) as exc:
         json.dump(
             {"error": type(exc).__name__, "message": str(exc)},
             sys.stderr,

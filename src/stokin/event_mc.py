@@ -398,7 +398,7 @@ def run_mc_paths(
             dt0 = cfg.safety / total0
         else:
             dt0 = horizon if horizon > 0 else 1.0
-        dt = np.full(n_paths, dt0)
+        dt = np.full(n_paths, dt0, dtype=float)
         draws = 1
     else:
         t_end = horizon

@@ -35,9 +35,9 @@ __all__ = [
     "solve_linear",
 ]
 
-#: Relative eigenvalue tolerance: eigenvalues in [-CLIP_TOL*|B|_max, 0) are
-#: treated as roundoff and clipped to zero; anything lower is a hard error
-#: under the "strict" policy.
+#: Relative roundoff band: eigenvalues in [-CLIP_TOL*|B|_max, 0), and the SDE
+#: solvers' negative event rates in [-CLIP_TOL*max_k |r_k|, 0), are clipped
+#: to zero; anything lower is a hard error under the "strict" policy.
 CLIP_TOL = 1e-8
 
 

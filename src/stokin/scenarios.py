@@ -9,9 +9,10 @@ representation).
 A scenario also builds each run's configuration: :meth:`ScenarioConfig.grid`
 gives a method's time grid, :meth:`~ScenarioConfig.mc_config` the event-MC
 settings and :meth:`~ScenarioConfig.ensemble_config` a whole ensemble run, so
-the command line, the tests and the demos share one mapping.  Loading a file
-builds these once; any constructor's refusal becomes a ScenarioError naming
-the section at fault.
+the command line, the tests and the demos share one mapping.  Construction
+checks every section against one table, ``_SHAPE``, of keys and JSON types
+(a key set per ``kind``), naming the dotted field at fault; loading then
+builds each configuration once, and a builder's refusal names the section.
 
 Presets
 -------
@@ -57,15 +58,57 @@ from .solvers import TimeGrid
 
 __all__ = ["ScenarioConfig", "PRESETS", "load_scenario", "save_scenario"]
 
-# JSON type of each scenario field, by its annotation
-_JSON_TYPES = {
-    "str": (str, "a string"),
-    "dict": (dict, "an object"),
-    "float": ((int, float), "a number"),
+# JSON leaf types as (Python types, label); a JSON boolean is none of them
+_NUMBER = ((int, float), "a number")
+_STRING = (str, "a string")
+_NUMBERS = [_NUMBER]  # a list of numbers
+_CONTAINERS = {dict: (dict, "an object"), list: (list, "a list")}  # of a section, a list
+_STEPS = {"times": _NUMBERS, "values": _NUMBERS}  # a piecewise-constant schedule
+
+# Each kind of a kinded section as (builder, shape of the section's other
+# keys); the builder takes those keys, after the parameters for a state.
+_REACTIVITY = {
+    "constant": (ConstantReactivity, {"value": _NUMBER}),
+    "linear": (LinearReactivity, {"slope": _NUMBER}),
+    "piecewise": (PiecewiseConstantReactivity, _STEPS),
 }
-_ENSEMBLE_KEYS = ("min_samples", "max_samples", "target_rel_halfwidth")
-# the only keys below the top level whose values are strings: each names a choice
-_CHOICE_KEYS = ("kind", "mode", "yield_model", "psd_policy")
+_SOURCE = {
+    "constant": (ConstantSource, {"value": _NUMBER}),
+    "piecewise": (PiecewiseConstantSource, _STEPS),
+}
+_INITIAL = {
+    "vector": (lambda p, state: state, {"state": _NUMBERS}),
+    "source-free-equilibrium": (lambda p, n0: equilibrium_state(p, n0=n0), {"n0": _NUMBER}),
+    "sourced-equilibrium": (lambda p: equilibrium_state(p, t=0.0), {}),
+}
+
+# Each section's keys and each leaf's JSON type; a section whose "kind" entry
+# is a kind table takes its kind's keys.  Every key is required but those in
+# _OPTIONAL, which the builders default.
+_SHAPE = {
+    "name": _STRING,
+    "description": _STRING,
+    "parameters": {
+        "decay_constants": _NUMBERS, "group_fractions": _NUMBERS,
+        "nu": _NUMBER, "gen_time": _NUMBER,
+        "reactivity": {"kind": _REACTIVITY},
+        "source": {"kind": _SOURCE},
+        # older files hold "alpha": null; the capture rate is (1 - rho - 1/nu)/l
+        "alpha": (type(None), "null"),
+    },
+    "initial": {"kind": _INITIAL},
+    "horizon": _NUMBER,
+    "record_dt": _NUMBER,
+    "solver": {"det_dt": _NUMBER, "em_dt": _NUMBER, "pca_dt": _NUMBER, "psd_policy": _STRING},
+    "monte_carlo": {"mode": _STRING, "yield_model": _STRING,
+                    "dt": ((int, float, type(None)), "a number or null"), "safety": _NUMBER},
+    "ensemble": {"min_samples": _NUMBER, "max_samples": _NUMBER, "target_rel_halfwidth": _NUMBER},
+    "notes": _STRING,
+}
+_OPTIONAL = {
+    "parameters.alpha", "solver.psd_policy", "ensemble.target_rel_halfwidth",
+    "monte_carlo.mode", "monte_carlo.yield_model", "monte_carlo.dt", "monte_carlo.safety",
+}
 
 
 @dataclass(frozen=True)
@@ -83,40 +126,30 @@ class ScenarioConfig:
     ensemble: dict
     notes: str = ""
 
+    def __post_init__(self):
+        _check_shape(vars(self), _SHAPE)  # dataclasses.replace copies pass it too
+        for name in ("horizon", "record_dt"):  # an integer file runs and saves as its float twin
+            object.__setattr__(self, name, float(getattr(self, name)))
+
     # -- builders ----------------------------------------------------------
 
     def build_parameters(self) -> KineticsParameters:
         par = self.parameters
-        if par.get("alpha") is not None:  # older files carry "alpha": null
-            raise ScenarioError(
-                f"scenario {self.name!r}: parameters.alpha is not supported, the "
-                "capture rate is (1 - rho - 1/nu)/l; remove the field or set it to null"
-            )
         with self._section("parameters"):
             return KineticsParameters(
                 decay_constants=tuple(par["decay_constants"]),
                 group_fractions=tuple(par["group_fractions"]),
                 nu=par["nu"],
                 gen_time=par["gen_time"],
-                reactivity=_function_from_dict(par["reactivity"], kind="reactivity"),
-                source=_function_from_dict(par["source"], kind="source"),
+                reactivity=_build(par["reactivity"], _REACTIVITY),
+                source=_build(par["source"], _SOURCE),
             )
 
     def build_initial(self, p: KineticsParameters = None) -> np.ndarray:
         """Initial state as a read-only (m+1,) array."""
         p = p or self.build_parameters()
-        init = self.initial
-        kind = init.get("kind")
         with self._section("initial"):
-            if kind == "vector":
-                vec = init["state"]
-            elif kind == "source-free-equilibrium":
-                vec = equilibrium_state(p, n0=init["n0"])
-            elif kind == "sourced-equilibrium":
-                vec = equilibrium_state(p, t=0.0)
-            else:
-                raise ParameterError(f"unknown kind {kind!r}")
-            vec = as_state_vector(vec, p)
+            vec = as_state_vector(_build(self.initial, _INITIAL, p), p)
         vec.setflags(write=False)
         return vec
 
@@ -187,16 +220,7 @@ class ScenarioConfig:
         unknown = set(data) - set(spec)
         if unknown:
             raise ScenarioError(f"scenario has unknown fields: {sorted(unknown)}")
-        values = {}
-        for name, value in data.items():
-            kind = spec[name].type
-            types, label = _JSON_TYPES[kind]
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ScenarioError(f"scenario field {name!r} must be {label}")
-            values[name] = float(value) if kind == "float" else value
-            if kind == "dict":
-                _refuse_non_numbers(value, name)
-        cfg = cls(**values)
+        cfg = cls(**data)
         cfg.validate()
         return cfg
 
@@ -214,62 +238,53 @@ class ScenarioConfig:
             raise ScenarioError(f"scenario {self.name!r}: unknown solver.psd_policy")
         with self._section("monte_carlo"):
             mc = self.mc_config()
-        for key in _ENSEMBLE_KEYS[:2]:
-            if key not in self.ensemble:
-                raise ScenarioError(f"scenario {self.name!r}: ensemble.{key} missing")
-        unknown = set(self.ensemble) - set(_ENSEMBLE_KEYS)
-        if unknown:
-            raise ScenarioError(f"scenario {self.name!r}: unknown ensemble keys {sorted(unknown)}")
         with self._section("ensemble"):
             self.ensemble_config("mc", 0, mc=mc)
 
     @contextmanager
     def _section(self, label: str):
-        """Re-raise a builder's refusal as a ScenarioError naming ``label``; a
-        wrong-typed value surfaces as TypeError or ValueError."""
+        """Re-raise a builder's refusal of a checked section, a value out of
+        range, as a ScenarioError naming ``label``."""
         try:
             yield
-        except KeyError as exc:
-            raise ScenarioError(f"scenario {self.name!r}: {label}: missing field {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"scenario {self.name!r}: {label}: {exc}") from None
 
 
-def _refuse_non_numbers(value, where: str, choice: bool = False):
-    """Refuse a JSON boolean anywhere in a section, and a string anywhere but
-    under a choice key, with a ScenarioError naming the dotted field: the
-    builders' float() would read true as 1 and "0.1" as 0.1."""
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _refuse_non_numbers(item, f"{where}.{key}", key in _CHOICE_KEYS)
-    elif isinstance(value, list):
+def _check_shape(value, shape, where: str = ""):
+    """Refuse ``value`` unless it has ``shape`` (a ``_SHAPE`` entry), with a
+    ScenarioError naming the dotted field ``where``."""
+    types, label = _CONTAINERS.get(type(shape), shape)
+    if isinstance(value, bool) or not isinstance(value, types):
+        got = json.dumps(value, default=repr)
+        raise ScenarioError(f"scenario field {where!r} must be {label}, got {got}")
+    if isinstance(shape, list):
         for item in value:
-            _refuse_non_numbers(item, where)
-    elif isinstance(value, bool) or isinstance(value, str) != choice:
-        label = "a string" if choice else "a number"
-        raise ScenarioError(f"scenario field {where!r} must be {label}, got {json.dumps(value)}")
+            _check_shape(item, shape[0], where)
+    elif isinstance(shape, dict):
+        kinds = shape.get("kind")
+        if isinstance(kinds, dict):  # one key set per kind
+            _check_shape(value.get("kind"), _STRING, f"{where}.kind")
+            if value["kind"] not in kinds:
+                raise ScenarioError(f"scenario field {where!r} has unknown kind "
+                                    f"{value['kind']!r}; expected one of {sorted(kinds)}")
+            shape = {"kind": _STRING, **kinds[value["kind"]][1]}
+        unknown = set(value) - set(shape)
+        if unknown:
+            raise ScenarioError(f"scenario field {where!r} has unknown keys {sorted(unknown)}")
+        for key in shape:
+            field = f"{where}.{key}" if where else key
+            if key in value:
+                _check_shape(value[key], shape[key], field)
+            elif field not in _OPTIONAL:
+                raise ScenarioError(f"scenario field {field} missing")
 
 
-def _function_from_dict(spec: dict, kind: str):
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ScenarioError(f"{kind} spec must be a dict with a 'kind' field")
-    k = spec["kind"]
-    try:
-        if kind == "reactivity":
-            if k == "constant":
-                return ConstantReactivity(float(spec["value"]))
-            if k == "linear":
-                return LinearReactivity(float(spec["slope"]))
-            if k == "piecewise":
-                return PiecewiseConstantReactivity(spec["times"], spec["values"])
-        else:
-            if k == "constant":
-                return ConstantSource(float(spec["value"]))
-            if k == "piecewise":
-                return PiecewiseConstantSource(spec["times"], spec["values"])
-    except KeyError as exc:
-        raise ScenarioError(f"{kind} spec missing field {exc}")
-    raise ScenarioError(f"unknown {kind} kind {k!r}")
+def _build(section: dict, kinds: dict, *args):
+    """A checked kinded section's object: its kind's builder called with
+    ``args`` and the section's other keys, an integer read as a float."""
+    keys = {k: float(v) if type(v) is int else v for k, v in section.items() if k != "kind"}
+    return kinds[section["kind"]][0](*args, **keys)
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +413,11 @@ def load_scenario(name_or_path: str) -> ScenarioConfig:
     try:
         with open(name_or_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(
             f"{name_or_path!r} is neither a preset ({', '.join(sorted(PRESETS))}) "
-            "nor a readable file"
-        )
+            f"nor a readable UTF-8 file: {exc}"
+        ) from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"parse error in {name_or_path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -148,6 +148,54 @@ def test_error_is_machine_readable(tmp_path, capsys):
     assert "missing.json" in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "scenario, out, error",
+    [
+        # a directory, and a file that is not UTF-8 text
+        ("{tmp}", "{tmp}/out", "ScenarioError"),
+        ("{tmp}/latin1.json", "{tmp}/out", "ScenarioError"),
+        # --out naming an existing file, and a path below a file
+        ("table1", "{tmp}/latin1.json", "FileExistsError"),
+        ("table1", "{tmp}/latin1.json/out", "NotADirectoryError"),
+    ],
+    ids=["scenario-directory", "scenario-not-utf8", "out-is-a-file", "out-below-a-file"],
+)
+def test_path_errors_are_machine_readable(scenario, out, error, tmp_path, capsys):
+    # each of these printed a traceback
+    (tmp_path / "latin1.json").write_bytes('{"name": "r\u00e9acteur"}'.encode("latin-1"))
+    code = main(["solve", "--scenario", scenario.format(tmp=tmp_path), "--method", "det",
+                 "--out", out.format(tmp=tmp_path)])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == error
+    assert str(tmp_path) in payload["message"]
+
+
+@pytest.mark.parametrize("field", ["horizon", "dt"])
+def test_integer_numbers_in_a_file_run_as_floats(field, tmp_path):
+    # an empty start whose source switches on at 0.2 s: the fixed-mode MC step
+    # starts at the horizon, or at monte_carlo.dt, and halves; an integer step
+    # array truncated 1 * 0.5 to 0 and froze every path at switch-on
+    data = load_scenario("table1").to_dict()
+    data["initial"] = {"kind": "vector", "state": [0.0, 0.0]}
+    switched = {"kind": "piecewise", "times": [0.0, 0.2], "values": [0.0, 200.0]}
+    data["parameters"]["source"] = switched
+    data["horizon"] = 1.0
+    outputs = []
+    for value in (1, 1.0):
+        section = data if field == "horizon" else data["monte_carlo"]
+        section[field] = value
+        path = tmp_path / f"{field}_{value!r}.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / f"out_{value!r}"
+        assert main(["solve", "--scenario", str(path), "--method", "mc", "--seed", "7",
+                     "--out", str(out)]) == 0
+        assert main(["ensemble", "--scenario", str(path), "--method", "mc", "--samples", "20",
+                     "--seed", "3", "--out", str(out)]) == 0
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
+
+
 def test_solve_rejects_record_times_off_the_grid(tmp_path, capsys):
     # table1 records every 0.1 s; with --dt 0.04 the record time 0.1 is no
     # grid node, which solve refuses as ensemble does

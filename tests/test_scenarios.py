@@ -1,16 +1,20 @@
 import json
 import re
+from dataclasses import fields, replace
 
 import pytest
 
 from stokin import (
     PRESETS,
+    McConfig,
     ParameterError,
     ScenarioError,
     equilibrium_state,
     load_scenario,
     save_scenario,
 )
+
+from stokin.scenarios import _SHAPE, ScenarioConfig, _check_shape
 
 from conftest import SIX_GROUP_BETA, SIX_GROUP_LAMBDA
 
@@ -321,3 +325,103 @@ def test_non_finite_parameters_are_refused_at_load(field, value, message, tmp_pa
 def test_grid_rejects_unknown_method(method):
     with pytest.raises(ParameterError, match=method):
         load_scenario("table1").grid(method)
+
+
+@pytest.mark.parametrize(
+    "field, value, section",
+    [
+        ("parameters.reactivity.slope", 0.25, "parameters.reactivity"),
+        ("parameters.source.times", [0.0], "parameters.source"),
+        ("initial.n0", 100.0, "initial"),
+        ("solver.mc_dt", 1e-3, "solver"),
+        ("parameters.beta_totl", 0.05, "parameters"),
+    ],
+)
+def test_unknown_keys_are_refused(field, value, section, tmp_path):
+    # each of these loaded and was ignored: a key the kind or section does not
+    # take, such as a slope on a constant reactivity or a misspelled name
+    data = load_scenario("table1").to_dict()
+    _set(data, field, value)
+    path = tmp_path / "extra.json"
+    path.write_text(json.dumps(data))
+    key = field.rsplit(".", 1)[1]
+    with pytest.raises(ScenarioError, match=re.escape(f"{section!r} has unknown keys {[key]}")):
+        load_scenario(str(path))
+
+
+@pytest.mark.parametrize(
+    "section, spec",
+    [
+        ("initial", {"kind": "equilibrium", "n0": 100.0}),
+        ("parameters.reactivity", {"kind": "ramp", "slope": 0.25}),
+        ("parameters.source", {"kind": "linear", "slope": 1.0}),  # a reactivity kind only
+    ],
+)
+def test_unknown_kind_is_refused(section, spec, tmp_path):
+    data = load_scenario("table1").to_dict()
+    _set(data, section, spec)
+    path = tmp_path / "kind.json"
+    path.write_text(json.dumps(data))
+    message = f"{section!r} has unknown kind {spec['kind']!r}"
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        load_scenario(str(path))
+    _set(data, section, {k: v for k, v in spec.items() if k != "kind"})
+    path.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError, match=re.escape(f"'{section}.kind' must be a string")):
+        load_scenario(str(path))
+
+
+def test_shape_table_matches_the_dataclass_and_the_presets():
+    # the table cannot drift from the scenario fields or the presets
+    assert set(_SHAPE) == {f.name for f in fields(ScenarioConfig)}
+    for preset in PRESETS.values():
+        _check_shape(preset().to_dict(), _SHAPE)
+
+
+def test_code_built_configs_pass_the_same_gate():
+    # construction checks the shape, so a replace() copy, which skips
+    # validate(), cannot build from an unknown key, kind or type either
+    scn = load_scenario("table1")
+    with pytest.raises(ScenarioError, match=re.escape("'solver' has unknown keys ['mc_dt']")):
+        replace(scn, solver=dict(scn.solver, mc_dt=1e-3))
+    with pytest.raises(ScenarioError, match="'horizon' must be a number"):
+        replace(scn, horizon=True)
+    with pytest.raises(ScenarioError, match=re.escape("'initial' has unknown kind 'bogus'")):
+        replace(scn, initial={"kind": "bogus"})
+
+
+@pytest.mark.parametrize(
+    "field", ["parameters.nu", "parameters.reactivity.value", "initial.n0", "solver.det_dt"]
+)
+def test_missing_key_names_the_dotted_field(field, tmp_path):
+    data = load_scenario("table2").to_dict()
+    *parents, key = field.split(".")
+    section = data
+    for part in parents:
+        section = section[part]
+    del section[key]
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError, match=re.escape(f"scenario field {field} missing")):
+        load_scenario(str(path))
+
+
+def test_optional_keys_take_the_builders_defaults(tmp_path):
+    data = load_scenario("table1").to_dict()
+    data["monte_carlo"] = {}
+    del data["ensemble"]["target_rel_halfwidth"]
+    path = tmp_path / "defaults.json"
+    path.write_text(json.dumps(data))
+    cfg = load_scenario(str(path)).ensemble_config("mc", 0)
+    assert cfg.mc == McConfig() and cfg.target_rel_halfwidth == 5e-4
+
+
+def test_integer_horizon_and_record_dt_load_as_floats(tmp_path):
+    data = load_scenario("table1").to_dict()
+    data.update(horizon=2, record_dt=1)
+    data["parameters"]["source"] = {"kind": "constant", "value": 200}
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(data))
+    scn = load_scenario(str(path))
+    assert type(scn.horizon) is float and type(scn.record_dt) is float
+    assert type(scn.build_parameters().source.value) is float
