@@ -9,8 +9,10 @@ Subcommands::
 
 Scenario names are presets (table1, table2, table3, linear-rho) or paths to
 scenario JSON files.  Outputs land in --out (default: $STOKIN_OUT_DIR or the
-working directory).  Numbers are written in shortest round-trip form, so a
-rerun with identical flags and seed produces byte-identical files.  Errors,
+working directory), which is made once the flags and the scenario have been
+checked and before the run, so an --out that cannot be made fails before any
+computation.  Numbers are written in shortest round-trip form, so a rerun
+with identical flags and seed produces byte-identical files.  Errors,
 file-system ones included, print a JSON error to stderr and exit nonzero.
 """
 
@@ -82,16 +84,16 @@ def _cmd_solve(args) -> int:
 
     if args.method == "mc":
         mc = scn.mc_config(args.mode, args.yield_model, args.dt)
-        traj = mc_trajectory(p, x0, scn.horizon, mc, NoiseSource(args.seed), record)
-        times, states = traj.times, traj.states
+        idx = slice(None)  # mc_trajectory records the record times only
+        run = lambda: mc_trajectory(p, x0, scn.horizon, mc, NoiseSource(args.seed), record)
     else:
         grid = scn.grid(args.method, args.dt)
         idx = grid.node_indices(record)
         if args.method == "det":
-            traj = deterministic_solve(p, x0, grid)
+            run = lambda: deterministic_solve(p, x0, grid)
         else:
             solver = euler_maruyama_solve if args.method == "em" else stochastic_pca_solve
-            traj = solver(
+            run = lambda: solver(
                 p,
                 x0,
                 grid,
@@ -99,9 +101,10 @@ def _cmd_solve(args) -> int:
                 zero_noise=args.zero_noise,
                 psd_policy=scn.psd_policy,
             )
-        times, states = traj.times[idx], traj.states[idx]
 
     out = os.path.join(_out_dir(args), f"{scn.name}_{args.method}_trajectory.csv")
+    traj = run()
+    times, states = traj.times[idx], traj.states[idx]
     rows = [[_fmt(t)] + [_fmt(v) for v in row] for t, row in zip(times, states)]
     _write_csv(out, _component_header(p.dim), rows)
     print(out)
@@ -144,20 +147,21 @@ def _summary_json(summary: EnsembleSummary, scenario_name: str) -> dict:
 
 
 def _scenario_ensemble(args, keep_paths=0):
-    """Load the scenario and run the ensemble the flags ask for."""
+    """Load the scenario, build the ensemble the flags ask for, make the
+    output directory and run."""
     _check_method_flags(args)
     scn = load_scenario(args.scenario)
     p = scn.build_parameters()
     grid = scn.grid(args.method, args.dt)
     mc = scn.mc_config(args.mode, args.yield_model, args.dt) if args.method == "mc" else None
     cfg = scn.ensemble_config(args.method, args.seed, args.samples, mc, args.zero_noise, keep_paths)
-    return scn, run_ensemble(p, scn.build_initial(p), grid, cfg)
+    out_dir = _out_dir(args)
+    return out_dir, scn, run_ensemble(p, scn.build_initial(p), grid, cfg)
 
 
 def _cmd_ensemble(args) -> int:
-    scn, summary = _scenario_ensemble(args)
+    out_dir, scn, summary = _scenario_ensemble(args)
 
-    out_dir = _out_dir(args)
     base = f"{scn.name}_{args.method}_summary"
     csv_path = os.path.join(out_dir, base + ".csv")
     _write_csv(
@@ -193,6 +197,7 @@ def _cmd_reproduce(args) -> int:
         for (comp, label), mean, std in zip(quantities, means, stds):
             rows.append([label, method_name, _fmt(mean), "" if std is None else _fmt(std)])
 
+    configs = []
     for method in ("mc", "pca", "em"):
         samples, mode = args.samples, None
         if method == "mc":
@@ -201,7 +206,10 @@ def _cmd_reproduce(args) -> int:
                 # full-horizon event MC at ~5e6 events/s per path: trim the
                 # default sample count to keep this a desk-scale run
                 samples, mode = 64, "exact"
-        cfg = scn.ensemble_config(method, args.seed, samples, scn.mc_config(mode))
+        configs.append((method, scn.ensemble_config(method, args.seed, samples, scn.mc_config(mode))))
+
+    out_dir = _out_dir(args)
+    for method, cfg in configs:
         summary = run_ensemble(p, x0, scn.grid(method), cfg)
         means = []
         stds = []
@@ -216,14 +224,14 @@ def _cmd_reproduce(args) -> int:
     det_vals = {"n": final[0], "c1": final[1], "c_sum": final[1:].sum()}
     add_rows(METHOD_LABELS["det"], [det_vals[comp] for comp, _ in quantities], [None, None])
 
-    out = os.path.join(_out_dir(args), f"table{args.table}_results.csv")
+    out = os.path.join(out_dir, f"table{args.table}_results.csv")
     _write_csv(out, ["quantity", "method", "mean", "std"], rows)
     print(out)
     return 0
 
 
 def _cmd_plotdata(args) -> int:
-    scn, summary = _scenario_ensemble(args, keep_paths=2)
+    out_dir, scn, summary = _scenario_ensemble(args, keep_paths=2)
 
     j = summary.component_index("n")
     samples = summary.sample_paths
@@ -242,7 +250,7 @@ def _cmd_plotdata(args) -> int:
                 "",
             ]
         )
-    out = os.path.join(_out_dir(args), f"{scn.name}_{args.method}_plotdata.csv")
+    out = os.path.join(out_dir, f"{scn.name}_{args.method}_plotdata.csv")
     _write_csv(out, ["t", "mean", "std", "sample_1", "sample_2", "reference"], rows)
     print(out)
     return 0

@@ -414,7 +414,7 @@ def run_mc_paths(
     block = _BUFFER if integer else _FRACTIONAL_BUFFER
     buf = np.empty((n_paths, block + 1))
     for i, g in enumerate(generators):
-        buf[i, :block] = g.random(block)
+        g.random(out=buf[i, :block])
     offset = 0
     per_slot = [path, t, rec_ptr, neg_cap] + ([dt] if fixed else [])
 
@@ -425,7 +425,7 @@ def run_mc_paths(
     while k:
         if offset == block:
             for i in path[:k]:
-                buf[i, :block] = generators[i].random(block)
+                generators[i].random(out=buf[i, :block])
             offset = 0
         # the prefix holds paths 0..k-1 until a path before the last finishes
         ordered = path[k - 1] == k - 1

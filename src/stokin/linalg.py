@@ -1,11 +1,9 @@
 """Dense small-matrix kernels used by the solvers.
 
-Matrix exponential, linear solves and symmetric eigendecompositions delegate
-to scipy/LAPACK behind narrow contracts.  Only the matrix exponential needs
-scipy, and :func:`expm` imports ``scipy.linalg`` on its first call: importing
-this module, and with it ``stokin``, loads numpy only.  The Euler-Maruyama
-and event Monte Carlo runs never load scipy; the deterministic and PCA
-solvers load it when they build their first propagator.  The
+Matrix exponential, linear solves and symmetric eigendecompositions run on
+numpy and its LAPACK behind narrow contracts; stokin needs no scipy.  The
+matrix exponential is scaling and squaring with Pade approximants (Higham
+2005), built from ``matmul`` and one LAPACK ``solve``.  The
 positive-semidefinite square root (LAPACK ``eigh``) adds an
 eigenvalue-clipping policy for state-dependent diffusion matrices; the SDE
 solvers factor those over events instead, so the square root is kept as the
@@ -50,22 +48,79 @@ def _check_square(M, name="matrix"):
     return M
 
 
+# Higham (2005), Table 2.3: the largest 1-norm for which the [m/m] Pade
+# approximant of e^A meets double-precision unit roundoff, for m = 3..9;
+# larger norms take degree 13 and are scaled below _THETA_13 first.
+_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+          (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_THETA_13 = 5.371920351148152
+
+# Pade coefficients b_0..b_m (Higham 2005, eq. 2.11 and the coefficient list
+# of Algorithm 2.3)
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
+
+
 def expm(M: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square real matrix.
 
-    Uses scaling-and-squaring (scipy), which also covers defective inputs.
-    ``scipy.linalg`` is imported on the first call, not with the module.
-    Raises MatrixOverflowError when the result overflows float64.
+    Scaling and squaring with Pade approximants, Higham (2005), SIAM J.
+    Matrix Anal. Appl. 26:1179, Algorithm 2.3, on numpy and LAPACK alone: the
+    degree m in {3, 5, 7, 9, 13} is the lowest whose theta_m bounds the
+    1-norm, and only degree 13 scales by 2^-s.  The approximant
+    r_m = (V - U)^{-1} (V + U) is formed as I + 2 (V - U)^{-1} U and then
+    squared s times; a zero last row of the input, as in the augmented matrix
+    of :func:`propagator_with_source`, gives the exact unit row.  Defective
+    inputs need no special case.  Raises ParameterError for a non-square or
+    non-finite input and MatrixOverflowError, naming the input's 1-norm,
+    when the result overflows float64.
     """
-    import scipy.linalg
-
     M = _check_square(M)
     with np.errstate(over="ignore", invalid="ignore"):
-        E = scipy.linalg.expm(M)
-    if not np.all(np.isfinite(E)):
+        norm = np.linalg.norm(M, 1)
+        E = _pade_expm(M, norm) if norm < np.inf else None
+    if E is None or not np.all(np.isfinite(E)):
         raise MatrixOverflowError(
-            f"matrix exponential overflowed (1-norm of input: {np.linalg.norm(M, 1):g})"
+            f"matrix exponential overflowed (1-norm of input: {norm:g})"
         )
+    return E
+
+
+def _pade_expm(A, norm):
+    """e^A for a finite 1-norm ``norm`` of A: the lowest Pade degree whose
+    theta bounds it, else degree 13 on A / 2^s, squared s times."""
+    ident = np.eye(A.shape[0])
+    for m, theta in _THETA:
+        if norm <= theta:
+            b = _PADE[m]
+            powers = [ident, A @ A]
+            while len(powers) <= m // 2:
+                powers.append(powers[-1] @ powers[1])
+            U = A @ sum(b[2 * j + 1] * P for j, P in enumerate(powers))
+            V = sum(b[2 * j] * P for j, P in enumerate(powers))
+            return ident + 2.0 * np.linalg.solve(V - U, U)
+    s = max(0, int(np.ceil(np.log2(norm / _THETA_13))))
+    A = np.ldexp(A, -s)
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    b = _PADE[13]
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
+    E = ident + 2.0 * np.linalg.solve(V - U, U)
+    for _ in range(s):
+        E = E @ E
     return E
 
 

@@ -196,7 +196,8 @@ def _midpoint_table(p: KineticsParameters, grid: TimeGrid, propagator):
     array, and each step's ``propagator(A_mid, q_mid)`` with the midpoint
     drift matrix and source, built once per distinct (rho, q).  Each scheme
     brings its own propagator: the augmented exponential's top-left block
-    differs from ``expm(A dt)`` in the last bits."""
+    differs from ``expm(A dt)`` in the last bits wherever the source column
+    raises the 1-norm, and with it the Pade degree and the scaling."""
     rho = np.empty(grid.n_steps)
     cache = {}
     steps = []

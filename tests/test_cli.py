@@ -171,6 +171,36 @@ def test_path_errors_are_machine_readable(scenario, out, error, tmp_path, capsys
     assert str(tmp_path) in payload["message"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--scenario", "table1", "--method", "det"],
+        ["solve", "--scenario", "table1", "--method", "em"],
+        ["solve", "--scenario", "table1", "--method", "pca"],
+        ["solve", "--scenario", "table1", "--method", "mc"],
+        ["ensemble", "--scenario", "table1", "--method", "pca", "--samples", "4000"],
+        ["reproduce", "--table", "1"],
+        ["plotdata", "--scenario", "table3", "--method", "mc"],
+    ],
+    ids=["solve-det", "solve-em", "solve-pca", "solve-mc", "ensemble", "reproduce", "plotdata"],
+)
+def test_bad_out_fails_before_the_run(args, tmp_path, capsys, monkeypatch):
+    # the output directory is made first: an --out naming a file fails
+    # without running the engine, not after the whole computation
+    def engine(*a, **k):
+        raise AssertionError("the engine ran before --out was checked")
+
+    for name in ("run_ensemble", "deterministic_solve", "euler_maruyama_solve",
+                 "stochastic_pca_solve", "mc_trajectory"):
+        monkeypatch.setattr(f"stokin.cli.{name}", engine)
+    target = tmp_path / "a-file"
+    target.write_text("")
+    assert main(args + ["--out", str(target)]) == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "FileExistsError"
+    assert str(target) in payload["message"]
+
+
 @pytest.mark.parametrize("field", ["horizon", "dt"])
 def test_integer_numbers_in_a_file_run_as_floats(field, tmp_path):
     # an empty start whose source switches on at 0.2 s: the fixed-mode MC step

@@ -31,15 +31,22 @@ from conftest import one_group_params, random_state, six_group_params
 
 
 class StubGenerator:
-    """Generator stand-in: scripted uniforms first, then ``fill``."""
+    """Generator stand-in: scripted uniforms first, then ``fill``; like
+    numpy's, ``random`` fills ``out`` in place when given one."""
 
     def __init__(self, values, fill=0.5):
         self.values = list(values)
         self.fill = fill
 
-    def random(self, size):
+    def random(self, size=None, out=None):
+        if out is not None:
+            size = out.size
         head, self.values = self.values[:size], self.values[size:]
-        return np.array(head + [self.fill] * (size - len(head)))
+        draws = np.array(head + [self.fill] * (size - len(head)))
+        if out is None:
+            return draws
+        out[...] = draws
+        return out
 
 
 class StubNoise:
@@ -542,9 +549,9 @@ class CountingGenerator:
         self.generator = np.random.default_rng(seed)
         self.blocks = 0
 
-    def random(self, size=None):
-        self.blocks += size is not None
-        return self.generator.random(size)
+    def random(self, size=None, out=None):
+        self.blocks += size is not None or out is not None
+        return self.generator.random(size, out=out)
 
     def __getattr__(self, name):
         return getattr(self.generator, name)
@@ -817,16 +824,19 @@ def test_dense_record_rows_bit_equal_single_paths(mode):
 
 
 class SizeLoggingGenerator(CountingGenerator):
-    """Generator wrapper that logs the size of every sized ``random`` call."""
+    """Generator wrapper that logs the size of every block ``random`` fills,
+    passed as ``size`` or as the ``out`` buffer."""
 
     def __init__(self, seed):
         super().__init__(seed)
         self.sizes = []
 
-    def random(self, size=None):
-        if size is not None:
+    def random(self, size=None, out=None):
+        if out is not None:
+            self.sizes.append(out.size)
+        elif size is not None:
             self.sizes.append(size)
-        return super().random(size)
+        return super().random(size, out)
 
 
 @pytest.mark.parametrize("mode", ["fixed", "exact"])

@@ -1,9 +1,10 @@
-"""scipy stays off the import path: ``import stokin``, scenario loading and
-every em and mc run load numpy only; the deterministic and PCA solvers import
-scipy on their first matrix exponential.  ``numpy.random`` likewise waits for
-the first seeded run.  Each check runs in a fresh interpreter, because the
-test process itself has both loaded."""
+"""stokin never loads scipy: ``import stokin``, scenario loading and every
+det, em, pca and mc run load numpy only, and no module of the package imports
+scipy.  ``numpy.random`` waits for the first seeded run.  Each run check
+starts a fresh interpreter, because the test process itself has both
+loaded."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -46,7 +47,17 @@ def loaded_after(module, runs, out):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_em_and_mc_runs_never_load_scipy_and_pca_loads_it(tmp_path):
+def test_deterministic_solve_leaves_scipy_unloaded(tmp_path):
+    runs = [("det", ["solve", "--method", "det"])]
+    assert loaded_after("scipy", runs, tmp_path) == {
+        "import": False,
+        "scenario": False,
+        "det": False,
+    }
+    assert (tmp_path / "table1_det_trajectory.csv").is_file()
+
+
+def test_em_mc_and_pca_runs_never_load_scipy(tmp_path):
     runs = [
         ("em", ["ensemble", "--method", "em", "--samples", "20"]),
         ("mc", ["ensemble", "--method", "mc", "--mode", "exact", "--samples", "4"]),
@@ -57,19 +68,26 @@ def test_em_and_mc_runs_never_load_scipy_and_pca_loads_it(tmp_path):
         "scenario": False,
         "em": False,
         "mc": False,
-        "pca": True,
+        "pca": False,
     }
     assert (tmp_path / "table1_pca_summary.json").is_file()
 
 
-def test_deterministic_solve_loads_scipy(tmp_path):
-    runs = [("det", ["solve", "--method", "det"])]
-    assert loaded_after("scipy", runs, tmp_path) == {
-        "import": False,
-        "scenario": False,
-        "det": True,
-    }
-    assert (tmp_path / "table1_det_trajectory.csv").is_file()
+def test_no_module_imports_scipy():
+    # walks the package source, so a scipy import that no run reaches, or one
+    # behind a function call, is refused too
+    offenders = []
+    for path in sorted(Path(SRC, "stokin").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_numpy_random_waits_for_the_first_seeded_run(tmp_path):

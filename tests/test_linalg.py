@@ -10,11 +10,13 @@ from stokin import (
     diffusion_matrix,
     drift_matrix,
     expm,
+    load_scenario,
     propagator_with_source,
     psd_sqrt,
     solve_linear,
 )
-from stokin.linalg import psd_sqrt_batch
+from stokin.linalg import _THETA, _THETA_13, psd_sqrt_batch
+from stokin.scenarios import PRESETS
 
 from conftest import one_group_params
 
@@ -90,6 +92,9 @@ def test_expm_overflow_is_detected():
     with pytest.raises(MatrixOverflowError) as err:
         expm(np.diag([2000.0, 2000.0]))
     assert "norm" in str(err.value)
+    # finite entries whose 1-norm overflows
+    with pytest.raises(MatrixOverflowError, match="inf"):
+        expm(np.full((2, 2), 1e308))
 
 
 def test_expm_rejects_nonfinite_and_nonsquare():
@@ -97,6 +102,65 @@ def test_expm_rejects_nonfinite_and_nonsquare():
         expm(np.array([[np.nan, 0.0], [0.0, 0.0]]))
     with pytest.raises(ParameterError):
         expm(np.zeros((2, 3)))
+
+
+def _assert_matches_oracle(E, M):
+    # entrywise relative error where the oracle is nonzero, exact zeros where
+    # it is zero
+    oracle = series_expm(M)
+    nz = oracle != 0.0
+    assert (np.abs(E[nz] - oracle[nz]) / np.abs(oracle[nz])).max() <= 1e-12
+    assert np.array_equal(E[~nz], oracle[~nz])
+
+
+def _expm_traffic():
+    """Every preset's drift matrix times the det and pca steps, at the first
+    and last interval midpoint, bare and as the augmented source matrix
+    [[A dt, q dt e0], [0, 0]] that propagator_with_source exponentiates."""
+    cases = []
+    for name in PRESETS:
+        scn = load_scenario(name)
+        p = scn.build_parameters()
+        for method in ("det", "pca"):
+            grid = scn.grid(method)
+            for k in (0, grid.n_steps - 1):
+                tm = grid.midpoint(k)
+                A_dt = np.array(drift_matrix(p, tm)) * grid.dt
+                d = p.dim
+                aug = np.zeros((d + 1, d + 1))
+                aug[:d, :d] = A_dt
+                aug[0, d] = float(p.source(tm)) * grid.dt
+                cases.append(pytest.param(A_dt, id=f"{name}-{method}-{k}"))
+                cases.append(pytest.param(aug, id=f"{name}-{method}-{k}-augmented"))
+    return cases
+
+
+@pytest.mark.parametrize("M", _expm_traffic())
+def test_expm_on_solver_traffic(M):
+    E = expm(M)
+    _assert_matches_oracle(E, M)
+    if not M[-1].any():
+        # the augmented matrix's zero bottom row gives the exact unit row
+        assert np.array_equal(E[-1], np.eye(len(M))[-1])
+
+
+_BRANCH_NORMS = [theta for _, theta in _THETA] + [_THETA_13, 20.0 * _THETA_13]
+
+
+@pytest.mark.parametrize(
+    "norm", _BRANCH_NORMS, ids=["m3", "m5", "m7", "m9", "m13", "m13-squared"]
+)
+def test_expm_every_pade_degree(norm):
+    # the table3 drift matrix (d = 7) scaled to just below each theta_m, so
+    # each degree runs at its largest 1-norm, and once to 20 theta_13, which
+    # takes five squarings
+    p = load_scenario("table3").build_parameters()
+    A = np.array(drift_matrix(p, 0.0))
+    M = A * (0.999 * norm / np.linalg.norm(A, 1))
+    bounds = [0.0] + _BRANCH_NORMS
+    i = bounds.index(norm)
+    assert bounds[i - 1] < np.linalg.norm(M, 1) <= norm
+    _assert_matches_oracle(expm(M), M)
 
 
 # ---------------------------------------------------------------------------
