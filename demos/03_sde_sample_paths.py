@@ -15,7 +15,6 @@ deterministic skeletons) and seed determinism.
 import numpy as np
 
 from stokin import (
-    NoiseSource,
     euler_maruyama_solve,
     load_scenario,
     stochastic_pca_solve,
@@ -26,8 +25,8 @@ p = scn.build_parameters()
 x0 = scn.build_initial(p)
 grid = scn.grid("em")
 
-em = euler_maruyama_solve(p, x0, grid, NoiseSource(2024))
-pca = stochastic_pca_solve(p, x0, scn.grid("pca"), NoiseSource(2024))
+em = euler_maruyama_solve(p, x0, grid, np.random.default_rng(2024))
+pca = stochastic_pca_solve(p, x0, scn.grid("pca"), np.random.default_rng(2024))
 
 print("started at the sourced equilibrium", x0)
 print(f"EM  path: n(2) = {em.final_state[0]:8.3f}   c1(2) = {em.final_state[1]:8.3f}")
@@ -35,11 +34,11 @@ print(f"PCA path: n(2) = {pca.final_state[0]:8.3f}   c1(2) = {pca.final_state[1]
 print("negative-density steps (EM):", em.diagnostics["negative_steps"])
 
 # identical seeds give identical paths, bit for bit
-again = euler_maruyama_solve(p, x0, grid, NoiseSource(2024))
+again = euler_maruyama_solve(p, x0, grid, np.random.default_rng(2024))
 print("seed determinism:", np.array_equal(em.states, again.states))
 
 # zero-noise: the stochastic steppers become deterministic integrators
-em0 = euler_maruyama_solve(p, x0, grid, NoiseSource(1), zero_noise=True)
+em0 = euler_maruyama_solve(p, x0, grid, np.random.default_rng(1), zero_noise=True)
 print("zero-noise EM stays at the equilibrium:",
       np.abs(em0.states - x0).max() < 1e-6)
 
@@ -49,5 +48,5 @@ times = em.times
 cols = [0, len(times) // 4, len(times) // 2, 3 * len(times) // 4, len(times) - 1]
 print("  t:     " + "  ".join(f"{times[c]:7.2f}" for c in cols))
 for seed in range(5):
-    path = euler_maruyama_solve(p, x0, grid, NoiseSource(seed))
+    path = euler_maruyama_solve(p, x0, grid, np.random.default_rng(seed))
     print(f"  seed {seed}: " + "  ".join(f"{path.states[c, 0]:7.2f}" for c in cols))

@@ -16,7 +16,6 @@ import numpy as np
 from stokin import (
     EnsembleConfig,
     McConfig,
-    NoiseSource,
     load_scenario,
     mc_trajectory,
     run_ensemble,
@@ -27,10 +26,10 @@ p = scn.build_parameters()
 x0 = scn.build_initial(p)
 record = tuple(scn.record_times())
 
-one = mc_trajectory(p, x0, scn.horizon, McConfig(), NoiseSource(1), record)
+one = mc_trajectory(p, x0, scn.horizon, McConfig(), np.random.default_rng(1), record)
 print("fixed-step path, event totals:", one.diagnostics["event_counts"])
 
-jump = mc_trajectory(p, x0, scn.horizon, McConfig(mode="exact"), NoiseSource(1), record)
+jump = mc_trajectory(p, x0, scn.horizon, McConfig(mode="exact"), np.random.default_rng(1), record)
 print("exact-jump path, event totals:", jump.diagnostics["event_counts"])
 
 cfg = EnsembleConfig(

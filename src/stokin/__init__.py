@@ -42,7 +42,6 @@ from .linalg import (
     solve_linear,
 )
 from .solvers import (
-    NoiseSource,
     TimeGrid,
     Trajectory,
     deterministic_solve,

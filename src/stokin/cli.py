@@ -24,16 +24,13 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .ensemble import METHOD_LABELS, EnsembleSummary, run_ensemble
 from .errors import ParameterError, StokinError
 from .event_mc import mc_trajectory
 from .scenarios import load_scenario
-from .solvers import (
-    NoiseSource,
-    deterministic_solve,
-    euler_maruyama_solve,
-    stochastic_pca_solve,
-)
+from .solvers import deterministic_solve, euler_maruyama_solve, stochastic_pca_solve
 
 ENV_OUT_DIR = "STOKIN_OUT_DIR"
 
@@ -61,13 +58,12 @@ def _component_header(dim) -> list:
 
 def _check_method_flags(args):
     """Refuse a flag the chosen method would ignore: ``--mode`` and
-    ``--yield`` steer only mc, ``--zero-noise`` only the SDE methods."""
-    if args.method == "mc":
-        if args.zero_noise:
-            raise ParameterError("--zero-noise applies to the SDE methods, not to mc")
-        return
+    ``--yield`` steer only mc, ``--zero-noise`` only the SDE methods em and
+    pca."""
+    if args.zero_noise and args.method not in ("em", "pca"):
+        raise ParameterError(f"--zero-noise applies to em and pca, not to {args.method}")
     for flag, value in (("--mode", args.mode), ("--yield", args.yield_model)):
-        if value is not None:
+        if value is not None and args.method != "mc":
             raise ParameterError(f"{flag} applies to mc, not to {args.method}")
 
 
@@ -81,11 +77,12 @@ def _cmd_solve(args) -> int:
     p = scn.build_parameters()
     x0 = scn.build_initial(p)
     record = scn.record_times()
+    rng = np.random.default_rng(args.seed)
 
     if args.method == "mc":
         mc = scn.mc_config(args.mode, args.yield_model, args.dt)
         idx = slice(None)  # mc_trajectory records the record times only
-        run = lambda: mc_trajectory(p, x0, scn.horizon, mc, NoiseSource(args.seed), record)
+        run = lambda: mc_trajectory(p, x0, scn.horizon, mc, rng, record)
     else:
         grid = scn.grid(args.method, args.dt)
         idx = grid.node_indices(record)
@@ -94,12 +91,7 @@ def _cmd_solve(args) -> int:
         else:
             solver = euler_maruyama_solve if args.method == "em" else stochastic_pca_solve
             run = lambda: solver(
-                p,
-                x0,
-                grid,
-                NoiseSource(args.seed),
-                zero_noise=args.zero_noise,
-                psd_policy=scn.psd_policy,
+                p, x0, grid, rng, zero_noise=args.zero_noise, psd_policy=scn.psd_policy
             )
 
     out = os.path.join(_out_dir(args), f"{scn.name}_{args.method}_trajectory.csv")
@@ -148,13 +140,18 @@ def _summary_json(summary: EnsembleSummary, scenario_name: str) -> dict:
 
 def _scenario_ensemble(args, keep_paths=0):
     """Load the scenario, build the ensemble the flags ask for, make the
-    output directory and run."""
+    output directory and run.  A sample cap below the ``keep_paths`` paths
+    the command writes is refused before anything runs."""
     _check_method_flags(args)
     scn = load_scenario(args.scenario)
     p = scn.build_parameters()
     grid = scn.grid(args.method, args.dt)
     mc = scn.mc_config(args.mode, args.yield_model, args.dt) if args.method == "mc" else None
     cfg = scn.ensemble_config(args.method, args.seed, args.samples, mc, args.zero_noise, keep_paths)
+    if cfg.max_samples < keep_paths:
+        raise ParameterError(
+            f"sample cap {cfg.max_samples} is below the {keep_paths} sample paths written; raise --samples"
+        )
     out_dir = _out_dir(args)
     return out_dir, scn, run_ensemble(p, scn.build_initial(p), grid, cfg)
 

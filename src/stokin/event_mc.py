@@ -2,8 +2,9 @@
 
 One engine, :func:`run_mc_paths`, advances a batch of paths; each path has
 its own Generator and its own clock, so a path's result does not depend on
-the batch it runs in.  :func:`mc_trajectory` is a batch of one, returned as
-the :class:`~stokin.solvers.Trajectory` the SDE solvers return, with method
+the batch it runs in.  :func:`mc_trajectory` is a batch of one, drawing
+from the one Generator it is given, returned as the
+:class:`~stokin.solvers.Trajectory` the SDE solvers return, with method
 ``"mc"`` and the per-kind event counts in its diagnostics.  Event
 rates are the rate law of :func:`~stokin.kinetics.event_rates` applied to the
 raw states and clipped at zero, the SDE solvers' rule, so a population below
@@ -71,6 +72,7 @@ Yield handling:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +87,7 @@ from .kinetics import (
     delta_table,
     event_rates,
 )
-from .solvers import NoiseSource, Trajectory, check_record_times
+from .solvers import Trajectory, check_record_times
 
 __all__ = [
     "McConfig",
@@ -263,13 +265,15 @@ def sample_increments(
     the one-step mean against drift*dt and (in fractional mode) the one-step
     second moment against diffusion*dt.  Raises StepSizeError (carrying the
     admissible bound) when the event probabilities sum past one, and
-    ParameterError for a ``dt`` that is not positive and finite or a
-    negative ``n_samples``.
+    ParameterError for a ``dt`` that is not positive and finite or an
+    ``n_samples`` that is not a nonnegative integer.
     """
     if yield_model not in (YIELD_FRACTIONAL, YIELD_INTEGER):
         raise ParameterError(f"unknown yield model {yield_model!r}")
     if not 0 < dt < math.inf:
         raise ParameterError(f"dt must be positive and finite, got {dt!r}")
+    if not isinstance(n_samples, numbers.Integral):
+        raise ParameterError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 0:
         raise ParameterError(f"n_samples must be nonnegative, got {n_samples!r}")
     vec = as_state_vector(x, p)
@@ -535,28 +539,26 @@ def mc_trajectory(
     x0,
     horizon: float,
     cfg: McConfig,
-    noise: NoiseSource,
+    generator: np.random.Generator,
     record_times=None,
 ) -> Trajectory:
     """Simulate one sample path on [0, horizon]: :func:`run_mc_paths` with a
-    batch of one, sampled at ``record_times`` (default: the horizon).
+    batch of one, drawing from ``generator``, sampled at ``record_times``
+    (default: the horizon).
 
     The diagnostics hold the event counts by kind, each fixed-mode step
     halving as (t, new dt) and the count of captures that drove a fractional
     population below zero.
     """
     record = (horizon,) if record_times is None else record_times
-    res = run_mc_paths(p, x0, horizon, cfg, [noise.generator], record)
+    res = run_mc_paths(p, x0, horizon, cfg, [generator], record)
     return Trajectory(
         times=res.record_times,
         states=res.states[0],
         method="mc",
-        seed=noise.seed,
         diagnostics={
             "event_counts": _event_count_dict(p, res.event_counts[0]),
             "halvings": [(t, dt) for _, t, dt in res.halvings],
             "negative_captures": int(res.negative_captures[0]),
-            "mode": cfg.mode,
-            "yield_model": cfg.yield_model,
         },
     )

@@ -1,7 +1,8 @@
 """Continuous-state solvers for the stochastic point kinetics system.
 
-Three methods, det, em and pca, map (parameters, initial state, time grid,
-noise) to a trajectory (``Trajectory.method`` holds the short name):
+Three methods, det, em and pca, map (parameters, initial state, time grid
+and, for em and pca, a ``numpy.random.Generator``) to a trajectory
+(``Trajectory.method`` holds the short name):
 
 ``deterministic_solve``
     Exact exponential stepping of the noise-free system, with reactivity and
@@ -80,7 +81,6 @@ from .linalg import psd_sqrt_batch  # noqa: F401  unused; benchmarks/spans.py re
 
 __all__ = [
     "TimeGrid",
-    "NoiseSource",
     "Trajectory",
     "deterministic_solve",
     "euler_maruyama_solve",
@@ -153,29 +153,15 @@ def check_record_times(times, horizon: float = None) -> np.ndarray:
     return times
 
 
-class NoiseSource:
-    """Seedable pseudo-random stream (PCG64) for one trajectory.
-
-    The same seed reproduces the same variate sequence bit for bit within
-    one build of numpy.
-    """
-
-    def __init__(self, seed):
-        self.seed = seed
-        self.generator = np.random.default_rng(seed)
-
-
 @dataclass
 class Trajectory:
-    """One sample path: its times and states, the method (det|em|pca|mc),
-    the seed (None for the deterministic solver) and the method's own
-    diagnostics.  The solvers here record every grid node;
+    """One sample path: its times and states, the method (det|em|pca|mc)
+    and the method's own diagnostics.  The solvers here record every grid node;
     :func:`~stokin.event_mc.mc_trajectory` records its record times."""
 
     times: np.ndarray
     states: np.ndarray
     method: str
-    seed: object = None
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -233,7 +219,6 @@ def deterministic_solve(p: KineticsParameters, x0, grid: TimeGrid) -> Trajectory
         times=grid.nodes,
         states=states,
         method="det",
-        seed=None,
         diagnostics={"rho_steps": rho_steps},
     )
 
@@ -327,11 +312,11 @@ def run_sde_paths(
 ) -> SdePathsResult:
     """Advance a batch of em or pca sample paths, one Generator per path.
 
-    Every path consumes its generator exactly as the single-path solvers do
-    (one (m+3,) standard-normal block per step, one normal per elementary
-    event, in time order), so a path run here is bit-identical to the same
-    seed run through :func:`euler_maruyama_solve` /
-    :func:`stochastic_pca_solve`.
+    Every path draws from its own generator only (one (m+3,) standard-normal
+    block per step, one normal per elementary event, in time order), so a
+    path run here is bit-identical to :func:`euler_maruyama_solve` /
+    :func:`stochastic_pca_solve`, this engine with a batch of one, given a
+    generator on the same seed.
 
     States are recorded at ``record_times``, which must be grid nodes
     (:meth:`TimeGrid.node_indices`); the default records every node.
@@ -457,15 +442,9 @@ def run_sde_paths(
     )
 
 
-def _single_path(p, x0, grid, noise, method, zero_noise, psd_policy):
+def _single_path(p, x0, grid, generator, method, zero_noise, psd_policy):
     result = run_sde_paths(
-        p,
-        x0,
-        grid,
-        method,
-        [noise.generator],
-        zero_noise=zero_noise,
-        psd_policy=psd_policy,
+        p, x0, grid, method, [generator], zero_noise=zero_noise, psd_policy=psd_policy
     )
     if result.failed[0]:
         step = int(result.fail_step[0])
@@ -478,7 +457,6 @@ def _single_path(p, x0, grid, noise, method, zero_noise, psd_policy):
         "negative_steps": int(result.negative_steps[0]),
         "clipped_small": int(result.clipped_small[0]),
         "clipped_hard": int(result.clipped_hard[0]),
-        "psd_policy": psd_policy,
     }
     if result.rho_steps is not None:
         diagnostics["rho_steps"] = result.rho_steps
@@ -486,7 +464,6 @@ def _single_path(p, x0, grid, noise, method, zero_noise, psd_policy):
         times=grid.nodes,
         states=result.states[0],
         method=method,
-        seed=noise.seed,
         diagnostics=diagnostics,
     )
 
@@ -495,27 +472,29 @@ def euler_maruyama_solve(
     p: KineticsParameters,
     x0,
     grid: TimeGrid,
-    noise: NoiseSource,
+    generator: np.random.Generator,
     *,
     zero_noise: bool = False,
     psd_policy: str = "strict",
 ) -> Trajectory:
     """Euler-Maruyama path: drift and diffusion at the left endpoint, Wiener
-    increments as sqrt(dt) times independent standard normals."""
-    return _single_path(p, x0, grid, noise, "em", zero_noise, psd_policy)
+    increments as sqrt(dt) times independent standard normals drawn from
+    ``generator``, which :func:`run_sde_paths` steps as a batch of one."""
+    return _single_path(p, x0, grid, generator, "em", zero_noise, psd_policy)
 
 
 def stochastic_pca_solve(
     p: KineticsParameters,
     x0,
     grid: TimeGrid,
-    noise: NoiseSource,
+    generator: np.random.Generator,
     *,
     zero_noise: bool = False,
     psd_policy: str = "strict",
 ) -> Trajectory:
     """Piecewise-constant-approximation path: the step's state, source
     increment, and noise increment are pushed through the matrix exponential
-    of the drift frozen at the interval midpoint.  The midpoint reactivity
-    used at each step is recorded in ``diagnostics["rho_steps"]``."""
-    return _single_path(p, x0, grid, noise, "pca", zero_noise, psd_policy)
+    of the drift frozen at the interval midpoint, with normals drawn from
+    ``generator`` as in :func:`euler_maruyama_solve`.  The midpoint
+    reactivity used at each step is recorded in ``diagnostics["rho_steps"]``."""
+    return _single_path(p, x0, grid, generator, "pca", zero_noise, psd_policy)

@@ -32,7 +32,6 @@ from stokin import (
     run_ensemble,
     sample_increments,
     stochastic_pca_solve,
-    NoiseSource,
 )
 from stokin.cli import main as cli_main
 
@@ -251,7 +250,7 @@ def test_criterion_6_property_suite():
 
     # zero-noise reductions
     grid = TimeGrid(0.5, 0.005)
-    em_z = euler_maruyama_solve(p1, x1, grid, NoiseSource(0), zero_noise=True)
+    em_z = euler_maruyama_solve(p1, x1, grid, np.random.default_rng(0), zero_noise=True)
     x = x1.copy()
     ok = True
     for k in range(grid.n_steps):
@@ -264,7 +263,7 @@ def test_criterion_6_property_suite():
     p3 = scn3.build_parameters()
     x3 = scn3.build_initial(p3)
     g3 = scn3.grid("pca")
-    pca_z = stochastic_pca_solve(p3, x3, g3, NoiseSource(0), zero_noise=True)
+    pca_z = stochastic_pca_solve(p3, x3, g3, np.random.default_rng(0), zero_noise=True)
     det3 = deterministic_solve(p3, x3, g3)
     crit.check(
         "PCA zero-noise matches deterministic",

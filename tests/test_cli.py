@@ -1,10 +1,18 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stokin import NoiseSource, load_scenario, mc_trajectory, run_ensemble
+from stokin import (
+    euler_maruyama_solve,
+    load_scenario,
+    mc_trajectory,
+    run_ensemble,
+    save_scenario,
+    stochastic_pca_solve,
+)
 from stokin.cli import main
 
 
@@ -44,22 +52,30 @@ def test_solve_stochastic_rerun_identical(tmp_path):
     assert (out3 / p).read_bytes() != (out1 / p).read_bytes()
 
 
-def test_solve_mc_writes_record_grid(tmp_path):
+@pytest.mark.parametrize("method", ["em", "pca", "mc"])
+def test_solve_rows_are_the_library_path(method, tmp_path):
     code, out = run_cli(
-        ["solve", "--scenario", "table3", "--method", "mc", "--seed", "1"], tmp_path, "a"
+        ["solve", "--scenario", "table3", "--method", method, "--seed", "1"], tmp_path, "a"
     )
     assert code == 0
-    rows = read_csv(out / "table3_mc_trajectory.csv")
+    rows = read_csv(out / f"table3_{method}_trajectory.csv")
     assert len(rows) == 22
     assert rows[0][0] == "t"
-    # the rows are the single path's record-time states, bit for bit
+    # the rows are the single path at --seed's Generator, taken at the record
+    # times, bit for bit
     scn = load_scenario("table3")
     p = scn.build_parameters()
-    traj = mc_trajectory(
-        p, scn.build_initial(p), scn.horizon, scn.mc_config(), NoiseSource(1), scn.record_times()
-    )
+    x0, record, rng = scn.build_initial(p), scn.record_times(), np.random.default_rng(1)
+    if method == "mc":
+        traj = mc_trajectory(p, x0, scn.horizon, scn.mc_config(), rng, record)
+        idx = slice(None)
+    else:
+        solver = euler_maruyama_solve if method == "em" else stochastic_pca_solve
+        grid = scn.grid(method)
+        traj = solver(p, x0, grid, rng, psd_policy=scn.psd_policy)
+        idx = grid.node_indices(record)
     written = np.array(rows[1:], dtype=float)
-    assert np.array_equal(written, np.column_stack([traj.times, traj.states]))
+    assert np.array_equal(written, np.column_stack([traj.times[idx], traj.states[idx]]))
 
 
 def test_ensemble_outputs_and_reproducibility(tmp_path):
@@ -136,6 +152,25 @@ def test_plotdata_layout(tmp_path):
         float(r[1]), float(r[3]), float(r[4])
     # the two sample paths are distinct realizations
     assert any(r[3] != r[4] for r in rows[1:])
+
+
+@pytest.mark.parametrize("cap_from", ["flag", "file"])
+def test_plotdata_below_two_samples_refused_before_the_run(cap_from, tmp_path, capsys):
+    # the cap is known before the run: it used to run the ensemble, make
+    # --out and then fail with a bare StokinError
+    if cap_from == "flag":
+        args = ["plotdata", "--scenario", "table1", "--method", "em", "--samples", "1"]
+    else:
+        scn = load_scenario("table1")
+        path = tmp_path / "cap1.json"
+        save_scenario(replace(scn, ensemble={**scn.ensemble, "min_samples": 1, "max_samples": 1}), path)
+        args = ["plotdata", "--scenario", str(path), "--method", "em"]
+    code, out = run_cli(args, tmp_path, "a")
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ParameterError"
+    assert "--samples" in payload["message"]
+    assert not out.exists()
 
 
 def test_error_is_machine_readable(tmp_path, capsys):
@@ -300,12 +335,13 @@ def test_zero_noise_refused_for_mc(command, tmp_path, capsys):
         (["plotdata", "--method", "pca", "--mode", "fixed", "--samples", "5"], "--mode"),
         (["solve", "--method", "det", "--mode", "exact"], "--mode"),
         (["solve", "--method", "pca", "--yield", "fractional"], "--yield"),
+        (["solve", "--method", "det", "--zero-noise"], "--zero-noise"),
         (["solve", "--method", "mc", "--mode", "exact", "--dt", "0.5"], "exact mode"),
         (["ensemble", "--method", "mc", "--mode", "exact", "--dt", "0.5", "--samples", "5"],
          "exact mode"),
     ],
     ids=["ensemble-em-mode", "ensemble-em-yield", "plotdata-pca-mode", "solve-det-mode",
-         "solve-pca-yield", "solve-mc-exact-dt", "ensemble-mc-exact-dt"],
+         "solve-pca-yield", "solve-det-zero-noise", "solve-mc-exact-dt", "ensemble-mc-exact-dt"],
 )
 def test_flags_the_method_would_ignore_are_refused(args, flag, tmp_path, capsys):
     # these flags used to be dropped silently: the run wrote the same files

@@ -1,6 +1,7 @@
-"""Every script in demos/ runs to completion."""
+"""Every script in demos/ and every python block of README.md runs to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,23 +10,39 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
 
 
 def test_demos_found():
     assert len(DEMOS) == 6
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs(demo, tmp_path):
-    # a fresh interpreter in an empty working directory, so a demo that
+def _run_python(args, cwd):
+    # a fresh interpreter in an empty working directory, so code that
     # writes a file cannot touch the checkout
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(demo)],
-        cwd=tmp_path,
+        [sys.executable, *args],
+        cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=600,
     )
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(demo, tmp_path):
+    _run_python([str(demo)], tmp_path)
+
+
+def test_readme_blocks_found():
+    assert len(README_BLOCKS) >= 1
+
+
+@pytest.mark.parametrize(
+    "block", README_BLOCKS, ids=[f"block{i}" for i in range(len(README_BLOCKS))]
+)
+def test_readme_python_block_runs(block, tmp_path):
+    _run_python(["-c", block], tmp_path)

@@ -5,7 +5,6 @@ from stokin import (
     EnsembleConfig,
     EnsembleFailureError,
     McConfig,
-    NoiseSource,
     ParameterError,
     TimeGrid,
     deterministic_solve,
@@ -158,7 +157,7 @@ def test_zero_noise_ensemble_collapses_to_single_path():
     assert np.all(summary.std == 0.0)
     assert summary.n_samples == 50  # converged at min_samples
     assert summary.converged and summary.stop_reason == "target"
-    path = stochastic_pca_solve(p, x0, grid, NoiseSource(0), zero_noise=True)
+    path = stochastic_pca_solve(p, x0, grid, np.random.default_rng(0), zero_noise=True)
     det = deterministic_solve(p, x0, grid)
     idx = [int(round(t / grid.dt)) for t in summary.times]
     assert np.array_equal(summary.mean[:, :2], path.states[idx])
@@ -307,7 +306,7 @@ def test_mc_ensemble_batch_invariant_with_halvings(variant):
         assert s.diagnostics == runs[0].diagnostics
     # each sample path is the single path at its seed
     for i in range(8):
-        traj = mc_trajectory(p, x0, grid.t_end, mc, NoiseSource(path_seed(3, i)), runs[0].times)
+        traj = mc_trajectory(p, x0, grid.t_end, mc, np.random.default_rng(path_seed(3, i)), runs[0].times)
         assert np.array_equal(traj.states, runs[-1].sample_paths[i]), f"path {i} diverged"
 
 
@@ -317,7 +316,7 @@ def test_integer_yield_ensemble_reports_diagnostics():
     cfg = EnsembleConfig(method="mc", master_seed=3, min_samples=8, max_samples=8, mc=mc)
     summary = run_ensemble(p, x0, grid, cfg)
     halvings = sum(
-        len(mc_trajectory(p, x0, grid.t_end, mc, NoiseSource(path_seed(3, i)), summary.times)
+        len(mc_trajectory(p, x0, grid.t_end, mc, np.random.default_rng(path_seed(3, i)), summary.times)
             .diagnostics["halvings"])
         for i in range(8)
     )
@@ -350,7 +349,7 @@ def test_keep_sample_paths():
     summary = run_ensemble(p, x0, grid, cfg)
     assert summary.sample_paths.shape == (2, 3, 2)
     # first kept path is the path-index-0 trajectory
-    traj = stochastic_pca_solve(p, x0, grid, NoiseSource(path_seed(6, 0)))
+    traj = stochastic_pca_solve(p, x0, grid, np.random.default_rng(path_seed(6, 0)))
     assert np.array_equal(summary.sample_paths[0], traj.states[[0, 50, 100]])
 
 

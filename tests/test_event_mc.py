@@ -7,7 +7,6 @@ import pytest
 from stokin import (
     LinearReactivity,
     McConfig,
-    NoiseSource,
     ParameterError,
     PiecewiseConstantReactivity,
     PiecewiseConstantSource,
@@ -47,14 +46,6 @@ class StubGenerator:
             return draws
         out[...] = draws
         return out
-
-
-class StubNoise:
-    """NoiseSource stand-in whose generator returns scripted uniforms."""
-
-    def __init__(self, values):
-        self.generator = StubGenerator(values)
-        self.seed = None
 
 
 def run_stubbed(p, x0, horizon, cfg, scripts):
@@ -123,6 +114,9 @@ def test_sample_increments_refuses_bad_dt_and_count():
             sample_increments(p, [400.0, 300.0], 0.0, dt, 10, np.random.default_rng(0))
     with pytest.raises(ParameterError, match="n_samples must be nonnegative"):
         sample_increments(p, [400.0, 300.0], 0.0, 1e-4, -1, np.random.default_rng(0))
+    # a non-integer count used to raise numpy's raw TypeError
+    with pytest.raises(ParameterError, match="n_samples must be an integer"):
+        sample_increments(p, [400.0, 300.0], 0.0, 1e-4, 2.5, np.random.default_rng(0))
     empty = sample_increments(p, [400.0, 300.0], 0.0, 1e-4, 0, np.random.default_rng(0))
     assert empty.shape == (0, p.dim)
 
@@ -428,8 +422,8 @@ def test_fixed_two_piece_path_skips_between_targets(monkeypatch):
 
 def test_trajectory_zero_horizon_keeps_initial_state():
     p = one_group_params(beta1=0.05)
-    traj = mc_trajectory(p, [400.0, 300.0], 0.0, McConfig(), NoiseSource(1))
-    assert isinstance(traj, Trajectory) and traj.method == "mc" and traj.seed == 1
+    traj = mc_trajectory(p, [400.0, 300.0], 0.0, McConfig(), np.random.default_rng(1))
+    assert isinstance(traj, Trajectory) and traj.method == "mc"
     assert traj.times.tolist() == [0.0]
     assert traj.states[0].tolist() == [400.0, 300.0]
     assert sum(traj.diagnostics["event_counts"].values()) == 0
@@ -438,7 +432,7 @@ def test_trajectory_zero_horizon_keeps_initial_state():
 def test_trajectory_rejects_negative_initial_state():
     p = one_group_params()
     with pytest.raises(ParameterError):
-        mc_trajectory(p, [-1.0, 0.0], 1.0, McConfig(), NoiseSource(1))
+        mc_trajectory(p, [-1.0, 0.0], 1.0, McConfig(), np.random.default_rng(1))
 
 
 def test_trajectory_halving_is_logged():
@@ -446,7 +440,7 @@ def test_trajectory_halving_is_logged():
     # dt=5e-3 gives total probability 5.15; halving goes on until it is at
     # most the safety factor 0.1, which six halvings reach (0.080)
     cfg = McConfig(dt=5e-3)
-    traj = mc_trajectory(p, [400.0, 300.0], 0.01, cfg, NoiseSource(2), (0.0, 0.01))
+    traj = mc_trajectory(p, [400.0, 300.0], 0.01, cfg, np.random.default_rng(2), (0.0, 0.01))
     halvings = traj.diagnostics["halvings"]
     assert len(halvings) == 6
     assert halvings[-1][1] == pytest.approx(5e-3 / 64.0, rel=1e-12)
@@ -455,7 +449,7 @@ def test_trajectory_halving_is_logged():
 def test_trajectory_integer_yields_keep_integer_nonnegative_states():
     p = one_group_params(beta1=0.05, q=5.0)
     cfg = McConfig(yield_model="integer")
-    traj = mc_trajectory(p, [5.0, 3.0], 0.5, cfg, NoiseSource(11), np.linspace(0.0, 0.5, 11))
+    traj = mc_trajectory(p, [5.0, 3.0], 0.5, cfg, np.random.default_rng(11), np.linspace(0.0, 0.5, 11))
     assert np.all(traj.states >= 0.0)
     assert np.array_equal(traj.states, np.rint(traj.states))
 
@@ -467,14 +461,14 @@ def test_trajectory_fractional_negative_capture_diagnostic():
     p = one_group_params(beta1=0.05, q=0.0)
     cfg = McConfig(dt=1e-3)
     # first step: u below P_capture = 1.26e-3 -> capture; second step: no event
-    traj = mc_trajectory(p, [0.9, 0.0], 2e-3, cfg, StubNoise([1e-4, 0.99]), (0.0, 2e-3))
+    traj = mc_trajectory(p, [0.9, 0.0], 2e-3, cfg, StubGenerator([1e-4, 0.99]), (0.0, 2e-3))
     assert traj.diagnostics["negative_captures"] == 1
     assert traj.states[-1].tolist() == [0.9 - 1.0, 0.0]
 
 
 def test_trajectory_event_counts_scale_with_rates():
     p = one_group_params(beta1=0.05)
-    traj = mc_trajectory(p, [400.0, 300.0], 2.0, McConfig(), NoiseSource(5), (0.0, 2.0))
+    traj = mc_trajectory(p, [400.0, 300.0], 2.0, McConfig(), np.random.default_rng(5), (0.0, 2.0))
     counts = traj.diagnostics["event_counts"]
     # expectations over 2 s: capture 1120, fission 480, transformation 60, source 400
     assert abs(counts["capture"] - 1120) < 5 * math.sqrt(1120)
@@ -536,7 +530,7 @@ def test_batched_paths_bit_equal_single_paths(mode):
     gens = [np.random.default_rng(s) for s in seeds]
     batch = run_mc_paths(p, x0, 1.0, cfg, gens, np.array(record))
     for i, s in enumerate(seeds):
-        traj = mc_trajectory(p, x0, 1.0, cfg, NoiseSource(s), record)
+        traj = mc_trajectory(p, x0, 1.0, cfg, np.random.default_rng(s), record)
         assert np.array_equal(batch.states[i], traj.states), f"path {i} diverged"
         counts = np.array(list(traj.diagnostics["event_counts"].values()))
         assert np.array_equal(batch.event_counts[i], counts)

@@ -22,7 +22,6 @@ from stokin import (
     EnsembleConfig,
     KineticsParameters,
     McConfig,
-    NoiseSource,
     ParameterError,
     PiecewiseConstantReactivity,
     PiecewiseConstantSource,
@@ -117,7 +116,7 @@ def test_single_path_equals_path_in_batch(method_id, scenario):
         assert not batch.failed.any()
         solver = euler_maruyama_solve if method == "em" else stochastic_pca_solve
         for i, seed in enumerate(seeds):
-            path = solver(p, x0, grid, NoiseSource(seed), psd_policy=policy)
+            path = solver(p, x0, grid, np.random.default_rng(seed), psd_policy=policy)
             assert np.array_equal(path.states, batch.states[i])
             for key in ("negative_steps", "clipped_small", "clipped_hard"):
                 assert path.diagnostics[key] == getattr(batch, key)[i], key
@@ -125,7 +124,7 @@ def test_single_path_equals_path_in_batch(method_id, scenario):
     record = _record(grid)
     batch = run_mc_paths(p, x0, grid.t_end, mc, gens, record)
     for i, seed in enumerate(seeds):
-        path = mc_trajectory(p, x0, grid.t_end, mc, NoiseSource(seed), record)
+        path = mc_trajectory(p, x0, grid.t_end, mc, np.random.default_rng(seed), record)
         assert np.array_equal(path.states, batch.states[i])
         assert path.method == "mc"
         assert list(path.diagnostics["event_counts"].values()) == batch.event_counts[i].tolist()

@@ -8,7 +8,6 @@ from stokin import (
     KineticsParameters,
     LinearReactivity,
     McConfig,
-    NoiseSource,
     ParameterError,
     PiecewiseConstantReactivity,
     PiecewiseConstantSource,
@@ -83,13 +82,6 @@ def test_time_grid_node_indices():
     for bad in ((np.inf, 0.1), (np.nan, 0.1), (2.0, np.inf)):
         with pytest.raises(ParameterError, match="finite"):
             TimeGrid(*bad)
-
-
-def test_noise_source_reproducible():
-    a = NoiseSource(123).generator.standard_normal(10)
-    b = NoiseSource(123).generator.standard_normal(10)
-    assert np.array_equal(a, b)
-    assert not np.array_equal(a, NoiseSource(124).generator.standard_normal(10))
 
 
 def test_generator_block_draws_match_single_draws():
@@ -197,7 +189,7 @@ def test_em_zero_noise_is_explicit_euler():
     p = one_group_params(beta1=0.005)
     x0 = np.array([400.0, 300.0])
     grid = TimeGrid(1.0, 0.01)
-    traj = euler_maruyama_solve(p, x0, grid, NoiseSource(0), zero_noise=True)
+    traj = euler_maruyama_solve(p, x0, grid, np.random.default_rng(0), zero_noise=True)
     A = np.array(drift_matrix(p, 0.0))
     x = x0.copy()
     for k in range(grid.n_steps):
@@ -211,7 +203,7 @@ def test_pca_zero_noise_matches_deterministic_sourcefree():
     p = six_group_params(rho=0.007)  # constant rho, q=0
     x0 = equilibrium_state(p, n0=100.0)
     grid = TimeGrid(0.001, 1e-5)
-    pca = stochastic_pca_solve(p, x0, grid, NoiseSource(0), zero_noise=True)
+    pca = stochastic_pca_solve(p, x0, grid, np.random.default_rng(0), zero_noise=True)
     det = deterministic_solve(p, x0, grid)
     assert np.abs(pca.states - det.states).max() <= 1e-9 * np.abs(det.states).max()
 
@@ -221,10 +213,9 @@ def test_seed_determinism_bitwise():
     x0 = np.array([400.0, 300.0])
     grid = TimeGrid(0.5, 0.005)
     for solver in (euler_maruyama_solve, stochastic_pca_solve):
-        t1 = solver(p, x0, grid, NoiseSource(99))
-        t2 = solver(p, x0, grid, NoiseSource(99))
+        t1 = solver(p, x0, grid, np.random.default_rng(99))
+        t2 = solver(p, x0, grid, np.random.default_rng(99))
         assert np.array_equal(t1.states, t2.states)
-        assert t1.seed == 99
 
 
 def test_batch_paths_bit_equal_single_paths():
@@ -239,7 +230,7 @@ def test_batch_paths_bit_equal_single_paths():
         gens = [np.random.default_rng(s) for s in seeds]
         batch = run_sde_paths(p, x0, grid, method, gens)
         for i, s in enumerate(seeds):
-            traj = solver(p, x0, grid, NoiseSource(s))
+            traj = solver(p, x0, grid, np.random.default_rng(s))
             assert np.array_equal(batch.states[i], traj.states)
 
 
@@ -258,7 +249,7 @@ def test_batch_paths_bit_equal_single_paths_six_group_clamp():
         batch = run_sde_paths(p, x0, grid, method, gens, psd_policy="clamp")
         assert batch.clipped_hard.sum() > 0
         for i, s in enumerate(seeds):
-            traj = solver(p, x0, grid, NoiseSource(s), psd_policy="clamp")
+            traj = solver(p, x0, grid, np.random.default_rng(s), psd_policy="clamp")
             assert np.array_equal(batch.states[i], traj.states)
             assert traj.diagnostics["clipped_hard"] == batch.clipped_hard[i]
             assert traj.diagnostics["negative_steps"] == batch.negative_steps[i]
@@ -303,10 +294,10 @@ def test_strict_policy_failure_carries_step_index():
     x0 = np.concatenate([[1.0], np.full(6, 0.01)])
     grid = TimeGrid(0.001, 1e-5)
     with pytest.raises(SolverError) as err:
-        euler_maruyama_solve(p, x0, grid, NoiseSource(3), psd_policy="strict")
+        euler_maruyama_solve(p, x0, grid, np.random.default_rng(3), psd_policy="strict")
     assert err.value.step_index is not None
     # the clamp policy finishes and counts the hard clips
-    traj = euler_maruyama_solve(p, x0, grid, NoiseSource(3), psd_policy="clamp")
+    traj = euler_maruyama_solve(p, x0, grid, np.random.default_rng(3), psd_policy="clamp")
     assert traj.diagnostics["clipped_hard"] > 0
 
 
@@ -321,7 +312,7 @@ def test_pca_records_exact_midpoint_reactivity():
     )
     x0 = equilibrium_state(p, n0=100.0)
     grid = TimeGrid(0.01, 1e-3)
-    traj = stochastic_pca_solve(p, x0, grid, NoiseSource(5), psd_policy="clamp")
+    traj = stochastic_pca_solve(p, x0, grid, np.random.default_rng(5), psd_policy="clamp")
     nodes = grid.nodes
     expected = 0.25 * (nodes[:-1] + nodes[1:]) / 2.0
     assert np.array_equal(traj.diagnostics["rho_steps"], expected)
@@ -361,11 +352,11 @@ def test_strict_failures_mid_batch_match_single_paths():
         assert np.all(batch.fail_step[~batch.failed] == -1)
         for i, s in enumerate(seeds):
             if not batch.failed[i]:
-                traj = solver(p, x0, grid, NoiseSource(s), psd_policy="strict")
+                traj = solver(p, x0, grid, np.random.default_rng(s), psd_policy="strict")
                 assert np.array_equal(batch.states[i], traj.states)
                 continue
             with pytest.raises(SolverError) as err:
-                solver(p, x0, grid, NoiseSource(s), psd_policy="strict")
+                solver(p, x0, grid, np.random.default_rng(s), psd_policy="strict")
             step = int(batch.fail_step[i])
             assert err.value.step_index == step
             # the step failed on its start state: a rate below the roundoff
@@ -465,7 +456,7 @@ def test_zero_noise_reductions_every_preset(preset):
     # EM with the diffusion forced to zero is explicit Euler, step for step
     em_dt = scn.solver["em_dt"]
     grid = TimeGrid(50 * em_dt, em_dt)
-    em = euler_maruyama_solve(p, x0, grid, NoiseSource(0), zero_noise=True, psd_policy=policy)
+    em = euler_maruyama_solve(p, x0, grid, np.random.default_rng(0), zero_noise=True, psd_policy=policy)
     x = x0.copy()
     q = p.source(0.0)
     for k in range(grid.n_steps):
@@ -479,7 +470,7 @@ def test_zero_noise_reductions_every_preset(preset):
     # (state + source increment), reactivity frozen at interval midpoints
     pca_dt = scn.solver["pca_dt"]
     grid = TimeGrid(50 * pca_dt, pca_dt)
-    pca = stochastic_pca_solve(p, x0, grid, NoiseSource(0), zero_noise=True, psd_policy=policy)
+    pca = stochastic_pca_solve(p, x0, grid, np.random.default_rng(0), zero_noise=True, psd_policy=policy)
     x = x0.copy()
     for k in range(grid.n_steps):
         tm = grid.midpoint(k)
@@ -547,8 +538,8 @@ def test_one_step_weak_consistency(preset, method):
 
 SCHEMES = {
     "det": lambda p, x0, grid: deterministic_solve(p, x0, grid),
-    "em": lambda p, x0, grid: euler_maruyama_solve(p, x0, grid, NoiseSource(1)),
-    "pca": lambda p, x0, grid: stochastic_pca_solve(p, x0, grid, NoiseSource(1)),
+    "em": lambda p, x0, grid: euler_maruyama_solve(p, x0, grid, np.random.default_rng(1)),
+    "pca": lambda p, x0, grid: stochastic_pca_solve(p, x0, grid, np.random.default_rng(1)),
     **{
         f"mc-{mode}": lambda p, x0, grid, mode=mode: run_mc_paths(
             p, x0, grid.t_end, McConfig(mode), [np.random.default_rng(1)], (grid.t_end,)
