@@ -32,7 +32,7 @@ for k in range(0, len(det.times), 100):
     print(f"  t={det.times[k]:5.3f}  rho={0.25 * det.times[k]:7.4f}  n={det.states[k, 0]:12.5e}")
 print(f"  t={det.times[-1]:5.3f}  rho={0.25 * det.times[-1]:7.4f}  n={det.final_state[0]:12.5e}")
 
-one = stochastic_pca_solve(p, x0, scn.grid("pca"), np.random.default_rng(3), psd_policy="clamp")
+one = stochastic_pca_solve(p, x0, scn.grid("pca"), np.random.default_rng(3))
 print(f"\none PCA path reaches n(0.1) = {one.final_state[0]:.4e}")
 print("midpoint reactivity recorded for the first three steps:",
       one.diagnostics["rho_steps"][:3])
@@ -43,7 +43,6 @@ cfg = EnsembleConfig(
     min_samples=400,
     max_samples=400,
     record_times=record,
-    psd_policy="clamp",
     keep_sample_paths=2,
 )
 summary = run_ensemble(p, x0, scn.grid("pca"), cfg)

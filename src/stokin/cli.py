@@ -90,9 +90,7 @@ def _cmd_solve(args) -> int:
             run = lambda: deterministic_solve(p, x0, grid)
         else:
             solver = euler_maruyama_solve if args.method == "em" else stochastic_pca_solve
-            run = lambda: solver(
-                p, x0, grid, rng, zero_noise=args.zero_noise, psd_policy=scn.psd_policy
-            )
+            run = lambda: solver(p, x0, grid, rng, zero_noise=args.zero_noise)
 
     out = os.path.join(_out_dir(args), f"{scn.name}_{args.method}_trajectory.csv")
     traj = run()
@@ -311,6 +309,10 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise ParameterError(f"--seed must be nonnegative, got {args.seed}")
+        for flag in ("samples", "mc_samples"):
+            n = getattr(args, flag, None)
+            if n is not None and n < 1:
+                raise ParameterError(f"--{flag.replace('_', '-')} must be at least 1, got {n}")
         return args.func(args)
     except (StokinError, OSError) as exc:
         json.dump(

@@ -20,8 +20,8 @@ final record time falls below the target, or at the sample-count cap; the
 summary's ``stop_reason`` records which, and ``converged`` is read from it.
 The summary holds its statistics as (record time, component) arrays, with
 columns found by ``component_index``; the command line writes them as
-rows.  Failed paths (strict-policy negative rates, overflow)
-are discarded and counted; more than 1% of attempts failing aborts the run.
+rows.  Failed paths (an SDE state that overflowed) are discarded and
+counted; more than 1% of attempts failing aborts the run.
 Methods go by their short names det|em|pca|mc; ``METHOD_LABELS`` holds
 the name written outputs print for each.
 """
@@ -66,7 +66,6 @@ class EnsembleConfig:
     target_rel_halfwidth: float = 5e-4
     record_times: tuple = None
     zero_noise: bool = False
-    psd_policy: str = "strict"
     mc: McConfig = field(default_factory=McConfig)
     batch_size: int = 1024
     keep_sample_paths: int = 0
@@ -93,8 +92,6 @@ class EnsembleConfig:
             raise ParameterError("batch_size must be positive")
         if self.keep_sample_paths < 0:
             raise ParameterError("keep_sample_paths must be nonnegative")
-        if self.psd_policy not in ("strict", "clamp"):
-            raise ParameterError(f"unknown psd policy {self.psd_policy!r}")
         if self.zero_noise and self.method == "mc":
             raise ParameterError("zero_noise applies to the SDE methods, not to the event MC")
 
@@ -314,7 +311,6 @@ def run_ensemble(
                 gens,
                 record_times=record_times,
                 zero_noise=cfg.zero_noise,
-                psd_policy=cfg.psd_policy,
             )
             batch_states = res.states
             batch_failed = res.failed
@@ -335,7 +331,7 @@ def run_ensemble(
         if failures > 0.01 * attempted:
             raise EnsembleFailureError(
                 f"{failures} of {attempted} paths failed (> 1%); "
-                "the scenario is not solvable by this method/policy"
+                "the scenario is not solvable by this method"
             )
 
         if acc.count >= cfg.min_samples:

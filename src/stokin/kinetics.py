@@ -420,10 +420,9 @@ def event_rates(p: KineticsParameters, X, t: float = 0.0) -> np.ndarray:
 
     Reactivity and source are evaluated once, at time ``t``.  The rates are
     raw: a negative population gives a negative rate, and so does
-    rho > 1 - 1/nu for capture.  Both engines clip negative rates at zero:
-    the SDE solvers after checking them against their roundoff band and
-    ``psd_policy``, the event Monte Carlo always (it refuses a negative
-    capture coefficient first).
+    rho > 1 - 1/nu for capture.  Both engines clip negative rates at zero.
+    The SDE solvers count each clip against their roundoff band; the event
+    Monte Carlo refuses a negative capture coefficient first.
     """
     X = np.asarray(X, dtype=float)
     if X.shape[-1] != p.dim:

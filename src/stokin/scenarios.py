@@ -25,8 +25,8 @@ Presets
 ``table2`` / ``table3``
     Six groups, constant reactivity 0.003 / 0.007, source free, started at
     the critical equilibrium scaled to n0=100.  Stiff (generation time 2e-5);
-    the SDE solvers run with the clamping PSD policy because population
-    fluctuations at this scale routinely undershoot zero.
+    population fluctuations at this scale routinely undershoot zero, and the
+    SDE solvers clip and count the negative event rates.
 ``linear-rho``
     One group, reactivity ramp 0.25*t, source free, n0=100, generation time
     1e-5.  Crosses prompt criticality near t=0.02 and grows by many decades
@@ -99,6 +99,7 @@ _SHAPE = {
     "initial": {"kind": _INITIAL},
     "horizon": _NUMBER,
     "record_dt": _NUMBER,
+    # older files hold "psd_policy": "clamp", the one rule every SDE run follows
     "solver": {"det_dt": _NUMBER, "em_dt": _NUMBER, "pca_dt": _NUMBER, "psd_policy": _STRING},
     "monte_carlo": {"mode": _STRING, "yield_model": _STRING,
                     "dt": ((int, float, type(None)), "a number or null"), "safety": _NUMBER},
@@ -128,6 +129,12 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _check_shape(vars(self), _SHAPE)  # dataclasses.replace copies pass it too
+        policy = self.solver.get("psd_policy", "clamp")
+        if policy != "clamp":
+            raise ScenarioError(
+                f"scenario field 'solver.psd_policy' is {policy!r}, which no run follows: "
+                'every SDE run clips and counts negative event rates; drop the key or set "clamp"'
+            )
         for name in ("horizon", "record_dt"):  # an integer file runs and saves as its float twin
             object.__setattr__(self, name, float(getattr(self, name)))
 
@@ -166,11 +173,6 @@ class ScenarioConfig:
     def record_times(self) -> np.ndarray:
         return self.grid("mc").nodes
 
-    @property
-    def psd_policy(self) -> str:
-        """The SDE solvers' policy for negative event rates (strict|clamp)."""
-        return self.solver.get("psd_policy", "strict")
-
     def mc_config(self, mode: str = None, yield_model: str = None, dt: float = None) -> McConfig:
         """The ``monte_carlo`` section as an McConfig, with any given overrides."""
         overrides = {"mode": mode, "yield_model": yield_model, "dt": dt}
@@ -199,7 +201,6 @@ class ScenarioConfig:
             **{**self.ensemble, **counts},
             record_times=tuple(self.record_times()),
             zero_noise=zero_noise,
-            psd_policy=self.psd_policy,
             mc=self.mc_config() if mc is None else mc,
             keep_sample_paths=keep_paths,
         )
@@ -234,8 +235,6 @@ class ScenarioConfig:
         for method in ("det", "em", "pca"):
             with self._section(f"solver.{method}_dt"):
                 self.grid(method).node_indices(record)
-        if self.psd_policy not in ("strict", "clamp"):
-            raise ScenarioError(f"scenario {self.name!r}: unknown solver.psd_policy")
         with self._section("monte_carlo"):
             mc = self.mc_config()
         with self._section("ensemble"):
@@ -310,7 +309,7 @@ def _table1() -> ScenarioConfig:
         initial={"kind": "vector", "state": [400.0, 300.0]},
         horizon=2.0,
         record_dt=0.1,
-        solver={"det_dt": 0.1, "em_dt": 0.001, "pca_dt": 0.001, "psd_policy": "strict"},
+        solver={"det_dt": 0.1, "em_dt": 0.001, "pca_dt": 0.001},
         monte_carlo={"mode": "fixed", "yield_model": "fractional", "dt": None, "safety": 0.1},
         ensemble={"min_samples": 10_000, "max_samples": 10_000, "target_rel_halfwidth": 5e-4},
         notes=(
@@ -342,7 +341,7 @@ def _six_group(name, rho, horizon, record_dt, solver, samples, description) -> S
         ensemble={"min_samples": samples, "max_samples": samples, "target_rel_halfwidth": 5e-4},
         notes=(
             "Population fluctuations are comparable to the mean at n0=100, so SDE paths "
-            "undershoot zero routinely; the clamp policy clips their negative event rates."
+            "undershoot zero routinely; the SDE solvers clip and count their negative event rates."
         ),
     )
 
@@ -353,7 +352,7 @@ def _table2() -> ScenarioConfig:
         rho=0.003,
         horizon=0.1,
         record_dt=0.005,
-        solver={"det_dt": 0.005, "em_dt": 1e-5, "pca_dt": 1e-3, "psd_policy": "clamp"},
+        solver={"det_dt": 0.005, "em_dt": 1e-5, "pca_dt": 1e-3},
         samples=2000,
         description="six groups, prompt subcritical step insertion 0.003, source free",
     )
@@ -365,7 +364,7 @@ def _table3() -> ScenarioConfig:
         rho=0.007,
         horizon=0.001,
         record_dt=5e-5,
-        solver={"det_dt": 5e-5, "em_dt": 1e-5, "pca_dt": 1e-5, "psd_policy": "clamp"},
+        solver={"det_dt": 5e-5, "em_dt": 1e-5, "pca_dt": 1e-5},
         samples=2000,
         description="six groups, prompt critical step insertion 0.007, source free",
     )
@@ -386,7 +385,7 @@ def _linear_rho() -> ScenarioConfig:
         initial={"kind": "source-free-equilibrium", "n0": 100.0},
         horizon=0.1,
         record_dt=0.005,
-        solver={"det_dt": 1e-4, "em_dt": 1e-6, "pca_dt": 1e-4, "psd_policy": "clamp"},
+        solver={"det_dt": 1e-4, "em_dt": 1e-6, "pca_dt": 1e-4},
         monte_carlo={"mode": "exact", "yield_model": "fractional", "dt": None, "safety": 0.1},
         ensemble={"min_samples": 1000, "max_samples": 1000, "target_rel_halfwidth": 5e-4},
         notes=(

@@ -37,12 +37,10 @@ sqrt(dt) sum_k sqrt(r_k+) eta_k delta_k before the propagator.
 
 Rates are evaluated at the step's start state, which is never clamped, and a
 negative rate contributes no noise (the event Monte Carlo's rule for negative
-populations).  Rates in the roundoff band [-CLIP_TOL * max_k |r_k|, 0) are
-clipped silently and counted in ``clipped_small``; a rate below the band
-fails the path under ``psd_policy="strict"`` and is clipped and counted in
-``clipped_hard`` under ``psd_policy="clamp"``.  Scenarios with small
-populations relative to their fluctuations (the stiff six-group cases) need
-the clamp policy; see the scenario presets.
+populations).  Every negative rate is clipped and counted: one in the
+roundoff band [-CLIP_TOL * max_k |r_k|, 0) in ``clipped_small``, a step with
+one below the band in ``clipped_hard``.  A path fails only when its state
+overflows to a non-finite value.
 
 Every grid starts at t = 0 (:class:`TimeGrid`), where
 :class:`~stokin.kinetics.KineticsParameters` has already evaluated the
@@ -308,7 +306,6 @@ def run_sde_paths(
     *,
     record_times=None,
     zero_noise: bool = False,
-    psd_policy: str = "strict",
 ) -> SdePathsResult:
     """Advance a batch of em or pca sample paths, one Generator per path.
 
@@ -328,15 +325,13 @@ def run_sde_paths(
     ``_BLOCK_BUDGET`` floats (or one step), each path's stream in order, so
     the block length never changes a draw.
 
-    Each step is built from the event table (see the module docstring).
-    Under the strict policy, a path with an event
-    rate below the roundoff band is frozen and flagged in ``failed`` rather
-    than raising, so the remaining paths finish.
+    Each step is built from the event table, its negative rates clipped and
+    counted (see the module docstring).  A path whose state overflows is
+    frozen and flagged in ``failed`` rather than raising, so the remaining
+    paths finish.
     """
     if method not in ("em", "pca"):
         raise ParameterError(f"unknown SDE method {method!r}; expected em|pca")
-    if psd_policy not in ("strict", "clamp"):
-        raise ParameterError(f"unknown psd policy {psd_policy!r}")
     x0 = as_state_vector(x0, p)
     d = p.dim
     n_events = p.m + 3
@@ -392,15 +387,12 @@ def run_sde_paths(
                 rates = _event_rates_into(  # (m+3, paths), raw
                     rates_buf[:, : ia.size], Xa, *_rate_coefficients(p, float(nodes[step]))
                 )
-                hard = None
                 if not zero_noise:
                     clipped, small, hard = _clipped_event_rates(rates)
                     eta = noise[rows, j].T
                     if small is not None:
                         clipped_small[rows] += small
-                        if psd_policy == "clamp":
-                            clipped_hard[rows] += hard
-                            hard = None  # clipped and counted, not fatal
+                        clipped_hard[rows] += hard
                 if method == "em":
                     weights = rates * dt
                     if not zero_noise:
@@ -412,11 +404,8 @@ def run_sde_paths(
                     if not zero_noise:
                         inner += _delta_matvec(deltas, np.sqrt(clipped) * eta) * sqrt_dt
                     Xn = _col_matvec(E, inner)
-                bad = hard
                 if not np.isfinite(Xn).all():
-                    overflow = ~np.isfinite(Xn).all(axis=0)
-                    bad = overflow if hard is None else hard | overflow
-                if bad is not None and bad.any():
+                    bad = ~np.isfinite(Xn).all(axis=0)
                     fail_step[ia[bad]] = step
                     ia, Xn = ia[~bad], Xn[:, ~bad]
                     rows = ia
@@ -442,15 +431,12 @@ def run_sde_paths(
     )
 
 
-def _single_path(p, x0, grid, generator, method, zero_noise, psd_policy):
-    result = run_sde_paths(
-        p, x0, grid, method, [generator], zero_noise=zero_noise, psd_policy=psd_policy
-    )
+def _single_path(p, x0, grid, generator, method, zero_noise):
+    result = run_sde_paths(p, x0, grid, method, [generator], zero_noise=zero_noise)
     if result.failed[0]:
         step = int(result.fail_step[0])
         raise SolverError(
-            f"{method} path failed at step {step} (t={grid.nodes[step]:g}): "
-            "event rate below the roundoff band or state overflowed",
+            f"{method} path failed at step {step} (t={grid.nodes[step]:g}): the state overflowed",
             step_index=step,
         )
     diagnostics = {
@@ -475,12 +461,11 @@ def euler_maruyama_solve(
     generator: np.random.Generator,
     *,
     zero_noise: bool = False,
-    psd_policy: str = "strict",
 ) -> Trajectory:
     """Euler-Maruyama path: drift and diffusion at the left endpoint, Wiener
     increments as sqrt(dt) times independent standard normals drawn from
     ``generator``, which :func:`run_sde_paths` steps as a batch of one."""
-    return _single_path(p, x0, grid, generator, "em", zero_noise, psd_policy)
+    return _single_path(p, x0, grid, generator, "em", zero_noise)
 
 
 def stochastic_pca_solve(
@@ -490,11 +475,10 @@ def stochastic_pca_solve(
     generator: np.random.Generator,
     *,
     zero_noise: bool = False,
-    psd_policy: str = "strict",
 ) -> Trajectory:
     """Piecewise-constant-approximation path: the step's state, source
     increment, and noise increment are pushed through the matrix exponential
     of the drift frozen at the interval midpoint, with normals drawn from
     ``generator`` as in :func:`euler_maruyama_solve`.  The midpoint
     reactivity used at each step is recorded in ``diagnostics["rho_steps"]``."""
-    return _single_path(p, x0, grid, generator, "pca", zero_noise, psd_policy)
+    return _single_path(p, x0, grid, generator, "pca", zero_noise)

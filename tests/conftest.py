@@ -33,6 +33,13 @@ def six_group_params(rho, l=2e-5, q=0.0, nu=2.5):
     )
 
 
+def overflow_params():
+    """One supercritical group (rho = 0.5, l = 1e-3) from a single neutron,
+    as (parameters, x0): each step at dt = 0.01 multiplies the population by
+    about 6 (em) or e^5 (pca), so most SDE paths overflow within 400 steps."""
+    return one_group_params(beta1=0.005, rho=0.5, q=0.0, l=1e-3), np.array([1.0, 0.0])
+
+
 def random_params(rng, m=None):
     """Random but physical parameter set for property sweeps."""
     m = m or int(rng.integers(1, 7))

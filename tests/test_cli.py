@@ -72,7 +72,7 @@ def test_solve_rows_are_the_library_path(method, tmp_path):
     else:
         solver = euler_maruyama_solve if method == "em" else stochastic_pca_solve
         grid = scn.grid(method)
-        traj = solver(p, x0, grid, rng, psd_policy=scn.psd_policy)
+        traj = solver(p, x0, grid, rng)
         idx = grid.node_indices(record)
     written = np.array(rows[1:], dtype=float)
     assert np.array_equal(written, np.column_stack([traj.times[idx], traj.states[idx]]))
@@ -301,6 +301,26 @@ def test_negative_seed_refused(command, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"] == "ParameterError"
     assert "seed" in payload["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["ensemble", "--scenario", "table1", "--method", "em", "--samples", "0"], "--samples"),
+        (["plotdata", "--scenario", "table1", "--method", "em", "--samples", "0"], "--samples"),
+        (["reproduce", "--table", "1", "--mc-samples", "0"], "--mc-samples"),
+    ],
+    ids=["ensemble", "plotdata", "reproduce"],
+)
+def test_sample_count_below_one_refused(args, flag, tmp_path, capsys):
+    # the refusal used to name the config fields min_samples and max_samples,
+    # not the flag or the value given
+    code, out = run_cli(args, tmp_path, "a")
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "ParameterError"
+    assert payload["message"] == f"{flag} must be at least 1, got 0"
     assert not out.exists()
 
 

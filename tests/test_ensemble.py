@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,14 @@ from stokin import (
     ParameterError,
     TimeGrid,
     deterministic_solve,
+    load_scenario,
     mc_trajectory,
     run_ensemble,
     stochastic_pca_solve,
 )
 from stokin.ensemble import _Welford, _augment, _path_generators, path_seed
 
-from conftest import one_group_params, six_group_params
+from conftest import one_group_params, overflow_params, six_group_params
 
 
 def table1_setup():
@@ -108,9 +111,6 @@ def test_config_validation():
     # an infinite half-width target used to load from a scenario file
     with pytest.raises(ParameterError, match="target_rel_halfwidth must be positive and finite"):
         EnsembleConfig(method="em", target_rel_halfwidth=np.inf)
-    # an unknown policy used to surface only at the first SDE batch
-    with pytest.raises(ParameterError, match="unknown psd policy 'bogus'"):
-        EnsembleConfig(method="em", psd_policy="bogus")
     # a path index is one uint32 spawn-key word in the vectorized seeding
     assert EnsembleConfig(method="em", max_samples=2**32 - 1).max_samples == 2**32 - 1
     with pytest.raises(ParameterError, match="max_samples must be below 2\\*\\*32"):
@@ -218,25 +218,40 @@ def test_stop_reason_max_samples():
 
 
 def test_failed_paths_abort_when_above_one_percent():
-    # tiny populations at six-group prompt-critical parameters: under the
-    # strict policy most paths hit a negative event rate
-    p = six_group_params(rho=0.007)
-    x0 = np.concatenate([[1.0], np.full(6, 0.01)])
-    grid = TimeGrid(0.001, 1e-5)
+    # nearly every em path's state overflows near step 395 of the 397
+    p, x0 = overflow_params()
     cfg = EnsembleConfig(
         method="em", master_seed=0, min_samples=50, max_samples=50,
-        psd_policy="strict", record_times=(0.0, 0.001),
+        record_times=(0.0, 3.97),
     )
-    with pytest.raises(EnsembleFailureError):
-        run_ensemble(p, x0, grid, cfg)
-    # clamp policy completes every path
-    cfg2 = EnsembleConfig(
-        method="em", master_seed=0, min_samples=50, max_samples=50,
-        psd_policy="clamp", record_times=(0.0, 0.001),
-    )
-    summary = run_ensemble(p, x0, grid, cfg2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with pytest.raises(EnsembleFailureError, match="not solvable by this method$"):
+            run_ensemble(p, x0, TimeGrid(3.97, 0.01), cfg)
+    # tiny populations at six-group prompt-critical parameters undershoot
+    # zero at once; their negative rates are clipped and every path completes
+    p = six_group_params(rho=0.007)
+    x0 = np.concatenate([[1.0], np.full(6, 0.01)])
+    cfg = replace(cfg, record_times=(0.0, 0.001))
+    summary = run_ensemble(p, x0, TimeGrid(0.001, 1e-5), cfg)
     assert summary.failures == 0
     assert summary.n_samples == 50
+    assert summary.diagnostics["clipped_hard"] > 0
+
+
+def test_table1_never_clips_at_criterion_3_samples():
+    # table1's em and pca ensembles at acceptance criterion 3's sample count
+    # and seeds never see a negative rate or a negative population, so the
+    # clip-and-count rule leaves them the unclipped scheme's samples
+    scn = load_scenario("table1")
+    p = scn.build_parameters()
+    for method in ("em", "pca"):
+        cfg = replace(
+            scn.ensemble_config(method, 1000 + len(method), 10_000),
+            record_times=(0.0, scn.horizon),
+        )
+        summary = run_ensemble(p, scn.build_initial(p), scn.grid(method), cfg)
+        assert summary.n_samples == 10_000 and summary.failures == 0
+        assert summary.diagnostics == {"negative_steps": 0, "clipped_small": 0, "clipped_hard": 0}
 
 
 def test_mc_ensemble_means_track_equilibrium():

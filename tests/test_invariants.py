@@ -5,8 +5,9 @@ equals the same seed inside a batch, diagnostics included, and an ensemble
 is bit-equal at any batch size.  Every engine honours its record times: one
 row per requested time, labelled with it.  The matrix runs {em, pca, mc fixed, mc
 exact}, the MC with both yield models, over five scenarios: table1, table3
-with the clamp policy, the linear reactivity ramp on a truncated horizon, a
-piecewise-constant reactivity schedule and a piecewise-constant source.
+started at a population that undershoots zero, the linear reactivity ramp
+on a truncated horizon, a piecewise-constant reactivity schedule and a
+piecewise-constant source.
 Sizes are kept small; the fixed MC steps at safety 0.9, so growing rates
 halve a path's step early.
 """
@@ -45,7 +46,7 @@ def _preset(name, horizon, dt, n0=None):
     scn = load_scenario(name)
     p = scn.build_parameters()
     x0 = scn.build_initial(p) if n0 is None else equilibrium_state(p, n0=n0)
-    return p, x0, TimeGrid(horizon, dt), scn.psd_policy
+    return p, x0, TimeGrid(horizon, dt)
 
 
 def _piecewise():
@@ -59,7 +60,7 @@ def _piecewise():
         reactivity=PiecewiseConstantReactivity((0.0, 0.04, 0.08), (-1.0 / 3.0, 0.0, -1.0 / 3.0)),
         source=ConstantSource(200.0),
     )
-    return p, np.array([400.0, 300.0]), TimeGrid(0.12, 0.002), "strict"
+    return p, np.array([400.0, 300.0]), TimeGrid(0.12, 0.002)
 
 
 def _piecewise_source():
@@ -73,12 +74,12 @@ def _piecewise_source():
         reactivity=ConstantReactivity(-1.0 / 3.0),
         source=PiecewiseConstantSource((0.0, 0.04, 0.08), (200.0, 400.0, 0.0)),
     )
-    return p, np.array([400.0, 300.0]), TimeGrid(0.12, 0.002), "strict"
+    return p, np.array([400.0, 300.0]), TimeGrid(0.12, 0.002)
 
 
 SCENARIOS = {
     "table1": lambda: _preset("table1", 0.12, 0.002),
-    # started at n0 = 2, so paths undershoot zero: the clamp counters and the
+    # started at n0 = 2, so paths undershoot zero: the clip counters and the
     # MC's negative captures run
     "table3": lambda: _preset("table3", 2e-4, 1e-5, n0=2.0),
     "linear-rho": lambda: _preset("linear-rho", 2e-5, 1e-6),
@@ -108,15 +109,15 @@ def _record(grid):
 @matrix
 def test_single_path_equals_path_in_batch(method_id, scenario):
     method, mc = METHODS[method_id]
-    p, x0, grid, policy = SCENARIOS[scenario]()
+    p, x0, grid = SCENARIOS[scenario]()
     seeds = [path_seed(MASTER_SEED, i) for i in range(N_PATHS)]
     gens = [np.random.default_rng(s) for s in seeds]
     if method != "mc":
-        batch = run_sde_paths(p, x0, grid, method, gens, psd_policy=policy)
+        batch = run_sde_paths(p, x0, grid, method, gens)
         assert not batch.failed.any()
         solver = euler_maruyama_solve if method == "em" else stochastic_pca_solve
         for i, seed in enumerate(seeds):
-            path = solver(p, x0, grid, np.random.default_rng(seed), psd_policy=policy)
+            path = solver(p, x0, grid, np.random.default_rng(seed))
             assert np.array_equal(path.states, batch.states[i])
             for key in ("negative_steps", "clipped_small", "clipped_hard"):
                 assert path.diagnostics[key] == getattr(batch, key)[i], key
@@ -136,7 +137,7 @@ def test_single_path_equals_path_in_batch(method_id, scenario):
 @matrix
 def test_ensemble_independent_of_batch_size(method_id, scenario):
     method, mc = METHODS[method_id]
-    p, x0, grid, policy = SCENARIOS[scenario]()
+    p, x0, grid = SCENARIOS[scenario]()
     record = _record(grid)
     runs = [
         run_ensemble(
@@ -149,7 +150,6 @@ def test_ensemble_independent_of_batch_size(method_id, scenario):
                 min_samples=N_PATHS,
                 max_samples=N_PATHS,
                 record_times=record,
-                psd_policy=policy,
                 mc=mc or McConfig(),
                 batch_size=batch_size,
                 keep_sample_paths=N_PATHS,
@@ -170,14 +170,14 @@ def test_ensemble_independent_of_batch_size(method_id, scenario):
 @matrix
 def test_rows_land_at_the_record_times(method_id, scenario):
     method, mc = METHODS[method_id]
-    p, x0, grid, policy = SCENARIOS[scenario]()
+    p, x0, grid = SCENARIOS[scenario]()
     record = _record(grid)
 
     def run(times):
         gens = [np.random.default_rng(path_seed(MASTER_SEED, i)) for i in range(N_PATHS)]
         if method == "mc":
             return run_mc_paths(p, x0, grid.t_end, mc, gens, times)
-        return run_sde_paths(p, x0, grid, method, gens, record_times=times, psd_policy=policy)
+        return run_sde_paths(p, x0, grid, method, gens, record_times=times)
 
     res = run(record)
     assert res.record_times.tolist() == list(record)

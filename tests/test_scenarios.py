@@ -60,7 +60,7 @@ def test_table3_preset_values():
     p = scn.build_parameters()
     assert p.reactivity(0.0) == 0.007
     assert scn.horizon == 0.001
-    assert scn.solver["psd_policy"] == "clamp"
+    assert set(scn.solver) == {"det_dt", "em_dt", "pca_dt"}
 
 
 def test_linear_rho_preset():
@@ -214,16 +214,11 @@ def test_ensemble_config_carries_the_scenario(name, tmp_path):
     assert (cfg.min_samples, cfg.max_samples, cfg.target_rel_halfwidth) == (3, 7, 0.25)
     assert (cfg.method, cfg.master_seed) == ("pca", 11)
     assert cfg.record_times == tuple(scn.record_times())
-    assert cfg.psd_policy == data["solver"]["psd_policy"]
     assert cfg.mc == scn.mc_config()
     assert not cfg.zero_noise and cfg.keep_sample_paths == 0
     cfg = scn.ensemble_config("em", 11, 5, scn.mc_config("exact"), True, 2)
     assert (cfg.min_samples, cfg.max_samples) == (5, 5)
     assert cfg.mc.mode == "exact" and cfg.zero_noise and cfg.keep_sample_paths == 2
-    # without a psd_policy the solvers' strict default applies
-    del data["solver"]["psd_policy"]
-    path.write_text(json.dumps(data))
-    assert load_scenario(str(path)).ensemble_config("em", 0).psd_policy == "strict"
 
 
 def _set(data, dotted, value):
@@ -231,6 +226,32 @@ def _set(data, dotted, value):
     for part in parents:
         data = data[part]
     data[key] = value
+
+
+@pytest.mark.parametrize("policy", ["clamp", "strict", "bogus", None])
+def test_legacy_psd_policy_clamp_loads_and_any_other_is_refused(policy, tmp_path):
+    # files saved while the SDE solvers had two rules for negative rates hold
+    # solver.psd_policy; "clamp", the one rule every run now follows, loads
+    # and runs as a file without the key does, and any other value is refused
+    data = load_scenario("table1").to_dict()
+    assert "psd_policy" not in data["solver"]
+    bare = load_scenario("table1")
+    path = tmp_path / "old.json"
+    if policy is not None:
+        data["solver"]["psd_policy"] = policy
+    path.write_text(json.dumps(data))
+    if policy in ("clamp", None):
+        scn = load_scenario(str(path))
+        for method in ("em", "pca"):
+            assert scn.ensemble_config(method, 5, 4) == bare.ensemble_config(method, 5, 4)
+            assert scn.grid(method) == bare.grid(method)
+        return
+    with pytest.raises(ScenarioError, match="solver.psd_policy") as err:
+        load_scenario(str(path))
+    assert "every SDE run clips and counts negative event rates" in str(err.value)
+    # a copy built in code passes the same gate
+    with pytest.raises(ScenarioError, match="solver.psd_policy"):
+        replace(bare, solver=dict(bare.solver, psd_policy=policy))
 
 
 @pytest.mark.parametrize(
@@ -268,6 +289,7 @@ def _set(data, dotted, value):
         ("monte_carlo.safety", True, "monte_carlo.safety"),
         ("monte_carlo.mode", True, "monte_carlo.mode"),
         ("ensemble.min_samples", True, "ensemble.min_samples"),
+        ("solver.psd_policy", 1, "solver.psd_policy"),
     ],
 )
 def test_wrong_typed_or_unknown_values_are_scenario_errors(field, value, named, tmp_path):

@@ -26,7 +26,7 @@ from stokin import (
 )
 from stokin.ensemble import path_seed
 
-from conftest import one_group_params, six_group_params
+from conftest import one_group_params, overflow_params, six_group_params
 
 # Frozen deterministic endpoints, computed independently with a stiff Radau
 # integration at rtol=1e-12 (cross-checked below at looser tolerance).
@@ -246,10 +246,10 @@ def test_batch_paths_bit_equal_single_paths_six_group_clamp():
         ("pca", stochastic_pca_solve),
     ):
         gens = [np.random.default_rng(s) for s in seeds]
-        batch = run_sde_paths(p, x0, grid, method, gens, psd_policy="clamp")
+        batch = run_sde_paths(p, x0, grid, method, gens)
         assert batch.clipped_hard.sum() > 0
         for i, s in enumerate(seeds):
-            traj = solver(p, x0, grid, np.random.default_rng(s), psd_policy="clamp")
+            traj = solver(p, x0, grid, np.random.default_rng(s))
             assert np.array_equal(batch.states[i], traj.states)
             assert traj.diagnostics["clipped_hard"] == batch.clipped_hard[i]
             assert traj.diagnostics["negative_steps"] == batch.negative_steps[i]
@@ -279,25 +279,26 @@ def test_negative_population_rates_follow_event_mc_rule():
     assert small[0] == 2 and not hard[0]
 
 
-def test_unknown_psd_policy_rejected():
-    p = one_group_params(beta1=0.05)
-    grid = TimeGrid(0.01, 0.001)
-    with pytest.raises(ParameterError):
-        run_sde_paths(p, [400.0, 300.0], grid, "em", [np.random.default_rng(0)],
-                      psd_policy="eigen")
+# overflow_params' paths overflow near step 395 (em) or 142 (pca), unless
+# their population started growing late; the em grid ends at step 397, the
+# pca grid at 144
+OVERFLOW_GRIDS = {"em": TimeGrid(3.97, 0.01), "pca": TimeGrid(1.44, 0.01)}
+OVERFLOW_STEPS = {"em": {395, 396}, "pca": {142, 143}}
 
 
-def test_strict_policy_failure_carries_step_index():
-    # tiny population at prompt-critical six-group parameters: paths undershoot
-    # zero almost immediately and their event rates turn negative
+def test_overflow_failure_carries_step_index():
+    p, x0 = overflow_params()
+    rng = np.random.default_rng(path_seed(8, 0))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with pytest.raises(SolverError, match="the state overflowed") as err:
+            euler_maruyama_solve(p, x0, OVERFLOW_GRIDS["em"], rng)
+    assert err.value.step_index in OVERFLOW_STEPS["em"]
+    # a tiny population at prompt-critical six-group parameters undershoots
+    # zero almost at once: its negative rates are clipped and counted, and
+    # the path finishes
     p = six_group_params(rho=0.007)
     x0 = np.concatenate([[1.0], np.full(6, 0.01)])
-    grid = TimeGrid(0.001, 1e-5)
-    with pytest.raises(SolverError) as err:
-        euler_maruyama_solve(p, x0, grid, np.random.default_rng(3), psd_policy="strict")
-    assert err.value.step_index is not None
-    # the clamp policy finishes and counts the hard clips
-    traj = euler_maruyama_solve(p, x0, grid, np.random.default_rng(3), psd_policy="clamp")
+    traj = euler_maruyama_solve(p, x0, TimeGrid(0.001, 1e-5), np.random.default_rng(3))
     assert traj.diagnostics["clipped_hard"] > 0
 
 
@@ -312,7 +313,7 @@ def test_pca_records_exact_midpoint_reactivity():
     )
     x0 = equilibrium_state(p, n0=100.0)
     grid = TimeGrid(0.01, 1e-3)
-    traj = stochastic_pca_solve(p, x0, grid, np.random.default_rng(5), psd_policy="clamp")
+    traj = stochastic_pca_solve(p, x0, grid, np.random.default_rng(5))
     nodes = grid.nodes
     expected = 0.25 * (nodes[:-1] + nodes[1:]) / 2.0
     assert np.array_equal(traj.diagnostics["rho_steps"], expected)
@@ -324,49 +325,41 @@ def test_em_negative_step_diagnostic_counts():
     x0 = equilibrium_state(p, n0=100.0)
     grid = TimeGrid(0.001, 1e-5)
     gens = [np.random.default_rng(path_seed(8, i)) for i in range(400)]
-    res = run_sde_paths(p, x0, grid, "em", gens, psd_policy="clamp")
+    res = run_sde_paths(p, x0, grid, "em", gens)
     assert not res.failed.any()
     assert res.negative_steps.sum() > 0
     assert res.clipped_hard.sum() > 0
 
 
-def test_strict_failures_mid_batch_match_single_paths():
-    from stokin.solvers import _clipped_event_rates
-
-    # a handful of table-3 paths turn an event rate negative below the
-    # roundoff band partway through; the batch drops them from its surviving
-    # set while the rest keep stepping
-    p = six_group_params(rho=0.007)
-    x0 = equilibrium_state(p, n0=100.0)
-    grid = TimeGrid(0.001, 1e-5)
+def test_overflow_failures_mid_batch_match_single_paths():
+    # most paths overflow within two steps of each other; the batch drops
+    # them from its surviving set while the rest keep stepping to the end
+    p, x0 = overflow_params()
     seeds = [path_seed(8, i) for i in range(400)]
     for method, solver in (
         ("em", euler_maruyama_solve),
         ("pca", stochastic_pca_solve),
     ):
+        grid = OVERFLOW_GRIDS[method]
         gens = [np.random.default_rng(s) for s in seeds]
-        batch = run_sde_paths(p, x0, grid, method, gens, psd_policy="strict")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            batch = run_sde_paths(p, x0, grid, method, gens)
         failed = np.flatnonzero(batch.failed)
-        assert 1 < failed.size < 20
-        assert len(set(batch.fail_step[failed].tolist())) > 1
+        assert 0 < len(seeds) - failed.size < 20
+        assert set(batch.fail_step[failed].tolist()) == OVERFLOW_STEPS[method]
         assert np.all(batch.fail_step[~batch.failed] == -1)
-        for i, s in enumerate(seeds):
-            if not batch.failed[i]:
-                traj = solver(p, x0, grid, np.random.default_rng(s), psd_policy="strict")
-                assert np.array_equal(batch.states[i], traj.states)
-                continue
-            with pytest.raises(SolverError) as err:
-                solver(p, x0, grid, np.random.default_rng(s), psd_policy="strict")
+        assert np.isfinite(batch.states).all()
+        # every survivor and the first 60 paths, which all fail
+        for i in sorted(set(range(60)) | set(np.flatnonzero(~batch.failed).tolist())):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                if not batch.failed[i]:
+                    traj = solver(p, x0, grid, np.random.default_rng(seeds[i]))
+                    assert np.array_equal(batch.states[i], traj.states)
+                    continue
+                with pytest.raises(SolverError) as err:
+                    solver(p, x0, grid, np.random.default_rng(seeds[i]))
             step = int(batch.fail_step[i])
             assert err.value.step_index == step
-            # the step failed on its start state: a rate below the roundoff
-            # band there, none at the step before
-            hard = [
-                _clipped_event_rates(event_rates(p, batch.states[i, k][None, :], grid.nodes[k]))[2]
-                for k in (step - 1, step)
-            ]
-            assert hard[0] is None or not hard[0][0]
-            assert hard[1][0]
             # rows after the failure hold the last state before it
             assert (batch.states[i, step + 1:] == batch.states[i, step]).all()
 
@@ -387,7 +380,7 @@ def test_noise_block_length_does_not_change_paths(monkeypatch):
         for budget in budgets:
             monkeypatch.setattr(solvers, "_BLOCK_BUDGET", budget)
             gens = [np.random.default_rng(path_seed(8, i)) for i in range(n_paths)]
-            runs.append(run_sde_paths(p, x0, grid, method, gens, psd_policy="clamp"))
+            runs.append(run_sde_paths(p, x0, grid, method, gens))
         default, small = runs
         assert default.clipped_hard.sum() > 0
         for name in fields:
@@ -451,12 +444,11 @@ def test_zero_noise_reductions_every_preset(preset):
     scn = load_scenario(preset)
     p = scn.build_parameters()
     x0 = scn.build_initial(p)
-    policy = scn.solver.get("psd_policy", "strict")
 
     # EM with the diffusion forced to zero is explicit Euler, step for step
     em_dt = scn.solver["em_dt"]
     grid = TimeGrid(50 * em_dt, em_dt)
-    em = euler_maruyama_solve(p, x0, grid, np.random.default_rng(0), zero_noise=True, psd_policy=policy)
+    em = euler_maruyama_solve(p, x0, grid, np.random.default_rng(0), zero_noise=True)
     x = x0.copy()
     q = p.source(0.0)
     for k in range(grid.n_steps):
@@ -470,7 +462,7 @@ def test_zero_noise_reductions_every_preset(preset):
     # (state + source increment), reactivity frozen at interval midpoints
     pca_dt = scn.solver["pca_dt"]
     grid = TimeGrid(50 * pca_dt, pca_dt)
-    pca = stochastic_pca_solve(p, x0, grid, np.random.default_rng(0), zero_noise=True, psd_policy=policy)
+    pca = stochastic_pca_solve(p, x0, grid, np.random.default_rng(0), zero_noise=True)
     x = x0.copy()
     for k in range(grid.n_steps):
         tm = grid.midpoint(k)
@@ -503,7 +495,7 @@ def test_one_step_weak_consistency(preset, method):
     grid = TimeGrid(dt, dt)
     n_samples = 100_000
     gens = [np.random.default_rng(path_seed(404, i)) for i in range(n_samples)]
-    res = run_sde_paths(p, x0, grid, method, gens, psd_policy=scn.solver["psd_policy"])
+    res = run_sde_paths(p, x0, grid, method, gens)
     assert not res.failed.any()
     increments = res.states[:, -1, :] - x0
 
