@@ -42,6 +42,7 @@ from .linalg import (
     solve_linear,
 )
 from .solvers import (
+    PathsResult,
     TimeGrid,
     Trajectory,
     deterministic_solve,

@@ -103,9 +103,9 @@ class EnsembleSummary:
     Components are the state entries plus the precursor sum; ``std`` is the
     unbiased (N-1) sample standard deviation of the population across paths,
     ``ci_halfwidth`` is 1.96 * std / sqrt(N), and ``method`` is em|pca|mc.
-    ``diagnostics`` sums the engine's own per-path counters: negative_steps,
-    clipped_small and clipped_hard for em and pca; negative_captures and
-    halvings for mc.
+    ``diagnostics`` holds each of the engine's own per-path counters
+    (:class:`~stokin.solvers.PathsResult` ``counters``), summed over every
+    attempted path.
     """
 
     times: np.ndarray
@@ -282,10 +282,7 @@ def run_ensemble(
     kept = []
     attempted = 0
     failures = 0
-    if method == "mc":
-        diagnostics = {"negative_captures": 0, "halvings": 0}
-    else:
-        diagnostics = {"negative_steps": 0, "clipped_small": 0, "clipped_hard": 0}
+    diagnostics = {}
     stop_reason = None
 
     while attempted < cfg.max_samples:
@@ -298,10 +295,6 @@ def run_ensemble(
         gens = _path_generators(cfg.master_seed, attempted, n_new)
         if method == "mc":
             res = run_mc_paths(p, x0, grid.t_end, cfg.mc, gens, record_times)
-            batch_states = res.states
-            batch_failed = np.zeros(n_new, dtype=bool)  # MC paths always finish
-            diagnostics["negative_captures"] += int(res.negative_captures.sum())
-            diagnostics["halvings"] += len(res.halvings)
         else:
             res = run_sde_paths(
                 p,
@@ -312,20 +305,17 @@ def run_ensemble(
                 record_times=record_times,
                 zero_noise=cfg.zero_noise,
             )
-            batch_states = res.states
-            batch_failed = res.failed
-            diagnostics["negative_steps"] += int(res.negative_steps.sum())
-            diagnostics["clipped_small"] += int(res.clipped_small.sum())
-            diagnostics["clipped_hard"] += int(res.clipped_hard.sum())
+        for name, counts in res.counters.items():
+            diagnostics[name] = diagnostics.get(name, 0) + int(counts.sum())
 
-        batch_aug = _augment(batch_states)
+        batch_aug = _augment(res.states)
         for i in range(n_new):
-            if batch_failed[i]:
+            if res.failed[i]:
                 failures += 1
                 continue
             acc.add(batch_aug[i])
             if len(kept) < cfg.keep_sample_paths:
-                kept.append(batch_states[i].copy())
+                kept.append(res.states[i].copy())
         attempted += n_new
 
         if failures > 0.01 * attempted:

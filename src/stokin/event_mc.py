@@ -87,14 +87,13 @@ from .kinetics import (
     delta_table,
     event_rates,
 )
-from .solvers import Trajectory, check_record_times
+from .solvers import PathsResult, Trajectory, check_record_times
 
 __all__ = [
     "McConfig",
     "mc_trajectory",
     "sample_increments",
     "run_mc_paths",
-    "McPathsResult",
 ]
 
 MODE_FIXED = "fixed"
@@ -299,15 +298,6 @@ def sample_increments(
 # the path engine
 # ---------------------------------------------------------------------------
 
-@dataclass
-class McPathsResult:
-    states: np.ndarray        # (n_paths, n_record, dim)
-    record_times: np.ndarray
-    event_counts: np.ndarray  # (n_paths, m+3)
-    halvings: list            # (path index, t, new dt), one per halving
-    negative_captures: np.ndarray
-
-
 def _record(out, X, path, rec_ptr, slots, reached):
     """Write the state of each listed slot into its path's record rows from
     its record pointer up to ``reached``, in one scatter."""
@@ -327,7 +317,7 @@ def run_mc_paths(
     cfg: McConfig,
     generators,
     record_times,
-) -> McPathsResult:
+) -> PathsResult:
     """Advance a batch of MC paths from x0 to the horizon, one Generator each.
 
     Every path has its own clock.  In fixed mode all paths start from the
@@ -347,6 +337,8 @@ def run_mc_paths(
     order, so every iteration works on slices; when paths finish, a stable
     partition moves them behind the prefix.  Results are mapped back to path
     order once, at the end, and halvings are logged with the path index.
+    The result's counters are each path's negative captures and halvings;
+    no path fails.
     Rates are bound once per iteration: one :func:`_rate_constants` call
     at the stepping slots' clocks, whose coefficients fill a preallocated
     rate buffer through the rate law's kernel.  The rates are clipped at
@@ -525,12 +517,17 @@ def run_mc_paths(
     _record(out, X, path, rec_ptr, unfilled, record.size)
     by_path = np.empty_like(path)
     by_path[path] = slots
-    return McPathsResult(
+    return PathsResult(
         states=out,
         record_times=record,
+        failed=np.zeros(n_paths, dtype=bool),
+        fail_step=np.full(n_paths, -1, dtype=np.int64),
+        counters={
+            "negative_captures": neg_cap[by_path],
+            "halvings": np.bincount([h[0] for h in halvings], minlength=n_paths),
+        },
         event_counts=counts[:none, by_path].T,
         halvings=halvings,
-        negative_captures=neg_cap[by_path],
     )
 
 
@@ -559,6 +556,6 @@ def mc_trajectory(
         diagnostics={
             "event_counts": _event_count_dict(p, res.event_counts[0]),
             "halvings": [(t, dt) for _, t, dt in res.halvings],
-            "negative_captures": int(res.negative_captures[0]),
+            "negative_captures": int(res.counters["negative_captures"][0]),
         },
     )

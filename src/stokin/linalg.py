@@ -35,7 +35,8 @@ __all__ = [
 
 #: Relative roundoff band: eigenvalues in [-CLIP_TOL*|B|_max, 0), and the SDE
 #: solvers' negative event rates in [-CLIP_TOL*max_k |r_k|, 0), are clipped
-#: to zero; anything lower is a hard error under the "strict" policy.
+#: to zero.  Below the band, psd_sqrt's "strict" policy raises, and the SDE
+#: solvers clip the rate too and count its step in clipped_hard.
 CLIP_TOL = 1e-8
 
 

@@ -84,7 +84,7 @@ __all__ = [
     "euler_maruyama_solve",
     "stochastic_pca_solve",
     "run_sde_paths",
-    "SdePathsResult",
+    "PathsResult",
 ]
 
 # size bound of the pregenerated noise block, in floats (4 MiB)
@@ -176,23 +176,21 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 def _midpoint_table(p: KineticsParameters, grid: TimeGrid, propagator):
-    """The reactivity frozen at each interval midpoint, as an (n_steps,)
-    array, and each step's ``propagator(A_mid, q_mid)`` with the midpoint
-    drift matrix and source, built once per distinct (rho, q).  Each scheme
-    brings its own propagator: the augmented exponential's top-left block
-    differs from ``expm(A dt)`` in the last bits wherever the source column
-    raises the 1-norm, and with it the Pade degree and the scaling."""
-    rho = np.empty(grid.n_steps)
+    """Each step's ``propagator(A_mid, q_mid)`` with the drift matrix and
+    source frozen at the interval midpoint, built once per distinct (rho, q).
+    Each scheme brings its own propagator: the augmented exponential's
+    top-left block differs from ``expm(A dt)`` in the last bits wherever the
+    source column raises the 1-norm, and with it the Pade degree and the
+    scaling."""
     cache = {}
     steps = []
     for k in range(grid.n_steps):
         tm = grid.midpoint(k)
         key = (float(p.reactivity(tm)), float(p.source(tm)))
-        rho[k] = key[0]
         if key not in cache:
             cache[key] = propagator(drift_matrix(p, tm), key[1])
         steps.append(cache[key])
-    return rho, steps
+    return steps
 
 
 def deterministic_solve(p: KineticsParameters, x0, grid: TimeGrid) -> Trajectory:
@@ -205,7 +203,7 @@ def deterministic_solve(p: KineticsParameters, x0, grid: TimeGrid) -> Trajectory
     """
     x = as_state_vector(x0, p)
     d = p.dim
-    rho_steps, steps = _midpoint_table(
+    steps = _midpoint_table(
         p, grid, lambda A, q: propagator_with_source(A, np.array([q] + [0.0] * (d - 1)), grid.dt)
     )
     states = np.empty((grid.n_steps + 1, d))
@@ -213,12 +211,7 @@ def deterministic_solve(p: KineticsParameters, x0, grid: TimeGrid) -> Trajectory
     for k, (E, g) in enumerate(steps):
         x = E @ x + g
         states[k + 1] = x
-    return Trajectory(
-        times=grid.nodes,
-        states=states,
-        method="det",
-        diagnostics={"rho_steps": rho_steps},
-    )
+    return Trajectory(times=grid.nodes, states=states, method="det")
 
 
 # ---------------------------------------------------------------------------
@@ -226,21 +219,37 @@ def deterministic_solve(p: KineticsParameters, x0, grid: TimeGrid) -> Trajectory
 # ---------------------------------------------------------------------------
 
 @dataclass
-class SdePathsResult:
-    """Recorded states for a batch of sample paths.
+class PathsResult:
+    """Recorded states for a batch of sample paths, from either engine.
 
-    ``states`` has shape (n_paths, n_record, dim); rows of failed paths hold
-    the last state before failure and must be ignored by callers.
+    ``states`` has shape (n_paths, n_record, dim).  A path flagged in
+    ``failed`` (an SDE state that overflowed at step ``fail_step``, else -1)
+    holds the last state before failure in its later rows, which callers
+    must ignore; event MC paths never fail.  ``counters`` maps each of the
+    engine's counter names to a per-path integer array: negative_steps,
+    clipped_small and clipped_hard from :func:`run_sde_paths`;
+    negative_captures and halvings from
+    :func:`~stokin.event_mc.run_mc_paths`.  A counter also reads as an
+    attribute, except ``halvings``: that attribute is the event MC's
+    halving log, one (path index, t, new dt) per halving, next to its
+    ``event_counts`` (n_paths, m+3).
     """
 
     states: np.ndarray
     record_times: np.ndarray
     failed: np.ndarray
     fail_step: np.ndarray
-    negative_steps: np.ndarray
-    clipped_small: np.ndarray
-    clipped_hard: np.ndarray
-    rho_steps: np.ndarray = None
+    counters: dict
+    event_counts: np.ndarray = None
+    halvings: list = None
+
+    def __getattr__(self, name):
+        # reached only when no field matches; through __dict__, so a copy
+        # that has no counters yet raises instead of recursing
+        try:
+            return self.__dict__["counters"][name]
+        except KeyError:
+            raise AttributeError(name) from None
 
 
 def _col_matvec(E: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -297,6 +306,7 @@ def _clipped_event_rates(rates: np.ndarray):
     return np.maximum(rates, 0.0), small, hard
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # overflow fails the path
 def run_sde_paths(
     p: KineticsParameters,
     x0,
@@ -306,7 +316,7 @@ def run_sde_paths(
     *,
     record_times=None,
     zero_noise: bool = False,
-) -> SdePathsResult:
+) -> PathsResult:
     """Advance a batch of em or pca sample paths, one Generator per path.
 
     Every path draws from its own generator only (one (m+3,) standard-normal
@@ -328,7 +338,7 @@ def run_sde_paths(
     Each step is built from the event table, its negative rates clipped and
     counted (see the module docstring).  A path whose state overflows is
     frozen and flagged in ``failed`` rather than raising, so the remaining
-    paths finish.
+    paths finish; numpy's overflow warnings on the way are silenced.
     """
     if method not in ("em", "pca"):
         raise ParameterError(f"unknown SDE method {method!r}; expected em|pca")
@@ -349,9 +359,8 @@ def run_sde_paths(
         record_indices = grid.node_indices(record_times)
     n_rec = len(record_indices)
 
-    rho_steps = None
     if method == "pca":  # source increment as a full row: +0.0 turns a -0.0 into +0.0
-        rho_steps, pca_steps = _midpoint_table(
+        pca_steps = _midpoint_table(
             p, grid, lambda A, q: (expm(A * dt), np.array([q * dt] + [0.0] * (d - 1)))
         )
 
@@ -419,15 +428,16 @@ def run_sde_paths(
                 rec_pos += 1
         k += kk
 
-    return SdePathsResult(
+    return PathsResult(
         states=out,
         record_times=nodes[record_indices],
         failed=fail_step >= 0,
         fail_step=fail_step,
-        negative_steps=negative_steps,
-        clipped_small=clipped_small,
-        clipped_hard=clipped_hard,
-        rho_steps=rho_steps,
+        counters={
+            "negative_steps": negative_steps,
+            "clipped_small": clipped_small,
+            "clipped_hard": clipped_hard,
+        },
     )
 
 
@@ -439,13 +449,7 @@ def _single_path(p, x0, grid, generator, method, zero_noise):
             f"{method} path failed at step {step} (t={grid.nodes[step]:g}): the state overflowed",
             step_index=step,
         )
-    diagnostics = {
-        "negative_steps": int(result.negative_steps[0]),
-        "clipped_small": int(result.clipped_small[0]),
-        "clipped_hard": int(result.clipped_hard[0]),
-    }
-    if result.rho_steps is not None:
-        diagnostics["rho_steps"] = result.rho_steps
+    diagnostics = {name: int(c[0]) for name, c in result.counters.items()}
     return Trajectory(
         times=grid.nodes,
         states=result.states[0],
@@ -479,6 +483,5 @@ def stochastic_pca_solve(
     """Piecewise-constant-approximation path: the step's state, source
     increment, and noise increment are pushed through the matrix exponential
     of the drift frozen at the interval midpoint, with normals drawn from
-    ``generator`` as in :func:`euler_maruyama_solve`.  The midpoint
-    reactivity used at each step is recorded in ``diagnostics["rho_steps"]``."""
+    ``generator`` as in :func:`euler_maruyama_solve`."""
     return _single_path(p, x0, grid, generator, "pca", zero_noise)

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,3 +427,38 @@ def test_cli_runs_the_library_config(command, method, flags, tmp_path):
         expect = [summary.times, summary.mean[:, 0], summary.std[:, 0],
                   summary.sample_paths[0][:, 0], summary.sample_paths[1][:, 0]]
         assert [[float(v) for v in r[:5]] for r in rows] == np.array(expect).T.tolist()
+
+
+@pytest.mark.parametrize("method", ["em", "pca"])
+def test_overflowing_solve_prints_one_json_error(method, tmp_path):
+    # conftest.overflow_params as a scenario file: the path overflows, and
+    # numpy's overflow warnings on the way must not reach stderr, which
+    # holds the JSON error alone; a fresh interpreter shows warnings as the
+    # command line would
+    data = load_scenario("table1").to_dict()
+    data["parameters"].update(
+        group_fractions=[0.005],
+        gen_time=1e-3,
+        reactivity={"kind": "constant", "value": 0.5},
+        source={"kind": "constant", "value": 0.0},
+    )
+    data["initial"] = {"kind": "vector", "state": [1.0, 0.0]}
+    data["solver"]["em_dt"] = 0.01
+    data["horizon"] = 4.0
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    search = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "stokin", "solve", "--scenario", str(path),
+         "--method", method, "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=search),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 1
+    assert result.stderr.count("\n") == 1, result.stderr
+    payload = json.loads(result.stderr)
+    assert payload["error"] == "SolverError"
+    assert "the state overflowed" in payload["message"]

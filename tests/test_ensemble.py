@@ -224,6 +224,8 @@ def test_failed_paths_abort_when_above_one_percent():
         method="em", master_seed=0, min_samples=50, max_samples=50,
         record_times=(0.0, 3.97),
     )
+    # the engine silences its own overflow, but the ensemble's Welford update
+    # still overflows on the surviving paths, whose states reach about 1e306
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         with pytest.raises(EnsembleFailureError, match="not solvable by this method$"):
             run_ensemble(p, x0, TimeGrid(3.97, 0.01), cfg)

@@ -1,6 +1,10 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from stokin import (
     ConstantReactivity,
@@ -9,6 +13,7 @@ from stokin import (
     LinearReactivity,
     McConfig,
     ParameterError,
+    PathsResult,
     PiecewiseConstantReactivity,
     PiecewiseConstantSource,
     ReactivityDomainError,
@@ -289,9 +294,8 @@ OVERFLOW_STEPS = {"em": {395, 396}, "pca": {142, 143}}
 def test_overflow_failure_carries_step_index():
     p, x0 = overflow_params()
     rng = np.random.default_rng(path_seed(8, 0))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        with pytest.raises(SolverError, match="the state overflowed") as err:
-            euler_maruyama_solve(p, x0, OVERFLOW_GRIDS["em"], rng)
+    with pytest.raises(SolverError, match="the state overflowed") as err:
+        euler_maruyama_solve(p, x0, OVERFLOW_GRIDS["em"], rng)
     assert err.value.step_index in OVERFLOW_STEPS["em"]
     # a tiny population at prompt-critical six-group parameters undershoots
     # zero almost at once: its negative rates are clipped and counted, and
@@ -302,21 +306,27 @@ def test_overflow_failure_carries_step_index():
     assert traj.diagnostics["clipped_hard"] > 0
 
 
-def test_pca_records_exact_midpoint_reactivity():
+def test_pca_freezes_the_ramp_at_each_interval_midpoint():
+    # without noise a PCA step is x <- expm(A(t_mid) dt) (x + q dt e0); a
+    # reactivity frozen at either end of the step moves each step's
+    # exponent by about 1e-2, far outside the tolerance
     p = KineticsParameters(
         decay_constants=(0.1,),
         group_fractions=(0.005,),
         nu=2.5,
         gen_time=1e-5,
         reactivity=LinearReactivity(0.25),
-        source=ConstantSource(0.0),
+        source=ConstantSource(50.0),
     )
     x0 = equilibrium_state(p, n0=100.0)
     grid = TimeGrid(0.01, 1e-3)
-    traj = stochastic_pca_solve(p, x0, grid, np.random.default_rng(5))
-    nodes = grid.nodes
-    expected = 0.25 * (nodes[:-1] + nodes[1:]) / 2.0
-    assert np.array_equal(traj.diagnostics["rho_steps"], expected)
+    traj = stochastic_pca_solve(p, x0, grid, np.random.default_rng(5), zero_noise=True)
+    x = np.array(x0)
+    expected = [x]
+    for k in range(grid.n_steps):
+        x = expm(drift_matrix(p, (k + 0.5) * grid.dt) * grid.dt) @ (x + [50.0 * grid.dt, 0.0])
+        expected.append(x)
+    np.testing.assert_allclose(traj.states, expected, rtol=1e-12, atol=0)
 
 
 def test_em_negative_step_diagnostic_counts():
@@ -342,8 +352,7 @@ def test_overflow_failures_mid_batch_match_single_paths():
     ):
         grid = OVERFLOW_GRIDS[method]
         gens = [np.random.default_rng(s) for s in seeds]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            batch = run_sde_paths(p, x0, grid, method, gens)
+        batch = run_sde_paths(p, x0, grid, method, gens)
         failed = np.flatnonzero(batch.failed)
         assert 0 < len(seeds) - failed.size < 20
         assert set(batch.fail_step[failed].tolist()) == OVERFLOW_STEPS[method]
@@ -351,13 +360,12 @@ def test_overflow_failures_mid_batch_match_single_paths():
         assert np.isfinite(batch.states).all()
         # every survivor and the first 60 paths, which all fail
         for i in sorted(set(range(60)) | set(np.flatnonzero(~batch.failed).tolist())):
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                if not batch.failed[i]:
-                    traj = solver(p, x0, grid, np.random.default_rng(seeds[i]))
-                    assert np.array_equal(batch.states[i], traj.states)
-                    continue
-                with pytest.raises(SolverError) as err:
-                    solver(p, x0, grid, np.random.default_rng(seeds[i]))
+            if not batch.failed[i]:
+                traj = solver(p, x0, grid, np.random.default_rng(seeds[i]))
+                assert np.array_equal(batch.states[i], traj.states)
+                continue
+            with pytest.raises(SolverError) as err:
+                solver(p, x0, grid, np.random.default_rng(seeds[i]))
             step = int(batch.fail_step[i])
             assert err.value.step_index == step
             # rows after the failure hold the last state before it
@@ -385,6 +393,36 @@ def test_noise_block_length_does_not_change_paths(monkeypatch):
         assert default.clipped_hard.sum() > 0
         for name in fields:
             assert np.array_equal(getattr(default, name), getattr(small, name)), name
+
+
+def test_paths_result_counters_read_as_attributes_and_survive_copies():
+    # both engines return one PathsResult; each counter reads as an
+    # attribute, an unknown name is an AttributeError, and a copy or an
+    # unpickle, which looks names up before any field is set, keeps them
+    gens = lambda: [np.random.default_rng(path_seed(8, i)) for i in range(4)]
+    p = six_group_params(rho=0.007)
+    x0 = np.concatenate([[1.0], np.full(6, 0.01)])
+    sde = run_sde_paths(p, x0, TimeGrid(2e-4, 1e-5), "em", gens())
+    # a fixed step far too long for table1's rates: every path halves it
+    mc = run_mc_paths(one_group_params(), [400.0, 300.0], 0.5, McConfig(dt=0.5), gens(), (0.5,))
+    assert list(sde.counters) == ["negative_steps", "clipped_small", "clipped_hard"]
+    assert list(mc.counters) == ["negative_captures", "halvings"]
+    assert sde.clipped_hard is sde.counters["clipped_hard"] and sde.clipped_hard.sum() > 0
+    assert mc.negative_captures is mc.counters["negative_captures"]
+    # the halvings attribute is the log; its counter counts each path's entries
+    per_path = [sum(1 for j, _, _ in mc.halvings if j == i) for i in range(4)]
+    assert min(per_path) > 0 and mc.counters["halvings"].tolist() == per_path
+    assert not mc.failed.any() and np.all(mc.fail_step == -1)
+    for res in (sde, mc):
+        assert isinstance(res, PathsResult)
+        assert not hasattr(res, "no_such_counter")
+        for other in (copy.deepcopy(res), pickle.loads(pickle.dumps(res))):
+            assert other.counters.keys() == res.counters.keys()
+            for name, counts in res.counters.items():
+                assert counts.dtype.kind == "i" and counts.shape == (4,)
+                assert np.array_equal(other.counters[name], counts)
+            assert np.array_equal(other.states, res.states)
+            assert other.halvings == res.halvings
 
 
 @pytest.mark.parametrize("m", [1, 6])

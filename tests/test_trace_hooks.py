@@ -58,8 +58,8 @@ def test_traced_names_resolve_on_the_package():
 
 
 def test_counted_result_fields_exist(monkeypatch, tmp_path):
-    # capture what each counted hook returns in small em and mc ensembles,
-    # then check every field its counter reads
+    # capture what each counted hook returns in small ensembles of every
+    # engine and mode, then check every field its counter reads
     reads = {name: attrs for name, attrs in _counter_reads().items() if attrs}
     assert reads
     results = collections.defaultdict(list)
@@ -73,8 +73,8 @@ def test_counted_result_fields_exist(monkeypatch, tmp_path):
                 return result
 
             monkeypatch.setattr(module, attr, capture)
-    for method in ("em", "mc"):
-        args = ["ensemble", "--scenario", "table1", "--method", method, "--samples", "3"]
+    for method in ("em", "pca", "mc", "mc --mode exact"):
+        args = ["ensemble", "--scenario", "table1", "--method", *method.split(), "--samples", "3"]
         assert main(args + ["--out", str(tmp_path)]) == 0
     for name, attrs in reads.items():
         assert results[name], f"{name} was not called"
