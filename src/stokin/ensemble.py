@@ -21,7 +21,8 @@ summary's ``stop_reason`` records which, and ``converged`` is read from it.
 The summary holds its statistics as (record time, component) arrays, with
 columns found by ``component_index``; the command line writes them as
 rows.  Failed paths (an SDE state that overflowed) are discarded and
-counted; more than 1% of attempts failing aborts the run.
+counted; more than 1% of attempts failing aborts the run, and so do
+statistics that overflow.
 Methods go by their short names det|em|pca|mc; ``METHOD_LABELS`` holds
 the name written outputs print for each.
 """
@@ -230,10 +231,11 @@ class _Welford:
         self.m2 = np.zeros(shape)
 
     def add(self, value):
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (value - self.mean)
+        self.count += 1  # an overflow leaves inf or nan, checked after each batch
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = value - self.mean
+            self.mean += delta / self.count
+            self.m2 += delta * (value - self.mean)
 
     def std(self):
         if self.count < 2:
@@ -278,6 +280,7 @@ def run_ensemble(
     if record_times is None:
         record_times = _default_record_times(grid)
 
+    names = ["n"] + [f"c{i + 1}" for i in range(d - 1)] + ["c_sum"]
     acc = _Welford((len(record_times), d + 1))
     kept = []
     attempted = 0
@@ -308,20 +311,27 @@ def run_ensemble(
         for name, counts in res.counters.items():
             diagnostics[name] = diagnostics.get(name, 0) + int(counts.sum())
 
-        batch_aug = _augment(res.states)
-        for i in range(n_new):
-            if res.failed[i]:
-                failures += 1
-                continue
+        survivors = res.states[~res.failed]
+        batch_aug = _augment(survivors)
+        for i in range(len(survivors)):  # no loop variable keeps batch_aug alive
             acc.add(batch_aug[i])
-            if len(kept) < cfg.keep_sample_paths:
-                kept.append(res.states[i].copy())
+        kept += [s.copy() for s in survivors[: cfg.keep_sample_paths - len(kept)]]
+        failures += n_new - len(survivors)
         attempted += n_new
+        times = res.record_times
+        del res, survivors, batch_aug, gens  # the next batch is the only one alive
 
         if failures > 0.01 * attempted:
             raise EnsembleFailureError(
                 f"{failures} of {attempted} paths failed (> 1%); "
                 "the scenario is not solvable by this method"
+            )
+        bad = np.argwhere(~(np.isfinite(acc.mean) & np.isfinite(acc.m2)))
+        if bad.size:
+            r, c = bad[0]
+            raise EnsembleFailureError(
+                f"the sample statistics overflowed at t={times[r]:g} in component "
+                f"{names[c]}: the surviving paths' states are too large to average"
             )
 
         if acc.count >= cfg.min_samples:
@@ -342,8 +352,8 @@ def run_ensemble(
         raise EnsembleFailureError("no path completed")
     std = acc.std()
     return EnsembleSummary(
-        times=res.record_times,
-        component_names=["n"] + [f"c{i + 1}" for i in range(d - 1)] + ["c_sum"],
+        times=times,
+        component_names=names,
         mean=acc.mean.copy(),
         std=std,
         ci_halfwidth=_CONFIDENCE_FACTOR * std / np.sqrt(n),

@@ -46,7 +46,8 @@ class SolverError(StokinError, RuntimeError):
 
 
 class EnsembleFailureError(StokinError, RuntimeError):
-    """Too many sample paths failed while running an ensemble."""
+    """Too many sample paths failed while running an ensemble, or their
+    statistics overflowed."""
 
 
 class ScenarioError(StokinError, ValueError):

@@ -103,9 +103,10 @@ YIELD_INTEGER = "integer"
 
 # uniforms per path block (even: exact mode draws pairs).  Integer yields draw
 # between blocks, so _BUFFER's refill points fix where each yield draw falls;
-# fractional yields draw nothing else, so their block length changes no draw.
+# fractional yields draw nothing else, so their block length changes no draw,
+# and a short block keeps a 1024-path batch's uniforms at 2 MB, not 8.
 _BUFFER = 4096
-_FRACTIONAL_BUFFER = 1024
+_FRACTIONAL_BUFFER = 256
 _ROW_WISE_WIDTH = 256  # batch width from which _cumulative adds row by row
 
 
@@ -219,12 +220,11 @@ def _geometric_skip(u, totals, prob, step, gap):
     n_full = np.ceil(gap / step) - 1.0
     n = np.maximum(n_full, 1.0)
     # P = 0 divides a by log1p(-0) = -0, and P = 1 multiplies K = 0 by
-    # log1p(-1) = -inf: both results are masked below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lq = np.log1p(-prob)
-        a = np.log1p(-u)
-        K = np.minimum(np.floor(a / lq), n_full)
-        cell = -np.expm1(a - K * lq)
+    # log1p(-1) = -inf: both results are masked below, warning-free in the engine
+    lq = np.log1p(-prob)
+    a = np.log1p(-u)
+    K = np.minimum(np.floor(a / lq), n_full)
+    cell = -np.expm1(a - K * lq)
     v = np.where(K > 0.0, cell, u)
     v[K >= n] = np.inf
     advance = np.minimum(K + 1.0, n) * step
@@ -310,6 +310,7 @@ def _record(out, X, path, rec_ptr, slots, reached):
     out[path[slots], first] = X[:, slots].T
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # zero rates and P = 1: masked
 def run_mc_paths(
     p: KineticsParameters,
     x0,
@@ -332,13 +333,13 @@ def run_mc_paths(
 
     The loop works on slots, not paths: the per-path arrays (state, held
     component-major as (m+1, slots), clock, step, record pointer, event
-    counts, negative captures) are indexed by slot, and ``path`` maps a slot
-    to its path.  The paths still stepping occupy the prefix [0, k), in path
-    order, so every iteration works on slices; when paths finish, a stable
-    partition moves them behind the prefix.  Results are mapped back to path
-    order once, at the end, and halvings are logged with the path index.
-    The result's counters are each path's negative captures and halvings;
-    no path fails.
+    counts, bumped through one flat index, negative captures) are indexed by
+    slot, and ``path`` maps a slot to its path.  The paths still stepping
+    occupy the prefix [0, k), in path order, so every iteration works on
+    slices; when paths finish, a stable partition moves them behind the
+    prefix.  Results are mapped back to path order once, at the end, and
+    halvings are logged with the path index.  The result's counters are each
+    path's negative captures and halvings; no path fails.
     Rates are bound once per iteration: one :func:`_rate_constants` call
     at the stepping slots' clocks, whose coefficients fill a preallocated
     rate buffer through the rate law's kernel.  The rates are clipped at
@@ -353,9 +354,13 @@ def run_mc_paths(
     time as its target.  Without such breakpoints no lookup runs.
 
     Every stepping slot draws the same count of uniforms per iteration, so
-    one offset indexes all their blocks, and they refill together.  Only the
-    slots whose landing passed their next record time look up the record
-    rows they reached, written in one scatter.
+    one offset indexes all their blocks, and they refill together through
+    each generator's ``random``, bound once: 256 uniforms a block for
+    fractional yields (2 MB for 1024 paths), 4096 for integer ones.  Zero
+    total rates and P = 1 steps make infs and nans that the engine masks, so
+    it runs with numpy's divide and invalid warnings off.  Only the slots
+    whose landing passed their next record time look up the record rows they
+    reached, written in one scatter.
     """
     if not 0.0 <= horizon < math.inf:
         raise ParameterError("horizon must be nonnegative and finite")
@@ -376,7 +381,8 @@ def run_mc_paths(
     path = np.arange(n_paths)
     X = np.tile(vec0[:, None], (1, n_paths))
     t = np.zeros(n_paths)
-    counts = np.zeros((none + 1, n_paths), dtype=np.int64)  # row `none`: no event
+    counts = np.zeros((n_paths, none + 1), dtype=np.int64)  # column `none`: no event
+    flat, base = counts.ravel(), np.arange(0, counts.size, none + 1)  # slot j's row: base[j]
     neg_cap = np.zeros(n_paths, dtype=np.int64)
     halvings = []
     out = np.empty((n_paths, record.size, p.dim))
@@ -404,24 +410,25 @@ def run_mc_paths(
     # it, and no slot records before its landing time reaches it
     targets = np.append(record, horizon)
 
-    # uniforms: path i's block is buf[i, :block], and column `offset` holds
-    # every stepping slot's next draw.  The row stride is odd, because at a
-    # 4 KiB-multiple stride every slot's read lands in the same cache sets.
+    # uniforms: fills[i] refills path i's block rows[i] = buf[i, :block], and
+    # column `offset` holds every stepping slot's next draw.  The row stride is
+    # odd: at a 4 KiB-multiple stride every slot's read hits the same cache sets.
     block = _BUFFER if integer else _FRACTIONAL_BUFFER
     buf = np.empty((n_paths, block + 1))
-    for i, g in enumerate(generators):
-        g.random(out=buf[i, :block])
+    rows = list(buf[:, :block])
+    fills = [g.random for g in generators]
+    for fill, row in zip(fills, rows):
+        fill(out=row)
     offset = 0
-    per_slot = [path, t, rec_ptr, neg_cap] + ([dt] if fixed else [])
+    per_slot = [path, t, rec_ptr, neg_cap, counts] + ([dt] if fixed else [])
 
-    slots = np.arange(n_paths)
     rate_buf = np.empty((none, n_paths))
     cum_buf = np.empty((none, n_paths))
     k = n_paths if 0.0 < t_end else 0  # every path starts at t = 0
     while k:
         if offset == block:
-            for i in path[:k]:
-                generators[i].random(out=buf[i, :block])
+            for i in path[:k].tolist():
+                fills[i](out=rows[i])
             offset = 0
         # the prefix holds paths 0..k-1 until a path before the last finishes
         ordered = path[k - 1] == k - 1
@@ -458,8 +465,7 @@ def run_mc_paths(
                 u, advance = _geometric_skip(u, totals, prob, step, gap)
             idx = _bernoulli_events(cum, u / step)
         else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tau = -np.log1p(-u[0]) / totals
+            tau = -np.log1p(-u[0]) / totals  # inf (or nan) at zero total rate
             dead = totals <= 0.0
             if np.count_nonzero(dead):
                 tau[dead] = np.inf
@@ -480,7 +486,7 @@ def run_mc_paths(
                 reached = record.searchsorted(ta[landed], side="left")
                 _record(out, Xa, path, rp, landed, reached)
 
-        counts[idx, slots[:k]] += 1
+        flat[base[:k] + idx] += 1
         low = Xa[0] < 1.0
         if np.count_nonzero(low):
             neg_cap[:k] += (idx == 0) & low
@@ -509,14 +515,13 @@ def run_mc_paths(
             for a in per_slot:
                 a[:k] = a[order]
             X[:, :k] = Xa[:, order]
-            counts[:, :k] = counts[:, order]
             k = stepping
 
     # finished and absorbed paths: fill any remaining record slots
     unfilled = np.flatnonzero(rec_ptr < record.size)
     _record(out, X, path, rec_ptr, unfilled, record.size)
     by_path = np.empty_like(path)
-    by_path[path] = slots
+    by_path[path] = np.arange(n_paths)
     return PathsResult(
         states=out,
         record_times=record,
@@ -526,7 +531,7 @@ def run_mc_paths(
             "negative_captures": neg_cap[by_path],
             "halvings": np.bincount([h[0] for h in halvings], minlength=n_paths),
         },
-        event_counts=counts[:none, by_path].T,
+        event_counts=counts[by_path, :none],
         halvings=halvings,
     )
 

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -8,13 +9,16 @@ from stokin import (
     EnsembleFailureError,
     McConfig,
     ParameterError,
+    PathsResult,
     TimeGrid,
     deterministic_solve,
     load_scenario,
     mc_trajectory,
     run_ensemble,
+    run_mc_paths,
     stochastic_pca_solve,
 )
+from stokin import ensemble
 from stokin.ensemble import _Welford, _augment, _path_generators, path_seed
 
 from conftest import one_group_params, overflow_params, six_group_params
@@ -224,11 +228,10 @@ def test_failed_paths_abort_when_above_one_percent():
         method="em", master_seed=0, min_samples=50, max_samples=50,
         record_times=(0.0, 3.97),
     )
-    # the engine silences its own overflow, but the ensemble's Welford update
-    # still overflows on the surviving paths, whose states reach about 1e306
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        with pytest.raises(EnsembleFailureError, match="not solvable by this method$"):
-            run_ensemble(p, x0, TimeGrid(3.97, 0.01), cfg)
+    # the surviving paths reach about 1e306 and overflow the Welford sums
+    # without a warning; the 1% abort is checked first
+    with pytest.raises(EnsembleFailureError, match="not solvable by this method$"):
+        run_ensemble(p, x0, TimeGrid(3.97, 0.01), cfg)
     # tiny populations at six-group prompt-critical parameters undershoot
     # zero at once; their negative rates are clipped and every path completes
     p = six_group_params(rho=0.007)
@@ -238,6 +241,51 @@ def test_failed_paths_abort_when_above_one_percent():
     assert summary.failures == 0
     assert summary.n_samples == 50
     assert summary.diagnostics["clipped_hard"] > 0
+
+
+def test_overflowing_statistics_raise_a_typed_error(monkeypatch):
+    # finite surviving states near 1e306 of alternating sign overflow the
+    # Welford sums of n, whose spread passes the float range
+    p, x0 = table1_setup()
+
+    def engine(p, x0, horizon, cfg, generators, record_times):
+        n = len(generators)
+        states = np.ones((n, len(record_times), p.dim))
+        states[:, -1, 0] = 1e306 * (-1.0) ** np.arange(n)
+        return PathsResult(
+            states=states,
+            record_times=np.asarray(record_times),
+            failed=np.zeros(n, dtype=bool),
+            fail_step=np.full(n, -1),
+            counters={},
+        )
+
+    monkeypatch.setattr(ensemble, "run_mc_paths", engine)
+    cfg = EnsembleConfig(method="mc", min_samples=4, max_samples=4, record_times=(0.0, 2.0))
+    with pytest.raises(EnsembleFailureError, match="overflowed at t=2 in component n:"):
+        run_ensemble(p, x0, TimeGrid(2.0, 0.1), cfg)
+
+
+def test_two_batches_are_never_alive_at_once(monkeypatch):
+    # each engine call finds the previous batch's result and states freed
+    p, x0 = table1_setup()
+    held = []
+
+    def engine(*args):
+        assert all(ref() is None for ref in held)
+        res = run_mc_paths(*args)
+        held.extend([weakref.ref(res), weakref.ref(res.states)])
+        return res
+
+    monkeypatch.setattr(ensemble, "run_mc_paths", engine)
+    cfg = EnsembleConfig(
+        method="mc", min_samples=6, max_samples=6, batch_size=3, keep_sample_paths=2,
+        mc=McConfig(mode="exact"), record_times=(0.0, 0.5),
+    )
+    summary = run_ensemble(p, x0, TimeGrid(0.5, 0.1), cfg)
+    assert len(held) == 4
+    assert summary.n_samples == 6
+    assert summary.sample_paths.shape == (2, 2, p.dim)
 
 
 def test_table1_never_clips_at_criterion_3_samples():

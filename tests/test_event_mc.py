@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -850,10 +852,11 @@ def test_fractional_results_do_not_depend_on_the_block_length(mode, monkeypatch)
         assert all(set(g.sizes) == {block} for g in gens)
         return res, max(g.blocks for g in gens)
 
-    default, _ = run(event_mc._FRACTIONAL_BUFFER)
-    for block in (2, 38):
+    default, default_blocks = run(event_mc._FRACTIONAL_BUFFER)
+    assert default_blocks > 1
+    for block in (2, 38, 1024):  # 1024 outlasts the run: no refill
         res, blocks = run(block)
-        assert blocks > 3
+        assert blocks > (3 if block < 1024 else 0)
         assert np.array_equal(res.states, default.states)
         assert np.array_equal(res.event_counts, default.event_counts)
         assert res.halvings == default.halvings
@@ -870,6 +873,52 @@ def test_integer_yield_blocks_keep_the_full_length(mode):
     assert res.event_counts[:, 1].min() > 0
     assert max(g.blocks for g in gens) > 1
     assert all(set(g.sizes) == {event_mc._BUFFER} for g in gens)
+
+
+def test_exact_batch_memory_stays_small():
+    # 1024 table1 paths in exact mode: the uniform blocks (256 floats a path)
+    # and the engine's per-slot buffers peak well under 5 MB
+    scn = load_scenario("table1")
+    p = scn.build_parameters()
+    x0 = scn.build_initial(p)
+    gens = [np.random.default_rng(path_seed(2014, i)) for i in range(1024)]
+    tracemalloc.start()
+    try:
+        run_mc_paths(p, x0, 0.05, McConfig(mode="exact"), gens, [0.05])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
+def test_engine_leaves_the_error_state_as_it_found_it():
+    # a zero-rate path divides by zero in both modes; the engine's own
+    # settings hold inside it and the caller's come back after
+    p = one_group_params(q=0.0)
+    with np.errstate(all="raise"):
+        before = np.geterr()
+        for mode in ("fixed", "exact"):
+            res = run_stubbed(p, [0.0, 0.0], 1.0, McConfig(mode=mode), [[0.3]])
+            assert np.all(res.states == 0.0)
+            assert np.geterr() == before
+
+
+@pytest.mark.parametrize(
+    "mode, q, dt",
+    [("exact", 0.0, None), ("fixed", 0.0, 2.0**-10), ("fixed", 1024.0, 2.0**-10)],
+    ids=["exact-zero-rate", "fixed-zero-rate", "fixed-P=1"],
+)
+def test_degenerate_slots_run_warning_free(mode, q, dt):
+    # from the empty state only the source fires: zero total rate, or a
+    # total probability of exactly 1024 * 2^-10 = 1 on a one-step horizon
+    p = one_group_params(q=q)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = run_stubbed(p, [0.0, 0.0], 2.0**-10, McConfig(mode=mode, dt=dt), [[0.0], [0.5]])
+    births = 0.0 if q == 0.0 else 1.0  # P = 1 fires the source on the step
+    assert res.states[:, -1].tolist() == [[births, 0.0]] * 2
+    assert res.event_counts[:, -1].tolist() == [births] * 2
+    assert res.halvings == []
 
 
 @pytest.mark.parametrize("horizon", [math.inf, math.nan, -1.0])
